@@ -304,6 +304,7 @@ class ReductionCurve:
     scores: tuple                # HsicScore per offset
     retained: tuple              # subpopulation sizes
     cutoff: int | None           # smallest c at the noise floor, None if never
+    step: float                  # parameter value per unit of c
 
     def values(self):
         return np.array([s.value for s in self.scores])
@@ -376,7 +377,7 @@ def interval_reduction(
             cutoff = c
             break
     return ReductionCurve(param.name, tuple(kept_offsets), tuple(scores),
-                          tuple(retained), cutoff)
+                          tuple(retained), cutoff, step)
 
 
 # -- the full pipeline ---------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 
 from . import analysis as an
 from . import reports
-from .harness import TrialFileError, load_trials, run_random_search
+from .harness import TrialFileError, jobs_from_env, load_trials, run_random_search
 from .hsic import EstimationError
 from .objectives import OBJECTIVE_NAMES, build_objective
 from .space import SpaceError, parse_space
@@ -34,6 +34,13 @@ def _goal_from_args(args) -> an.GoalSet:
     if getattr(args, "goal", "best") == "best":
         return an.best_percentile(args.percentile)
     return an.worst_percentile(args.percentile)
+
+
+def _jobs(args) -> int:
+    try:
+        return jobs_from_env(args.jobs)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
 
 
 def _load(path):
@@ -119,7 +126,7 @@ def _cmd_search(args) -> int:
     if args.space:
         with open(args.space, encoding="utf-8") as fh:
             space = parse_space(fh.read())
-    run_random_search(space, objective, args.n, jobs=args.jobs,
+    run_random_search(space, objective, args.n, jobs=_jobs(args),
                       master_seed=args.seed, out_path=args.out)
     print(f"wrote {args.n} trials to {args.out}")
     return 0
@@ -167,10 +174,13 @@ def _cmd_optimize(args) -> int:
     for item in args.speed:
         name, _, direction = item.partition("=")
         directions[name] = direction or "minimize"
-    policy = FixingPolicy(
-        mode="accuracy_and_speed" if args.mode == "acc+speed" else "accuracy_only",
-        speed_directions=directions,
-    )
+    try:
+        policy = FixingPolicy(
+            mode="accuracy_and_speed" if args.mode == "acc+speed" else "accuracy_only",
+            speed_directions=directions,
+        )
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
     budgets = Budgets(args.init, args.budget_step1, args.init, args.budget_step2)
     goal = _goal_for_trials(trials, args)
     result = two_step_optimize(space, trials, objective, goal, policy,
@@ -201,7 +211,7 @@ def _cmd_report(args) -> int:
 def _cmd_demo(args) -> int:
     objective = build_objective(args.name)
     trials = run_random_search(objective.space, objective, args.n,
-                               jobs=args.jobs, master_seed=args.seed)
+                               jobs=_jobs(args), master_seed=args.seed)
     scores = [t.score for t in trials if t.ok]
     binary = scores and set(scores) <= {0.0, 1.0}
     goal = an.threshold(0.5, "le") if binary else an.best_percentile(args.percentile)
@@ -234,6 +244,9 @@ def cli(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (SpaceError, EstimationError, TrialFileError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

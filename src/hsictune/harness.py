@@ -25,6 +25,7 @@ __all__ = [
     "Trial",
     "RunManifest",
     "TrialFileError",
+    "jobs_from_env",
     "trial_seed",
     "run_random_search",
     "load_trials",
@@ -158,6 +159,17 @@ def _scan_existing(path, manifest_expected):
     return done
 
 
+def jobs_from_env(jobs: int) -> int:
+    """Worker count: HSIC_TUNE_JOBS when it is set, else jobs."""
+    raw = os.environ.get("HSIC_TUNE_JOBS")
+    if raw is None:
+        return int(jobs)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"HSIC_TUNE_JOBS must be an integer, got {raw!r}") from None
+
+
 def run_random_search(
     space: SearchSpace,
     objective,
@@ -172,7 +184,7 @@ def run_random_search(
     append to a JSONL file with a manifest header and existing indices are
     skipped, so an interrupted run picks up where it left off.
     """
-    jobs = int(os.environ.get("HSIC_TUNE_JOBS", jobs))
+    jobs = jobs_from_env(jobs)
     space_doc = space_to_dict(space)
     manifest = RunManifest(
         space=space_doc,
@@ -237,6 +249,8 @@ def load_trials(path):
                 rec = json.loads(stripped)
             except json.JSONDecodeError:
                 raise TrialFileError(f"{path}: corrupt record at line {lineno}")
+            if not isinstance(rec, dict):
+                raise TrialFileError(f"{path}: line {lineno} is not a JSON object")
             if lineno == 1:
                 if "manifest" not in rec:
                     raise TrialFileError(f"{path}: first line is not a manifest")

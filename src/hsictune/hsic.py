@@ -16,7 +16,9 @@ nonnegative up to rounding.
 Two evaluation paths give identical structure at different scales: a dense
 O(n^2) path below _DENSE_LIMIT pooled points, and a binned path that
 histograms ranks and turns the double sums into FFT correlations, which
-keeps large random searches (n in the tens of thousands) cheap.  Both paths
+keeps large random searches (n in the tens of thousands) cheap.  Its
+bootstrap fixes the bandwidth, so each resampled histogram is scored with
+the kernel at that one bandwidth instead of the correlations.  Both paths
 are deterministic and permutation invariant by construction (the dense path
 canonically sorts its input; histograms are order-free).
 """
@@ -148,6 +150,31 @@ class _Hist1:
         B = len(self.counts_a)
         return (np.arange(B) * self.width) ** 2
 
+    def sums_at(self, gamma):
+        """Map count vectors (c, g) on this grid to (c'Kc, g'Kc, g'Kg).
+
+        K is the Toeplitz kernel matrix at one gamma.  Embedded in a circulant
+        of length 2B it is diagonal in Fourier space, so by Parseval each
+        triple costs two forward FFTs and three weighted spectrum sums.
+        """
+        B = len(self.counts_a)
+        M = 2 * B
+        k = np.exp(self.dist_sq() * (-gamma))
+        ring = np.zeros(M)          # lag B never occurs between two bins
+        ring[:B] = k
+        ring[B + 1 :] = k[:0:-1]
+        w = np.fft.rfft(ring).real / M
+        w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
+
+        def sums(c, g):
+            fc = np.fft.rfft(c, M)
+            fg = np.fft.rfft(g, M)
+            return (w @ (fc.real**2 + fc.imag**2),
+                    w @ (fg.real * fc.real + fg.imag * fc.imag),
+                    w @ (fg.real**2 + fg.imag**2))
+
+        return sums
+
 
 def _fold1(raw: np.ndarray, B: int) -> np.ndarray:
     # autocorrelation: weight at absolute lag d
@@ -181,6 +208,26 @@ class _Hist2:
         w_bb = _fold2(np.fft.irfft2(fb * np.conj(fb), (M, M)), B, auto=True)
         w_ab = _fold2(np.fft.irfft2(fa * np.conj(fb), (M, M)), B, auto=False)
         return w_aa, w_ab, w_bb
+
+    def sums_at(self, gamma):
+        """Map flat count grids (c, g) to (c'Kc, g'Kc, g'Kg) at one gamma.
+
+        The product kernel on the bin grid is K1 (x) K2 with Toeplitz factors
+        K_d[i, j] = exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.
+        """
+        B = self.counts_a.shape[0]
+        lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
+        K1, K2 = (np.exp((np.arange(B) * w) ** 2 * (-gamma))[lag]
+                  for w in self.widths)
+
+        def sums(c, g):
+            C = c.reshape(B, B)
+            G = g.reshape(B, B)
+            kc = K1 @ C @ K2
+            kg = K1 @ G @ K2
+            return np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, kg)
+
+        return sums
 
 
 def _fold2(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
@@ -395,37 +442,39 @@ class _LabeledBinnedEngine(_BinnedEngine):
         super().__init__(hist, n, m)
 
     def bootstrap(self, gamma, n_boot, seed):
-        if isinstance(self.hist, _Hist1):
-            c = self.hist.counts_a
-            g = self.hist.counts_b
-            shape = None
-        else:
-            shape = self.hist.counts_a.shape
-            c = self.hist.counts_a.ravel()
-            g = self.hist.counts_b.ravel()
+        c = self.hist.counts_a.ravel()
+        g = self.hist.counts_b.ravel()
         n = self.n
-        rest = c - g
-        p = np.concatenate([g, rest]) / n
+        p = np.concatenate([g, c - g]) / n
         p /= p.sum()     # guard multinomial against float drift
+        sums = self.hist.sums_at(gamma)
         vals = np.empty(n_boot)
-        for b in range(n_boot):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), b)))
-            counts = rng.multinomial(n, p)
-            gb = counts[: len(g)].astype(float)
-            cb = gb + counts[len(g) :].astype(float)
+        for b, counts in enumerate(_resample_counts(n, p, n_boot, seed)):
+            gb = counts[: len(g)]
+            cb = gb + counts[len(g) :]
             mb = gb.sum()
             if mb < 1:
                 vals[b] = 0.0
                 continue
-            if shape is None:
-                hist = _Hist1(cb, gb, self.hist.width)
-            else:
-                hist = _Hist2(cb.reshape(shape), gb.reshape(shape), self.hist.widths)
-            eng = _BinnedEngine(hist, n, int(mb))
-            s_all, s_cross, s_goal = eng.sums([gamma])[0]
+            s_all, s_cross, s_goal = sums(cb, gb)
             mm = s_goal / mb**2 + s_all / n**2 - 2.0 * s_cross / (n * mb)
             vals[b] = max((mb / n) ** 2 * mm, 0.0)
         return vals
+
+
+def _resample_counts(n, p, n_boot, seed):
+    """Yield multinomial(n, p) counts for replicate b from the stream (seed, b).
+
+    Only the support of p is drawn.  A zero-probability category consumes no
+    random numbers, so the counts equal those of a draw over all of p.
+    """
+    support = np.flatnonzero(p)
+    p_support = p[support]
+    for b in range(n_boot):
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), b)))
+        counts = np.zeros(len(p))
+        counts[support] = rng.multinomial(n, p_support)
+        yield counts
 
 
 def _labeled_engine(points, flags):

@@ -121,11 +121,7 @@ class TwoStepResult:
 def _speed_value(spec, direction, curve: ReductionCurve | None):
     lo, hi = spec.lo, spec.hi
     if curve is not None and curve.cutoff:
-        if spec.kind == "integer":
-            lo = int(lo) + curve.cutoff
-        else:
-            step = (spec.hi - spec.lo) / max(len(curve.offsets), 1)
-            lo = spec.lo + curve.cutoff * step
+        lo = spec.lo + curve.cutoff * curve.step
     if direction == "maximize":
         return int(hi) if spec.kind == "integer" else float(hi)
     return int(lo) if spec.kind == "integer" else float(lo)

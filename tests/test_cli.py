@@ -106,3 +106,29 @@ def test_demo_example2_orders_x1_first(tmp_path, capsys):
     first = next(l for l in text.splitlines() if "x1" in l or "x2" in l)
     assert "x1" in first
     assert os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_bad_speed_direction_is_usage_error(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "50", "--seed", "1",
+         "--out", trials])
+    assert cli(["optimize", trials, "--objective", "example2",
+                "--speed", "x1=fast"]) == 1
+    assert "speed direction" in capsys.readouterr().err
+
+
+def test_non_object_trial_line_is_runtime_error(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
+         "--out", trials])
+    with open(trials, "a") as fh:
+        fh.write("[1, 2]\n")
+    assert cli(["analyze", trials]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_bad_jobs_variable_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HSIC_TUNE_JOBS", "abc")
+    assert cli(["search", "--objective", "example2", "--n", "10",
+                "--out", str(tmp_path / "trials.jsonl")]) == 1
+    assert "HSIC_TUNE_JOBS" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
+from hsictune import hsic
 from hsictune.hsic import (
     EstimationError,
     Kernel,
@@ -310,3 +313,76 @@ def test_masked_entries_are_ignored():
     masked = hsic_goal(u, z, active=active, n_boot=0)
     assert masked.value == direct.value
     assert masked.n_total == int(active.sum())
+
+
+# -- dense and binned paths --------------------------------------------------------
+
+
+def labeled_points(rng, n, dim):
+    """Uniform points whose goal flags depend on their position."""
+    pts = rng.random((n, dim))
+    if dim == 1:
+        z = pts[:, 0] < rng.uniform(0.1, 0.4)
+    else:
+        z = np.abs(pts[:, 0] - pts[:, 1]) < rng.uniform(0.05, 0.3)
+    return pts, z
+
+
+def resample_probabilities(eng):
+    c = eng.hist.counts_a.ravel()
+    g = eng.hist.counts_b.ravel()
+    p = np.concatenate([g, c - g]) / eng.n
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_binned_replicate_sums_match_fft_correlations(dim):
+    # per-replicate kernel products against the folded FFT correlations on the
+    # same multinomial-resampled histograms, across the bandwidth grid
+    rng = np.random.default_rng(20 + dim)
+    pts, z = labeled_points(rng, 5000, dim)
+    eng = hsic._LabeledBinnedEngine(pts, z)
+    p = resample_probabilities(eng)
+    half = len(p) // 2
+    shape = eng.hist.counts_a.shape
+    grid = bandwidth_grid(eng.median_pooled_distance())
+    for h in grid[::6]:
+        gamma = 1.0 / (2.0 * h * h)
+        sums = eng.hist.sums_at(gamma)
+        for seed in range(3):
+            counts = np.random.default_rng(seed).multinomial(eng.n, p).astype(float)
+            gb = counts[:half]
+            cb = gb + counts[half:]
+            hist = dataclasses.replace(eng.hist, counts_a=cb.reshape(shape),
+                                       counts_b=gb.reshape(shape))
+            want = hsic._BinnedEngine(hist, eng.n, int(gb.sum())).sums([gamma])[0]
+            np.testing.assert_allclose(sums(cb, gb), want, rtol=1e-12, atol=0)
+
+
+def test_support_multinomial_matches_full_draw():
+    rng = np.random.default_rng(30)
+    for dim in (1, 2):
+        pts, z = labeled_points(rng, 3000, dim)
+        eng = hsic._LabeledBinnedEngine(pts, z)
+        p = resample_probabilities(eng)
+        for s in (0, 1, 7):
+            for b, counts in enumerate(hsic._resample_counts(eng.n, p, 100, s)):
+                full_rng = np.random.default_rng(np.random.SeedSequence((s, b)))
+                assert np.array_equal(counts, full_rng.multinomial(eng.n, p))
+
+
+def selected_score(eng):
+    grid = bandwidth_grid(eng.median_pooled_distance())
+    mmds = hsic._mmd_from_sums(eng.sums(1.0 / (2.0 * grid**2)), eng.n, eng.m)
+    return (eng.m / eng.n) ** 2 * float(mmds.max())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dense_and_binned_scores_agree(dim):
+    # both paths score the same points to well under a percent
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(10):
+        pts, z = labeled_points(rng, int(rng.integers(300, 900)), dim)
+        dense = selected_score(hsic._LabeledDenseEngine(pts, z))
+        binned = selected_score(hsic._LabeledBinnedEngine(pts, z))
+        assert abs(binned - dense) <= 1e-2 * dense

@@ -1,15 +1,25 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hsictune.analysis import best_percentile, run_algorithm1, threshold
+from hsictune.analysis import (
+    best_percentile,
+    dummy_floor,
+    interval_reduction,
+    make_goal_flags,
+    normalize_trials,
+    run_algorithm1,
+    threshold,
+)
 from hsictune.harness import Trial, run_random_search
 from hsictune.hsic import EstimationError
 from hsictune.objectives import Example2Objective, ThreeTermObjective
 from hsictune.twostep import (
     Budgets,
     FixingPolicy,
+    _speed_value,
     select_fixed_values,
     two_step_optimize,
 )
@@ -97,6 +107,26 @@ def test_speed_fixing_on_wide_integer_domain():
                                                   space=space)
     assert fixed["n_units"] == 7
     assert provenance["n_units"] == "speed"
+
+
+def test_speed_pin_on_truncated_continuous_curve():
+    # the pin sits at lo + cutoff * span / n_steps_continuous however many
+    # offsets survive: on [0, 1] with 20 steps, 10 kept offsets and cutoff 5
+    # pin 0.25
+    from hsictune.space import SearchSpace, continuous_param
+
+    space = SearchSpace((continuous_param("x", 0.0, 1.0),))
+    rng = np.random.default_rng(5)
+    trials = [Trial({"x": x}, x + rng.uniform(0, 0.01), "ok", 0)
+              for x in rng.random(300)]
+    goal = best_percentile(0.2)
+    z = make_goal_flags(trials, goal)
+    floor = dummy_floor(np.ones(len(trials), dtype=bool), z, 5, n_boot=10)
+    matrix = normalize_trials(space, trials, seed=5)
+    curve = interval_reduction(space.param("x"), trials, matrix, goal, floor,
+                               seed=5, n_boot=10, n_steps_continuous=20)
+    truncated = dataclasses.replace(curve, offsets=tuple(range(10)), cutoff=5)
+    assert _speed_value(space.param("x"), "minimize", truncated) == 0.25
 
 
 def test_no_ok_trials_raises():
