@@ -13,7 +13,7 @@ treated as non-impactful.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -206,35 +206,39 @@ def interaction_matrix(params, matrix: NormalizedMatrix, z, *, seed: int = 0,
     if len(params) < 2:
         raise EstimationError("interaction matrix needs at least 2 parameters")
     z = np.asarray(z, dtype=bool)
-    k = len(params)
-    values = np.full((k, k), np.nan)
-    ses = np.full((k, k), np.nan)
     scores = {}
+    for i, name in enumerate(params):
+        rows = matrix.rows_where_active([name])
+        scores[(i, i)] = hsic_goal(matrix.column(name)[rows], z[rows], n_boot=n_boot,
+                                   seed=seed)
+    return _with_pairs(params, scores, matrix, z, seed, n_boot, pairs)
+
+
+def _with_pairs(params, diagonal, matrix, z, seed, n_boot, pairs) -> InteractionMatrix:
+    """The interaction matrix from its diagonal scores plus the wanted pairs."""
+    k = len(params)
     wanted = None
     if pairs is not None:
         wanted = {(min(params.index(a), params.index(b)),
                    max(params.index(a), params.index(b))) for a, b in pairs}
-    for i in range(k):
-        rows = matrix.rows_where_active([params[i]])
-        s = hsic_goal(matrix.column(params[i])[rows], z[rows], n_boot=n_boot, seed=seed)
-        scores[(i, i)] = s
-        values[i, i] = s.value
-        ses[i, i] = s.std_error
+    scores = dict(diagonal)
     for i in range(k):
         for j in range(i + 1, k):
             if wanted is not None and (i, j) not in wanted:
                 continue
             rows = matrix.rows_where_active([params[i], params[j]])
-            s = hsic_pair(
+            scores[(i, j)] = hsic_pair(
                 matrix.column(params[i])[rows],
                 matrix.column(params[j])[rows],
                 z[rows],
                 n_boot=n_boot,
                 seed=seed,
             )
-            scores[(i, j)] = s
-            values[i, j] = values[j, i] = s.value
-            ses[i, j] = ses[j, i] = s.std_error
+    values = np.full((k, k), np.nan)
+    ses = np.full((k, k), np.nan)
+    for (i, j), s in scores.items():
+        values[i, j] = values[j, i] = s.value
+        ses[i, j] = ses[j, i] = s.std_error
     return InteractionMatrix(params, values, ses, scores)
 
 
@@ -403,6 +407,8 @@ class SensitivityReport:
     groups: tuple                # GroupRanking per group, main first
     interactions: InteractionMatrix | None
     noise_floor: HsicScore       # main-group dummy score
+    matrix: NormalizedMatrix = field(repr=False, compare=False)  # ranks it was built from
+    flags: np.ndarray = field(repr=False, compare=False)         # goal flag per trial
 
     def group(self, gid: str) -> GroupRanking:
         for g in self.groups:
@@ -479,8 +485,10 @@ def run_algorithm1(
             quiet = [n for n in main_params if n not in main_ranking.impactful(k_se)]
             pairs = [(a, b) for ai, a in enumerate(quiet) for b in quiet[ai + 1:]]
         if pairs is None or pairs:
-            interactions = interaction_matrix(
-                main_params, matrix, z, seed=seed, n_boot=n_boot, pairs=pairs
-            )
+            # the main group spans every row, so its ranking is the diagonal
+            ranked = dict(main_ranking.entries)
+            diagonal = {(i, i): ranked[name] for i, name in enumerate(main_params)}
+            interactions = _with_pairs(main_params, diagonal, matrix, z, seed, n_boot,
+                                       pairs)
     return SensitivityReport(goal, int(seed), tuple(rankings), interactions,
-                             main_ranking.floor)
+                             main_ranking.floor, matrix, z)

@@ -15,7 +15,7 @@ from . import reports
 from .harness import TrialFileError, jobs_from_env, load_trials, run_random_search
 from .hsic import EstimationError
 from .objectives import OBJECTIVE_NAMES, build_objective
-from .space import SpaceError, parse_space
+from .space import SpaceError, build_groups, normalize_trials, parse_space
 from .twostep import Budgets, FixingPolicy, two_step_optimize
 
 __all__ = ["cli", "main"]
@@ -156,11 +156,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_reduce(args) -> int:
     _, space, trials = _load(args.trials)
     goal = _goal_for_trials(trials, args)
-    report = an.run_algorithm1(space, trials, goal, args.seed)
-    matrix = an.normalize_trials(space, trials, args.seed)
+    # the curves need only the noise floor: the main group's dummy score
+    z = an.make_goal_flags(trials, goal)
+    matrix = normalize_trials(space, trials, args.seed)
+    floor = an.dummy_floor(matrix.rows_where_active(build_groups(space)[0].members), z,
+                           args.seed)
     for name in args.param:
-        curve = an.interval_reduction(space.param(name), trials, matrix, goal,
-                                      report.noise_floor, seed=args.seed)
+        curve = an.interval_reduction(space.param(name), trials, matrix, goal, floor,
+                                      seed=args.seed)
         reports.save_reduction_curve(curve, args.out)
         cut = "none" if curve.cutoff is None else str(curve.cutoff)
         print(f"{name}: suggested cutoff c* = {cut}")
@@ -201,9 +204,7 @@ def _cmd_report(args) -> int:
     goal = _goal_for_trials(trials, args)
     report = an.run_algorithm1(space, trials, goal, args.seed)
     reports.save_report_bundle(report, args.out)
-    z = an.make_goal_flags(trials, goal)
-    matrix = an.normalize_trials(space, trials, args.seed)
-    reports.save_histograms(matrix, z, args.out)
+    reports.save_histograms(report.matrix, report.flags, args.out)
     print(f"report bundle written to {args.out}")
     return 0
 

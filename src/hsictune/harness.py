@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .space import SearchSpace, sample_configuration, space_to_dict
+from .space import SearchSpace, parse_space, sample_configuration, space_to_dict
 
 __all__ = [
     "Trial",
@@ -105,10 +105,7 @@ def _trial_record(index: int, trial: Trial) -> str:
 
 
 def _evaluate_one(args):
-    objective, space_doc, index, master_seed = args
-    from .space import parse_space
-
-    space = parse_space(json.dumps(space_doc))
+    objective, space, index, master_seed = args
     seed = trial_seed(master_seed, index)
     rng = np.random.default_rng(np.random.SeedSequence((master_seed & 0xFFFFFFFF, index, 1)))
     config = sample_configuration(space, rng)
@@ -119,6 +116,19 @@ def _evaluate_one(args):
         trial = Trial(config, None, STATUS_FAILED, seed, tags={"error": repr(e)[:200]})
     trial.wall_time_s = time.perf_counter() - t0
     return index, trial
+
+
+def _parse_manifest(path, rec) -> RunManifest:
+    """The manifest of a run file's first record."""
+    if "manifest" not in rec:
+        raise TrialFileError(f"{path}: first line is not a manifest")
+    m = rec["manifest"]
+    if not isinstance(m, dict):
+        raise TrialFileError(f"{path}: manifest is not a JSON object")
+    try:
+        return RunManifest(**m)
+    except TypeError:   # missing or unknown fields
+        raise TrialFileError(f"{path}: manifest fields do not match a run manifest") from None
 
 
 def _scan_existing(path, manifest_expected):
@@ -140,13 +150,13 @@ def _scan_existing(path, manifest_expected):
             if rec is None:
                 good_bytes += len(line.encode())
                 continue
+            if not isinstance(rec, dict):
+                raise TrialFileError(f"{path}: line {lineno} is not a JSON object")
             if lineno == 1:
-                if "manifest" not in rec:
-                    raise TrialFileError(f"{path}: first line is not a manifest")
-                manifest = rec["manifest"]
-                if manifest["space_hash"] != manifest_expected.space_hash:
+                manifest = _parse_manifest(path, rec)
+                if manifest.space_hash != manifest_expected.space_hash:
                     raise TrialFileError(f"{path}: space hash mismatch")
-                if manifest["master_seed"] != manifest_expected.master_seed:
+                if manifest.master_seed != manifest_expected.master_seed:
                     raise TrialFileError(f"{path}: master seed mismatch")
             else:
                 if not complete and lineno == len(lines):
@@ -186,6 +196,8 @@ def run_random_search(
     """
     jobs = jobs_from_env(jobs)
     space_doc = space_to_dict(space)
+    # trials sample from the space as the manifest records it
+    parsed = parse_space(json.dumps(space_doc))
     manifest = RunManifest(
         space=space_doc,
         space_hash=space_hash(space_doc),
@@ -209,7 +221,7 @@ def run_random_search(
     try:
         if jobs <= 1 or len(todo) <= 1:
             for i in todo:
-                idx, trial = _evaluate_one((objective, space_doc, i, master_seed))
+                idx, trial = _evaluate_one((objective, parsed, i, master_seed))
                 results[idx] = trial
                 if fh:
                     fh.write(_trial_record(idx, trial) + "\n")
@@ -217,7 +229,7 @@ def run_random_search(
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {
-                    pool.submit(_evaluate_one, (objective, space_doc, i, master_seed)): i
+                    pool.submit(_evaluate_one, (objective, parsed, i, master_seed)): i
                     for i in todo
                 }
                 for fut in as_completed(futures):
@@ -252,10 +264,7 @@ def load_trials(path):
             if not isinstance(rec, dict):
                 raise TrialFileError(f"{path}: line {lineno} is not a JSON object")
             if lineno == 1:
-                if "manifest" not in rec:
-                    raise TrialFileError(f"{path}: first line is not a manifest")
-                m = rec["manifest"]
-                manifest = RunManifest(**m)
+                manifest = _parse_manifest(path, rec)
                 if space_hash(manifest.space) != manifest.space_hash:
                     raise TrialFileError(f"{path}: space hash mismatch")
                 continue

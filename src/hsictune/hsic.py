@@ -13,14 +13,20 @@ whose bandwidth is picked by maximizing the squared mean-embedding distance
 S is (m/n)^2 times the squared MMD between those two samples, hence
 nonnegative up to rounding.
 
-Two evaluation paths give identical structure at different scales: a dense
-O(n^2) path below _DENSE_LIMIT pooled points, and a binned path that
-histograms ranks and turns the double sums into FFT correlations, which
-keeps large random searches (n in the tens of thousands) cheap.  Its
-bootstrap fixes the bandwidth, so each resampled histogram is scored with
-the kernel at that one bandwidth instead of the correlations.  Both paths
-are deterministic and permutation invariant by construction (the dense path
-canonically sorts its input; histograms are order-free).
+Every estimate works on one representation of two sample sets a and b: the
+distinct support points of both, in lexicographic order, with a count
+vector c for set a and g for set b.  Then mmd2 = g'Kg/m^2 + c'Kc/n^2 -
+2 c'Kg/(nm), and a goal score takes a = all rows and b = the flagged rows,
+so g counts the flags.  Two backends serve it.  Up to _DENSE_LIMIT pooled
+points (n + m) the dense backend sums the kernel matrix of the support
+exactly.  Above it the binned backend snaps the support onto a grid of
+_BINS_1D bins (1-D) or _BINS_2D per dimension (2-D) and turns the sums into
+FFT correlations, which keeps random searches of tens of thousands of
+trials cheap.  Each backend gives the pooled median distance that centers
+the bandwidth grid, the sums over the grid, the sums at one bandwidth, and
+its own bootstrap draw; one bootstrap loop scores the replicates at the
+selected bandwidth.  Both backends are deterministic and permutation
+invariant: the support is sorted and counts are order-free.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ def rbf_kernel(u, v, kernel: Kernel) -> float:
     return float(np.exp(-np.sum((u - v) ** 2 / (2.0 * h * h), axis=-1)))
 
 
-# -- shared geometry helpers -------------------------------------------------
+# -- the two-set representation -----------------------------------------------
 
 
 def _as_points(x) -> np.ndarray:
@@ -111,15 +117,6 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _canonical_order(points: np.ndarray, flags: np.ndarray | None = None):
-    """Sort rows lexicographically so sums do not depend on input order."""
-    keys = [points[:, d] for d in range(points.shape[1] - 1, -1, -1)]
-    if flags is not None:
-        keys.insert(0, flags.astype(np.int8))
-    order = np.lexsort(tuple(keys))
-    return order
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((len(a), len(b)))
     for d in range(a.shape[1]):
@@ -127,98 +124,190 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- binned representation ---------------------------------------------------
+def _support(points_a, points_b):
+    """Distinct points of both sets, sorted, with counts c (set a), g (set b).
+
+    A point in both sets is one support row, so equal sets give c == g and
+    sums that cancel exactly.
+    """
+    pts = np.concatenate([points_a, points_b])
+    order = np.lexsort(pts.T[::-1])            # first coordinate is the primary key
+    ordered = pts[order]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    row = np.empty(len(pts), dtype=np.int64)
+    row[order] = np.cumsum(new) - 1
+    n, s = len(points_a), int(new.sum())
+    c = np.bincount(row[:n], minlength=s).astype(float)
+    g = np.bincount(row[n:], minlength=s).astype(float)
+    return ordered[new], c, g
 
 
-@dataclass
-class _Hist1:
-    counts_a: np.ndarray    # full / first set
-    counts_b: np.ndarray    # flagged / second set
-    width: float
+def _backend(points_a, points_b):
+    support, c, g = _support(points_a, points_b)
+    if len(points_a) + len(points_b) <= _DENSE_LIMIT:
+        return _DenseBackend(support, c, g)
+    return _BinnedBackend(support, c, g)
 
-    def corr(self):
-        B = len(self.counts_a)
-        M = 2 * B
-        fa = np.fft.rfft(self.counts_a, M)
-        fb = np.fft.rfft(self.counts_b, M)
-        w_aa = _fold1(np.fft.irfft(fa * np.conj(fa), M), B)
-        w_bb = _fold1(np.fft.irfft(fb * np.conj(fb), M), B)
-        w_ab = _fold1_cross(np.fft.irfft(fa * np.conj(fb), M), B)
-        return w_aa, w_ab, w_bb
 
-    def dist_sq(self):
-        B = len(self.counts_a)
-        return (np.arange(B) * self.width) ** 2
+def _mmd_from_sums(sums, n, m):
+    s_aa, s_ab, s_bb = sums[:, 0], sums[:, 1], sums[:, 2]
+    return s_bb / m**2 + s_aa / n**2 - 2.0 * s_ab / (n * m)
+
+
+# -- backends ------------------------------------------------------------------
+#
+# Each backend holds counts c and g on its support points and provides, with
+# gamma = 1 / (2 h^2):
+#   median_distance()  median distance between two points of the pooled
+#                      sample (set a plus set b again), centering the grid;
+#   sweep(gammas)      (c'Kc, c'Kg, g'Kg) at each gamma;
+#   sums_at(gamma)     a map from replicate counts (c, g) to (c'Kc, g'Kc, g'Kg);
+#   draw(rng)          one bootstrap replicate's counts (c, g) of a goal score.
+
+
+class _DenseBackend:
+    """Exact sums over the kernel matrix of the support points."""
+
+    def __init__(self, support, c, g):
+        self.c, self.g = c, g
+        self.n, self.m = int(c.sum()), int(g.sum())
+        self.d2 = _sq_dists(support, support)
+        # the n rows of set a, a point's flagged rows last: what a draw picks
+        reps = c.astype(np.int64)
+        self.owner = np.repeat(np.arange(len(c)), reps)
+        self.flagged = np.arange(self.n) >= np.repeat(np.cumsum(reps) - g.astype(np.int64),
+                                                      reps)
+
+    def median_distance(self) -> float:
+        # a pair of support points stands for the product of their pooled
+        # counts, and a point's own pooled pairs are all at distance 0
+        w = (self.c + self.g).astype(np.int64)
+        iu = np.triu_indices(len(w), k=1)
+        pairs = np.repeat(self.d2[iu], w[iu[0]] * w[iu[1]])
+        ties = np.zeros(int(np.sum(w * (w - 1) // 2)))
+        return float(np.sqrt(np.median(np.concatenate([ties, pairs]))))
+
+    def sweep(self, gammas):
+        out = np.empty((len(gammas), 3))
+        c, g = self.c, self.g
+        K = np.empty_like(self.d2)
+        for i, gamma in enumerate(gammas):
+            np.multiply(self.d2, -gamma, out=K)
+            np.exp(K, out=K)
+            kg = K @ g
+            kc = K @ c
+            # the cross term's contraction order sets its rounding; changing
+            # c'(Kg) here or g'(Kc) in sums_at moves the scores' last bits
+            out[i] = c @ kc, c @ kg, g @ kg
+        return out
 
     def sums_at(self, gamma):
-        """Map count vectors (c, g) on this grid to (c'Kc, g'Kc, g'Kg).
-
-        K is the Toeplitz kernel matrix at one gamma.  Embedded in a circulant
-        of length 2B it is diagonal in Fourier space, so by Parseval each
-        triple costs two forward FFTs and three weighted spectrum sums.
-        """
-        B = len(self.counts_a)
-        M = 2 * B
-        k = np.exp(self.dist_sq() * (-gamma))
-        ring = np.zeros(M)          # lag B never occurs between two bins
-        ring[:B] = k
-        ring[B + 1 :] = k[:0:-1]
-        w = np.fft.rfft(ring).real / M
-        w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
+        K = np.exp(self.d2 * (-gamma))
 
         def sums(c, g):
-            fc = np.fft.rfft(c, M)
-            fg = np.fft.rfft(g, M)
-            return (w @ (fc.real**2 + fc.imag**2),
-                    w @ (fg.real * fc.real + fg.imag * fc.imag),
-                    w @ (fg.real**2 + fg.imag**2))
+            kc = K @ c
+            kg = K @ g
+            return float(c @ kc), float(g @ kc), float(g @ kg)
 
         return sums
 
-
-def _fold1(raw: np.ndarray, B: int) -> np.ndarray:
-    # autocorrelation: weight at absolute lag d
-    out = np.empty(B)
-    out[0] = raw[0]
-    out[1:] = 2.0 * raw[1:B]
-    return out
-
-
-def _fold1_cross(raw: np.ndarray, B: int) -> np.ndarray:
-    # cross-correlation needs both lag signs: raw[d] and raw[M-d]
-    M = len(raw)
-    out = np.empty(B)
-    out[0] = raw[0]
-    out[1:] = raw[1:B] + raw[M - 1 : M - B : -1]
-    return out
+    def draw(self, rng):
+        """n rows of set a drawn with replacement, counted per support point."""
+        idx = rng.integers(0, self.n, self.n)
+        s = len(self.c)
+        return (np.bincount(self.owner[idx], minlength=s).astype(float),
+                np.bincount(self.owner[idx[self.flagged[idx]]], minlength=s).astype(float))
 
 
-@dataclass
-class _Hist2:
-    counts_a: np.ndarray    # (B, B)
-    counts_b: np.ndarray
-    widths: tuple
+class _BinnedBackend:
+    """Sums over the support snapped onto a grid of B bins per dimension."""
 
-    def corr(self):
-        B = self.counts_a.shape[0]
-        M = 2 * B
-        fa = np.fft.rfft2(self.counts_a, (M, M))
-        fb = np.fft.rfft2(self.counts_b, (M, M))
-        w_aa = _fold2(np.fft.irfft2(fa * np.conj(fa), (M, M)), B, auto=True)
-        w_bb = _fold2(np.fft.irfft2(fb * np.conj(fb), (M, M)), B, auto=True)
-        w_ab = _fold2(np.fft.irfft2(fa * np.conj(fb), (M, M)), B, auto=False)
-        return w_aa, w_ab, w_bb
+    def __init__(self, support, c, g):
+        self.n, self.m = int(c.sum()), int(g.sum())
+        self.dim = support.shape[1]
+        self.B = B = _BINS_1D if self.dim == 1 else _BINS_2D
+        lo, hi = support.min(axis=0), support.max(axis=0)
+        width = np.where(hi > lo, hi - lo, 1.0) / B
+        idx = np.clip(((support - lo) / width).astype(np.int64), 0, B - 1)
+        flat = idx[:, 0] if self.dim == 1 else idx[:, 0] * B + idx[:, 1]
+        shape = (B,) * self.dim
+        self.c = np.bincount(flat, weights=c, minlength=B**self.dim).reshape(shape)
+        self.g = np.bincount(flat, weights=g, minlength=B**self.dim).reshape(shape)
+        self.lag2 = [(np.arange(B) * float(w)) ** 2 for w in width]   # per axis
+        # a draw is multinomial over (flagged, unflagged) cells
+        flat_c, flat_g = self.c.ravel(), self.g.ravel()
+        p = np.concatenate([flat_g, flat_c - flat_g]) / self.n
+        p /= p.sum()     # guard multinomial against float drift
+        self.cells = np.flatnonzero(p)
+        self.p = p
+
+    def _spectrum(self, counts):
+        return np.fft.rfftn(counts, (2 * self.B,) * self.dim, tuple(range(self.dim)))
+
+    def _correlation(self, fx, fy, auto):
+        """Correlation of two count grids from their spectra, folded onto
+        absolute lags."""
+        raw = np.fft.irfftn(fx * np.conj(fy), (2 * self.B,) * self.dim,
+                            tuple(range(self.dim)))
+        return (_fold1 if self.dim == 1 else _fold2)(raw, self.B, auto)
+
+    def median_distance(self) -> float:
+        f = self._spectrum(self.c + self.g)
+        w = self._correlation(f, f, auto=True)
+        w.flat[0] -= self.n + self.m            # drop self-pairs
+        if self.dim == 1:
+            dists = np.sqrt(self.lag2[0])
+        else:
+            dists = np.sqrt(self.lag2[0][:, None] + self.lag2[1][None, :]).ravel()
+        w = np.maximum(w.ravel(), 0.0)
+        total = w.sum()
+        if total <= 0:
+            return 0.0
+        order = np.argsort(dists)
+        cum = np.cumsum(w[order])
+        med_idx = np.searchsorted(cum, 0.5 * total)
+        return float(dists[order][min(med_idx, len(order) - 1)])
+
+    def sweep(self, gammas):
+        fc, fg = self._spectrum(self.c), self._spectrum(self.g)
+        ws = (self._correlation(fc, fc, auto=True), self._correlation(fc, fg, auto=False),
+              self._correlation(fg, fg, auto=True))
+        out = np.empty((len(gammas), 3))
+        for i, gamma in enumerate(gammas):
+            k = [np.exp(e * (-gamma)) for e in self.lag2]
+            out[i] = [w @ k[0] if self.dim == 1 else k[0] @ w @ k[1] for w in ws]
+        return out
 
     def sums_at(self, gamma):
         """Map flat count grids (c, g) to (c'Kc, g'Kc, g'Kg) at one gamma.
 
-        The product kernel on the bin grid is K1 (x) K2 with Toeplitz factors
-        K_d[i, j] = exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.
+        1-D: the Toeplitz kernel matrix, embedded in a circulant of length 2B,
+        is diagonal in Fourier space, so by Parseval each triple costs two
+        forward FFTs and three weighted spectrum sums.  2-D: the product
+        kernel is K1 (x) K2 with Toeplitz factors K_d[i, j] =
+        exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.
         """
-        B = self.counts_a.shape[0]
+        B = self.B
+        if self.dim == 1:
+            M = 2 * B
+            k = np.exp(self.lag2[0] * (-gamma))
+            ring = np.zeros(M)          # lag B never occurs between two bins
+            ring[:B] = k
+            ring[B + 1 :] = k[:0:-1]
+            w = np.fft.rfft(ring).real / M
+            w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
+
+            def sums(c, g):
+                fc = np.fft.rfft(c, M)
+                fg = np.fft.rfft(g, M)
+                return (w @ (fc.real**2 + fc.imag**2),
+                        w @ (fg.real * fc.real + fg.imag * fc.imag),
+                        w @ (fg.real**2 + fg.imag**2))
+
+            return sums
         lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
-        K1, K2 = (np.exp((np.arange(B) * w) ** 2 * (-gamma))[lag]
-                  for w in self.widths)
+        K1, K2 = (np.exp(e * (-gamma))[lag] for e in self.lag2)
 
         def sums(c, g):
             C = c.reshape(B, B)
@@ -228,6 +317,28 @@ class _Hist2:
             return np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, kg)
 
         return sums
+
+    def draw(self, rng):
+        """Multinomial(n) counts over the cells; only cells of nonzero
+        probability are drawn, which consumes the same random numbers."""
+        counts = np.zeros(len(self.p))
+        counts[self.cells] = rng.multinomial(self.n, self.p[self.cells])
+        half = len(counts) // 2
+        g = counts[:half]
+        return g + counts[half:], g
+
+
+def _fold1(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
+    """Collapse signed lags onto absolute lags d in [0, B)."""
+    M = len(raw)
+    out = np.empty(B)
+    out[0] = raw[0]
+    if auto:
+        out[1:] = 2.0 * raw[1:B]
+    else:
+        # cross-correlation needs both lag signs: raw[d] and raw[M-d]
+        out[1:] = raw[1:B] + raw[M - 1 : M - B : -1]
+    return out
 
 
 def _fold2(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
@@ -252,247 +363,42 @@ def _fold2(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
     return out
 
 
-def _bin_points(points_a, points_b):
-    """Histogram two point sets on shared edges spanning their pooled range."""
-    dim = points_a.shape[1]
-    B = _BINS_1D if dim == 1 else _BINS_2D
-    lo = np.minimum(points_a.min(axis=0), points_b.min(axis=0))
-    hi = np.maximum(points_a.max(axis=0), points_b.max(axis=0))
-    span = np.where(hi > lo, hi - lo, 1.0)
-    width = span / B
-    idx_a = np.clip(((points_a - lo) / width).astype(np.int64), 0, B - 1)
-    idx_b = np.clip(((points_b - lo) / width).astype(np.int64), 0, B - 1)
-    if dim == 1:
-        ca = np.bincount(idx_a[:, 0], minlength=B).astype(float)
-        cb = np.bincount(idx_b[:, 0], minlength=B).astype(float)
-        return _Hist1(ca, cb, float(width[0]))
-    flat_a = idx_a[:, 0] * B + idx_a[:, 1]
-    flat_b = idx_b[:, 0] * B + idx_b[:, 1]
-    ca = np.bincount(flat_a, minlength=B * B).astype(float).reshape(B, B)
-    cb = np.bincount(flat_b, minlength=B * B).astype(float).reshape(B, B)
-    return _Hist2(ca, cb, (float(width[0]), float(width[1])))
-
-
-# -- sum engines -------------------------------------------------------------
-#
-# Each engine yields, for a list of gammas (gamma = 1 / (2 h^2)), the triple
-#   s_aa = sum_jl k(a_j, a_l),  s_ab = sum_jl k(a_j, b_l),  s_bb likewise,
-# from which mmd2 = s_bb/m^2 + s_aa/n^2 - 2 s_ab/(n m).
-
-
-class _DenseEngine:
-    def __init__(self, points_a, points_b):
-        self.n = len(points_a)
-        self.m = len(points_b)
-        oa = _canonical_order(points_a)
-        ob = _canonical_order(points_b)
-        a, b = points_a[oa], points_b[ob]
-        self.d_aa = _sq_dists(a, a)
-        self.d_bb = _sq_dists(b, b)
-        self.d_ab = _sq_dists(a, b)
-
-    def sums(self, gammas):
-        out = np.empty((len(gammas), 3))
-        for i, g in enumerate(gammas):
-            out[i, 0] = np.exp(self.d_aa * (-g)).sum()
-            out[i, 1] = np.exp(self.d_ab * (-g)).sum()
-            out[i, 2] = np.exp(self.d_bb * (-g)).sum()
-        return out
-
-    def median_pooled_distance(self) -> float:
-        n, m = self.n, self.m
-        tot = n + m
-        d2 = np.empty((tot, tot))
-        d2[:n, :n] = self.d_aa
-        d2[n:, n:] = self.d_bb
-        d2[:n, n:] = self.d_ab
-        d2[n:, :n] = self.d_ab.T
-        iu = np.triu_indices(tot, k=1)
-        return float(np.sqrt(np.median(d2[iu])))
-
-
-class _LabeledDenseEngine:
-    """Dense sums for one labeled sample: a = all points, b = flagged subset."""
-
-    def __init__(self, points, flags):
-        order = _canonical_order(points, flags)
-        self.pts = points[order]
-        self.flags = flags[order].astype(float)
-        self.n = len(points)
-        self.m = int(flags.sum())
-        self.d2 = _sq_dists(self.pts, self.pts)
-
-    def sums(self, gammas):
-        out = np.empty((len(gammas), 3))
-        z = self.flags
-        ones = np.ones_like(z)
-        K = np.empty_like(self.d2)
-        for i, g in enumerate(gammas):
-            np.multiply(self.d2, -g, out=K)
-            np.exp(K, out=K)
-            kz = K @ z
-            k1 = K @ ones
-            # shared contraction paths let the all-flagged case cancel exactly
-            out[i, 0] = float(ones @ k1)
-            out[i, 1] = float(ones @ kz)
-            out[i, 2] = float(z @ kz)
-        return out
-
-    def median_pooled_distance(self) -> float:
-        # pooled sample = all points plus the flagged subset again
-        sel = self.flags.astype(bool)
-        pooled = np.concatenate([self.pts, self.pts[sel]])
-        d2 = _sq_dists(pooled, pooled)
-        iu = np.triu_indices(len(pooled), k=1)
-        return float(np.sqrt(np.median(d2[iu])))
-
-    def bootstrap(self, gamma, n_boot, seed):
-        K = np.exp(self.d2 * (-gamma))
-        n = self.n
-        vals = np.empty(n_boot)
-        for b in range(n_boot):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), b)))
-            idx = rng.integers(0, n, n)
-            w = np.bincount(idx, minlength=n).astype(float)
-            wz = w * self.flags
-            mb = wz.sum()
-            if mb < 1:
-                vals[b] = 0.0
-                continue
-            kw = K @ w
-            kwz = K @ wz
-            s_all = float(w @ kw)
-            s_cross = float(wz @ kw)
-            s_goal = float(wz @ kwz)
-            mm = s_goal / mb**2 + s_all / n**2 - 2.0 * s_cross / (n * mb)
-            vals[b] = max((mb / n) ** 2 * mm, 0.0)
-        return vals
-
-
-class _BinnedEngine:
-    """FFT-correlation sums over histogrammed points (1-D or 2-D)."""
-
-    def __init__(self, hist, n, m):
-        self.hist = hist
-        self.n = n
-        self.m = m
-        self._prepare(hist)
-
-    def _prepare(self, hist):
-        if isinstance(hist, _Hist1):
-            self.w_aa, self.w_ab, self.w_bb = hist.corr()
-            self.dist_sq = hist.dist_sq()
-            self.two_d = False
-        else:
-            self.w_aa, self.w_ab, self.w_bb = hist.corr()
-            B = hist.counts_a.shape[0]
-            e1 = (np.arange(B) * hist.widths[0]) ** 2
-            e2 = (np.arange(B) * hist.widths[1]) ** 2
-            self.e1, self.e2 = e1, e2
-            self.two_d = True
-
-    def sums(self, gammas):
-        out = np.empty((len(gammas), 3))
-        for i, g in enumerate(gammas):
-            if not self.two_d:
-                k = np.exp(self.dist_sq * (-g))
-                out[i] = (self.w_aa @ k, self.w_ab @ k, self.w_bb @ k)
-            else:
-                k1 = np.exp(self.e1 * (-g))
-                k2 = np.exp(self.e2 * (-g))
-                out[i, 0] = k1 @ self.w_aa @ k2
-                out[i, 1] = k1 @ self.w_ab @ k2
-                out[i, 2] = k1 @ self.w_bb @ k2
-        return out
-
-    def median_pooled_distance(self) -> float:
-        # distance histogram of the pooled sample (set a plus set b again)
-        if not self.two_d:
-            pooled = self.hist.counts_a + self.hist.counts_b
-            M = 2 * len(pooled)
-            f = np.fft.rfft(pooled, M)
-            w = _fold1(np.fft.irfft(f * np.conj(f), M), len(pooled))
-            w[0] -= self.n + self.m            # drop self-pairs
-            dists = np.sqrt(self.dist_sq)
-        else:
-            pooled = self.hist.counts_a + self.hist.counts_b
-            B = pooled.shape[0]
-            M = 2 * B
-            f = np.fft.rfft2(pooled, (M, M))
-            w = _fold2(np.fft.irfft2(f * np.conj(f), (M, M)), B, auto=True)
-            w[0, 0] -= self.n + self.m
-            dists = np.sqrt(self.e1[:, None] + self.e2[None, :])
-            w = w.ravel()
-            dists = dists.ravel()
-        w = np.maximum(w, 0.0)
-        total = w.sum()
-        if total <= 0:
-            return 0.0
-        order = np.argsort(dists)
-        cum = np.cumsum(w[order])
-        med_idx = np.searchsorted(cum, 0.5 * total)
-        return float(dists[order][min(med_idx, len(order) - 1)])
-
-
-class _LabeledBinnedEngine(_BinnedEngine):
-    def __init__(self, points, flags):
-        n = len(points)
-        m = int(flags.sum())
-        hist = _bin_points(points, points[flags])
-        super().__init__(hist, n, m)
-
-    def bootstrap(self, gamma, n_boot, seed):
-        c = self.hist.counts_a.ravel()
-        g = self.hist.counts_b.ravel()
-        n = self.n
-        p = np.concatenate([g, c - g]) / n
-        p /= p.sum()     # guard multinomial against float drift
-        sums = self.hist.sums_at(gamma)
-        vals = np.empty(n_boot)
-        for b, counts in enumerate(_resample_counts(n, p, n_boot, seed)):
-            gb = counts[: len(g)]
-            cb = gb + counts[len(g) :]
-            mb = gb.sum()
-            if mb < 1:
-                vals[b] = 0.0
-                continue
-            s_all, s_cross, s_goal = sums(cb, gb)
-            mm = s_goal / mb**2 + s_all / n**2 - 2.0 * s_cross / (n * mb)
-            vals[b] = max((mb / n) ** 2 * mm, 0.0)
-        return vals
-
-
-def _resample_counts(n, p, n_boot, seed):
-    """Yield multinomial(n, p) counts for replicate b from the stream (seed, b).
-
-    Only the support of p is drawn.  A zero-probability category consumes no
-    random numbers, so the counts equal those of a draw over all of p.
-    """
-    support = np.flatnonzero(p)
-    p_support = p[support]
+def _bootstrap(backend, gamma, n_boot, seed):
+    """Replicate scores at a fixed gamma; replicate b draws from the stream
+    keyed (seed, b), so extending n_boot keeps earlier replicates."""
+    n = backend.n
+    sums = backend.sums_at(gamma)
+    vals = np.empty(n_boot)
     for b in range(n_boot):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), b)))
-        counts = np.zeros(len(p))
-        counts[support] = rng.multinomial(n, p_support)
-        yield counts
+        cb, gb = backend.draw(np.random.default_rng(np.random.SeedSequence((int(seed), b))))
+        mb = gb.sum()
+        if mb < 1:
+            vals[b] = 0.0
+            continue
+        s_all, s_cross, s_goal = sums(cb, gb)
+        mm = s_goal / mb**2 + s_all / n**2 - 2.0 * s_cross / (n * mb)
+        vals[b] = max((mb / n) ** 2 * mm, 0.0)
+    return vals
 
 
-def _labeled_engine(points, flags):
-    if len(points) + int(flags.sum()) <= _DENSE_LIMIT:
-        return _LabeledDenseEngine(points, flags)
-    return _LabeledBinnedEngine(points, flags)
+def _select(backend, grid):
+    """The grid bandwidth maximizing mmd2; ties go to the smaller h.
 
-
-def _two_set_engine(points_a, points_b):
-    if len(points_a) + len(points_b) <= _DENSE_LIMIT:
-        return _DenseEngine(points_a, points_b)
-    hist = _bin_points(points_a, points_b)
-    return _BinnedEngine(hist, len(points_a), len(points_b))
-
-
-def _mmd_from_sums(sums, n, m):
-    s_aa, s_ab, s_bb = sums[:, 0], sums[:, 1], sums[:, 2]
-    return s_bb / m**2 + s_aa / n**2 - 2.0 * s_ab / (n * m)
+    Returns (h, gamma, mmd2 at h, degenerate).  If every pooled sample is
+    identical the objective is flat, so the smallest grid bandwidth is taken
+    and flagged degenerate.
+    """
+    med = backend.median_distance()
+    degenerate = med <= 0.0
+    grid = bandwidth_grid(med) if grid is None else np.sort(np.asarray(grid, dtype=float))
+    if len(grid) == 0 or np.any(grid <= 0):
+        raise EstimationError("bandwidth grid must be nonempty and positive")
+    if degenerate:
+        warnings.warn("all samples identical; bandwidth selection is degenerate")
+    gammas = 1.0 / (2.0 * grid**2)
+    mmds = _mmd_from_sums(backend.sweep(gammas), backend.n, backend.m)
+    best = 0 if degenerate else int(np.argmax(mmds))    # first occurrence: smaller h
+    return grid[best], gammas[best], float(mmds[best]), degenerate
 
 
 # -- public operations -------------------------------------------------------
@@ -515,11 +421,8 @@ def mmd2(xs, ys, kernel: Kernel) -> float:
     if a.shape[1] != kernel.dim or b.shape[1] != kernel.dim:
         raise EstimationError("sample dimension does not match kernel")
     h = np.asarray(kernel.bandwidths)
-    a = a / h
-    b = b / h
-    eng = _two_set_engine(a, b)
-    sums = eng.sums([0.5])
-    return float(_mmd_from_sums(sums, len(a), len(b))[0])
+    backend = _backend(a / h, b / h)
+    return float(_mmd_from_sums(backend.sweep([0.5]), backend.n, backend.m)[0])
 
 
 def select_bandwidth(xs, ys, grid=None) -> Kernel:
@@ -532,22 +435,8 @@ def select_bandwidth(xs, ys, grid=None) -> Kernel:
     b = _as_points(ys)
     if a.shape[1] != b.shape[1]:
         raise EstimationError("sample sets have different dimensions")
-    eng = _two_set_engine(a, b)
-    med = eng.median_pooled_distance()
-    degenerate = med <= 0.0
-    if grid is None:
-        grid = bandwidth_grid(med)
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) == 0 or np.any(grid <= 0):
-        raise EstimationError("bandwidth grid must be nonempty and positive")
-    grid = np.sort(grid)
-    if degenerate:
-        warnings.warn("all samples identical; bandwidth selection is degenerate")
-        return Kernel((grid[0],) * a.shape[1], degenerate=True)
-    gammas = 1.0 / (2.0 * grid**2)
-    vals = _mmd_from_sums(eng.sums(gammas), len(a), len(b))
-    best = int(np.argmax(vals))     # first occurrence wins: smaller bandwidth
-    return Kernel((grid[best],) * a.shape[1])
+    h, _, _, degenerate = _select(_backend(a, b), grid)
+    return Kernel((h,) * a.shape[1], degenerate=degenerate)
 
 
 def _prepare_labeled(u, z, active=None):
@@ -566,31 +455,15 @@ def _prepare_labeled(u, z, active=None):
 
 
 def _score_labeled(pts, flags, n_boot, seed, grid):
-    eng = _labeled_engine(pts, flags)
-    n, m = eng.n, eng.m
-    med = eng.median_pooled_distance()
-    degenerate = med <= 0.0
-    if grid is None:
-        grid_arr = bandwidth_grid(med)
-    else:
-        grid_arr = np.sort(np.asarray(grid, dtype=float))
-        if len(grid_arr) == 0 or np.any(grid_arr <= 0):
-            raise EstimationError("bandwidth grid must be nonempty and positive")
-    if degenerate:
-        warnings.warn("all samples identical; bandwidth selection is degenerate")
-    gammas = 1.0 / (2.0 * grid_arr**2)
-    mmds = _mmd_from_sums(eng.sums(gammas), n, m)
-    best = int(np.argmax(mmds))
-    if degenerate:
-        best = 0
-    h = grid_arr[best]
+    backend = _backend(pts, pts[flags])
+    n, m = backend.n, backend.m
+    h, gamma, mmd, degenerate = _select(backend, grid)
     if m == n:
         value = 0.0   # goal set equals the full sample: embeddings coincide
     else:
-        value = max((m / n) ** 2 * float(mmds[best]), 0.0)
+        value = max((m / n) ** 2 * mmd, 0.0)
     if n_boot >= 2:
-        reps = eng.bootstrap(gammas[best], n_boot, seed)
-        se = float(np.std(reps, ddof=1))
+        se = float(np.std(_bootstrap(backend, gamma, n_boot, seed), ddof=1))
     else:
         se = 0.0
     kernel = Kernel((h,) * pts.shape[1], degenerate=degenerate)

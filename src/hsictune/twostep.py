@@ -20,7 +20,6 @@ from .analysis import (
     ReductionCurve,
     SensitivityReport,
     interval_reduction,
-    normalize_trials,
     run_algorithm1,
 )
 from .gp import gpbo
@@ -220,13 +219,14 @@ def two_step_optimize(
     Step 1 optimizes the impactful dimensions with everything else pinned.
     Step 2 re-opens the remaining dimensions (all of them under
     accuracy_only, all but the speed-pinned ones otherwise) and starts from
-    the step-1 incumbent, so the final incumbent can only improve.
+    the step-1 incumbent, so the final incumbent can only improve.  A given
+    report must come from these trials: its rank matrix feeds the interval
+    reduction.
     """
     if not trials:
         raise EstimationError("two_step_optimize needs prior random-search trials")
     if report is None:
         report = run_algorithm1(space, trials, goal, seed, n_boot=n_boot, k_se=k_se)
-    matrix = normalize_trials(space, trials, seed)
     curves = {}
     for name, direction in policy.speed_directions.items():
         spec = space.param(name)
@@ -234,7 +234,7 @@ def two_step_optimize(
             continue
         try:
             curves[name] = interval_reduction(
-                spec, trials, matrix, goal, report.noise_floor,
+                spec, trials, report.matrix, goal, report.noise_floor,
                 seed=seed, n_boot=n_boot, k_se=k_se,
             )
         except EstimationError:

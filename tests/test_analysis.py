@@ -413,6 +413,20 @@ def test_run_algorithm1_deterministic_serialization():
     )
 
 
+def test_run_algorithm1_interaction_diagonal_is_the_main_ranking():
+    space = example2_space()
+    trials = example2_trials(600, seed=8)
+    report = run_algorithm1(space, trials, threshold(0.5, "le"), seed=8, n_boot=20,
+                            full_interactions=True)
+    ranked = dict(report.groups[0].entries)
+    params = report.interactions.params
+    direct = interaction_matrix(params, report.matrix, report.flags, seed=8, n_boot=20)
+    for i, name in enumerate(params):
+        assert report.interactions.scores[(i, i)] == ranked[name]
+        assert report.interactions.scores[(i, i)] == direct.scores[(i, i)]
+        assert report.interactions.values[i, i] == ranked[name].value
+
+
 def test_ranking_robust_to_sampling_distribution():
     # the same goal geometry sampled through different input laws gives
     # compatible normalized scores and the same impact classification

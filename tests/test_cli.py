@@ -2,7 +2,13 @@ import csv
 import json
 import os
 
+import pytest
+
+from hsictune import analysis, cli as cli_module, space, twostep
+from hsictune.analysis import interval_reduction, run_algorithm1, threshold
 from hsictune.cli import cli
+from hsictune.harness import load_trials
+from hsictune.reports import save_reduction_curve
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -132,3 +138,75 @@ def test_bad_jobs_variable_is_usage_error(tmp_path, monkeypatch, capsys):
     assert cli(["search", "--objective", "example2", "--n", "10",
                 "--out", str(tmp_path / "trials.jsonl")]) == 1
     assert "HSIC_TUNE_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [[1, 2], {}, "extra-field"])
+def test_malformed_manifest_is_runtime_error(tmp_path, capsys, manifest):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
+         "--out", trials])
+    lines = open(trials).read().splitlines(keepends=True)
+    if manifest == "extra-field":
+        manifest = dict(json.loads(lines[0])["manifest"], colour="blue")
+    lines[0] = json.dumps({"manifest": manifest}) + "\n"
+    open(trials, "w").write("".join(lines))
+    assert cli(["analyze", trials]) == 2
+    assert "manifest" in capsys.readouterr().err
+
+
+def test_non_object_line_on_resume_is_runtime_error(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "example2", "--n", "5", "--seed", "1",
+                "--out", trials]) == 0
+    with open(trials, "a") as fh:
+        fh.write("[1, 2]\n")
+    assert cli(["search", "--objective", "example2", "--n", "8", "--seed", "1",
+                "--out", trials]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_reduce_curve_uses_the_analysis_noise_floor(tmp_path):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "400", "--seed", "4",
+         "--out", trials])
+    assert cli(["reduce", trials, "--param", "x1", "--seed", "4",
+                "--out", str(tmp_path / "cli")]) == 0
+    manifest, loaded = load_trials(trials)
+    parsed = space.parse_space(json.dumps(manifest.space))
+    goal = threshold(0.5, "le")          # example2 scores are 0/1 indicators
+    report = run_algorithm1(parsed, loaded, goal, 4)
+    curve = interval_reduction(parsed.param("x1"), loaded, report.matrix, goal,
+                               report.noise_floor, seed=4)
+    save_reduction_curve(curve, str(tmp_path / "lib"))
+    name = "reduction_x1.csv"
+    assert (open(tmp_path / "cli" / name, "rb").read()
+            == open(tmp_path / "lib" / name, "rb").read())
+
+
+def test_each_command_normalizes_the_trials_once(tmp_path, monkeypatch):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "three_term", "--n", "120", "--seed", "2",
+         "--out", trials])
+    calls = []
+    original = space.normalize_trials
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (space, analysis, twostep, cli_module):
+        if hasattr(module, "normalize_trials"):
+            monkeypatch.setattr(module, "normalize_trials", counted, raising=True)
+    commands = {
+        "analyze": ["analyze", trials, "--seed", "2"],
+        "reduce": ["reduce", trials, "--param", "x3", "--seed", "2",
+                   "--out", str(tmp_path / "red")],
+        "report": ["report", trials, "--seed", "2", "--out", str(tmp_path / "rep")],
+        "optimize": ["optimize", trials, "--objective", "three_term",
+                     "--speed", "x3=minimize", "--budget-step1", "2",
+                     "--budget-step2", "2", "--init", "2", "--seed", "2"],
+    }
+    for name, argv in commands.items():
+        calls.clear()
+        assert cli(argv) == 0, name
+        assert len(calls) == 1, name

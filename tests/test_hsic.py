@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
@@ -328,9 +328,14 @@ def labeled_points(rng, n, dim):
     return pts, z
 
 
+def backend(cls, pts, z):
+    """A goal score's representation: a = all points, b = the flagged ones."""
+    return cls(*hsic._support(pts, pts[z]))
+
+
 def resample_probabilities(eng):
-    c = eng.hist.counts_a.ravel()
-    g = eng.hist.counts_b.ravel()
+    c = eng.c.ravel()
+    g = eng.g.ravel()
     p = np.concatenate([g, c - g]) / eng.n
     return p / p.sum()
 
@@ -341,21 +346,21 @@ def test_binned_replicate_sums_match_fft_correlations(dim):
     # same multinomial-resampled histograms, across the bandwidth grid
     rng = np.random.default_rng(20 + dim)
     pts, z = labeled_points(rng, 5000, dim)
-    eng = hsic._LabeledBinnedEngine(pts, z)
+    eng = backend(hsic._BinnedBackend, pts, z)
     p = resample_probabilities(eng)
     half = len(p) // 2
-    shape = eng.hist.counts_a.shape
-    grid = bandwidth_grid(eng.median_pooled_distance())
+    shape = eng.c.shape
+    grid = bandwidth_grid(eng.median_distance())
     for h in grid[::6]:
         gamma = 1.0 / (2.0 * h * h)
-        sums = eng.hist.sums_at(gamma)
+        sums = eng.sums_at(gamma)
         for seed in range(3):
             counts = np.random.default_rng(seed).multinomial(eng.n, p).astype(float)
             gb = counts[:half]
             cb = gb + counts[half:]
-            hist = dataclasses.replace(eng.hist, counts_a=cb.reshape(shape),
-                                       counts_b=gb.reshape(shape))
-            want = hsic._BinnedEngine(hist, eng.n, int(gb.sum())).sums([gamma])[0]
+            replicate = copy.copy(eng)
+            replicate.c, replicate.g = cb.reshape(shape), gb.reshape(shape)
+            want = replicate.sweep([gamma])[0]
             np.testing.assert_allclose(sums(cb, gb), want, rtol=1e-12, atol=0)
 
 
@@ -363,17 +368,19 @@ def test_support_multinomial_matches_full_draw():
     rng = np.random.default_rng(30)
     for dim in (1, 2):
         pts, z = labeled_points(rng, 3000, dim)
-        eng = hsic._LabeledBinnedEngine(pts, z)
+        eng = backend(hsic._BinnedBackend, pts, z)
         p = resample_probabilities(eng)
         for s in (0, 1, 7):
-            for b, counts in enumerate(hsic._resample_counts(eng.n, p, 100, s)):
+            for b in range(100):
+                cb, gb = eng.draw(np.random.default_rng(np.random.SeedSequence((s, b))))
+                counts = np.concatenate([gb, cb - gb])
                 full_rng = np.random.default_rng(np.random.SeedSequence((s, b)))
                 assert np.array_equal(counts, full_rng.multinomial(eng.n, p))
 
 
 def selected_score(eng):
-    grid = bandwidth_grid(eng.median_pooled_distance())
-    mmds = hsic._mmd_from_sums(eng.sums(1.0 / (2.0 * grid**2)), eng.n, eng.m)
+    grid = bandwidth_grid(eng.median_distance())
+    mmds = hsic._mmd_from_sums(eng.sweep(1.0 / (2.0 * grid**2)), eng.n, eng.m)
     return (eng.m / eng.n) ** 2 * float(mmds.max())
 
 
@@ -383,6 +390,6 @@ def test_dense_and_binned_scores_agree(dim):
     rng = np.random.default_rng(40 + dim)
     for _ in range(10):
         pts, z = labeled_points(rng, int(rng.integers(300, 900)), dim)
-        dense = selected_score(hsic._LabeledDenseEngine(pts, z))
-        binned = selected_score(hsic._LabeledBinnedEngine(pts, z))
+        dense = selected_score(backend(hsic._DenseBackend, pts, z))
+        binned = selected_score(backend(hsic._BinnedBackend, pts, z))
         assert abs(binned - dense) <= 1e-2 * dense
