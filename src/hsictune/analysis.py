@@ -24,9 +24,7 @@ from .space import (
     NormalizedMatrix,
     ParameterSpec,
     SearchSpace,
-    _substream,
     build_groups,
-    cdf_transform,
     normalize_trials,
     restrict,
 )
@@ -331,7 +329,8 @@ def interval_reduction(
 
     For each offset c the trial set restricts to values >= lo + c, the goal
     percentile is re-taken inside that subpopulation, ranks are recomputed
-    on the restricted domain, and the score is compared to the noise floor.
+    on the restricted domain from the matrix's band draws, and the score is
+    compared to the noise floor.
     The suggested cutoff is the smallest c whose score is within k_se
     combined standard errors of the floor.  Offsets whose retained goal
     count drops below min_goal truncate the curve.
@@ -340,46 +339,31 @@ def interval_reduction(
         raise EstimationError(f"{param.name}: interval reduction needs an ordered domain")
     space_one = SearchSpace((param,))
     active = matrix.mask(param.name)
-    raw = np.array(
-        [t.config.get(param.name, np.nan) for t in trials], dtype=float
-    )
-    if param.kind == "integer":
-        offsets = list(range(0, int(param.hi) - int(param.lo)))
-        step = 1.0
-    else:
-        step = (param.hi - param.lo) / n_steps_continuous
-        offsets = list(range(0, n_steps_continuous))
+    raw = np.array([t.config.get(param.name, np.nan) for t in trials], dtype=float)
+    n_steps = int(param.hi - param.lo) if param.kind == "integer" else n_steps_continuous
+    step = (param.hi - param.lo) / n_steps
     kept_offsets, scores, retained = [], [], []
-    for c in offsets:
+    for c in range(n_steps):
         lo_c = param.lo + c * step
         rows = np.flatnonzero(active & (raw >= lo_c))
         if len(rows) < _MIN_TRIALS:
             break
-        sub_trials = [trials[i] for i in rows]
         try:
-            z_sub = make_goal_flags(sub_trials, goal)
+            z_sub = make_goal_flags([trials[i] for i in rows], goal)
         except EstimationError:
             break
         if int(z_sub.sum()) < min_goal:
             break
         restricted = restrict(space_one, param.name, (lo_c, param.hi))
-        spec_c = restricted.param(param.name)
-        u = np.empty(len(rows))
-        for k, i in enumerate(rows):
-            u[k] = cdf_transform(spec_c, trials[i].config[param.name],
-                                 _substream(matrix.seed, param.name, int(i)))
+        u = matrix.rerank(restricted.param(param.name), rows, raw[rows])
         score = hsic_goal(u, z_sub, n_boot=n_boot, seed=seed)
         kept_offsets.append(c)
         scores.append(score)
         retained.append(len(rows))
     if not kept_offsets:
         raise EstimationError(f"{param.name}: no offsets with enough samples")
-    cutoff = None
-    for c, s in zip(kept_offsets, scores):
-        bar = noise_floor.value + k_se * (s.std_error + noise_floor.std_error)
-        if s.value <= bar:
-            cutoff = c
-            break
+    bar = lambda s: noise_floor.value + k_se * (s.std_error + noise_floor.std_error)
+    cutoff = next((c for c, s in zip(kept_offsets, scores) if s.value <= bar(s)), None)
     return ReductionCurve(param.name, tuple(kept_offsets), tuple(scores),
                           tuple(retained), cutoff, step)
 

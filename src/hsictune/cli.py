@@ -213,9 +213,7 @@ def _cmd_demo(args) -> int:
     objective = build_objective(args.name)
     trials = run_random_search(objective.space, objective, args.n,
                                jobs=_jobs(args), master_seed=args.seed)
-    scores = [t.score for t in trials if t.ok]
-    binary = scores and set(scores) <= {0.0, 1.0}
-    goal = an.threshold(0.5, "le") if binary else an.best_percentile(args.percentile)
+    goal = _goal_for_trials(trials, args)
     report = an.run_algorithm1(objective.space, trials, goal, args.seed)
     print(f"{args.name}: {len(trials)} trials, "
           f"{sum(t.status != 'ok' for t in trials)} not ok")

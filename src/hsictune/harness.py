@@ -126,9 +126,25 @@ def _parse_manifest(path, rec) -> RunManifest:
     if not isinstance(m, dict):
         raise TrialFileError(f"{path}: manifest is not a JSON object")
     try:
-        return RunManifest(**m)
+        manifest = RunManifest(**m)
     except TypeError:   # missing or unknown fields
         raise TrialFileError(f"{path}: manifest fields do not match a run manifest") from None
+    if not isinstance(manifest.space, dict):
+        raise TrialFileError(f"{path}: manifest space is not a JSON object")
+    return manifest
+
+
+def _check_trial_record(path, lineno, rec) -> None:
+    """Reject a trial record whose index, score or config has the wrong type."""
+    def number(x, kinds):
+        return isinstance(x, kinds) and not isinstance(x, bool)
+
+    if not number(rec.get("i"), int):
+        raise TrialFileError(f"{path}: line {lineno}: trial index is not an integer")
+    if rec.get("score") is not None and not number(rec["score"], (int, float)):
+        raise TrialFileError(f"{path}: line {lineno}: score is not a number or null")
+    if not isinstance(rec.get("config"), dict):
+        raise TrialFileError(f"{path}: line {lineno}: config is not a JSON object")
 
 
 def _scan_existing(path, manifest_expected):
@@ -161,6 +177,7 @@ def _scan_existing(path, manifest_expected):
             else:
                 if not complete and lineno == len(lines):
                     break
+                _check_trial_record(path, lineno, rec)
                 done[rec["i"]] = True
             good_bytes += len(line.encode())
         fh.truncate(good_bytes)
@@ -270,6 +287,7 @@ def load_trials(path):
                 continue
             if manifest is None:
                 raise TrialFileError(f"{path}: missing manifest line")
+            _check_trial_record(path, lineno, rec)
             idx = rec["i"]
             if idx in trials:
                 raise TrialFileError(f"{path}: duplicate trial index {idx} (mixed runs?)")

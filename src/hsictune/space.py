@@ -3,10 +3,13 @@
 A search space is an ordered list of parameter specs plus one-level
 conditional rules ("child is active only when parent takes one of these
 values").  Every parameter, whatever its native domain, can be pushed
-through its sampling CDF onto [0, 1); discrete values get a fresh uniform
-draw inside their probability band so that the marginal law of the rank is
-uniform.  That shared scale is what makes dependence scores comparable
-across parameters of different kinds.
+through its sampling CDF onto [0, 1); that shared scale is what makes
+dependence scores comparable across parameters of different kinds.
+Continuous ranks draw nothing.  A discrete value gets a uniform inside its
+level's probability band, so the rank is marginally uniform, drawn once per
+active cell from a stream keyed by (seed, parameter, trial).  The rank
+matrix keeps those draws, and interval reduction reuses them to re-rank a
+knob on each shrunken domain.
 """
 
 from __future__ import annotations
@@ -379,30 +382,36 @@ def sample_configuration(space: SearchSpace, rng: np.random.Generator) -> dict:
 # -- CDF-rank normalization --------------------------------------------------
 
 
-def cdf_transform(spec: ParameterSpec, value, rng: np.random.Generator) -> float:
-    """Map one value onto [0, 1) through the parameter's sampling CDF.
+def _column_ranks(spec: ParameterSpec, values, draws) -> np.ndarray:
+    """Ranks of in-domain values: the CDF formula, clamped below 1, for a
+    continuous parameter (draws unused); band_lo + band_w * draw for a
+    discrete one, with one uniform draw in [0, 1) per value."""
+    if spec.kind == "continuous":
+        # math.log, not np.log: numpy's SIMD log can differ from it by one ulp
+        f = math.log if spec.scale == "log" else float
+        r = (np.array([f(v) for v in values], dtype=float) - f(spec.lo)) / (
+            f(spec.hi) - f(spec.lo))
+        return np.minimum(r, np.nextafter(1.0, 0.0))
+    levels, weights = spec.level_weights()
+    # float(np.sum(...)) per level, as uniform(lo, lo + w) saw it; a cumsum
+    # rounds differently from numpy's pairwise sum for 9 or more levels
+    band_lo = np.array([float(np.sum(weights[:j])) for j in range(len(levels))])
+    band_w = (band_lo + np.asarray(weights)) - band_lo
+    if spec.kind == "integer":
+        j = np.asarray(values, dtype=np.int64) - int(spec.lo)
+    else:
+        index = {v: j for j, v in enumerate(levels)}
+        j = np.array([index[v] for v in values], dtype=np.intp)
+    return band_lo[j] + band_w[j] * np.asarray(draws, dtype=float)
 
-    Continuous parameters use the CDF bijection directly; discrete ones draw
-    a uniform inside the level's probability band, which is what makes the
-    marginal rank distribution uniform.
-    """
+
+def cdf_transform(spec: ParameterSpec, value, rng: np.random.Generator) -> float:
+    """Map one value onto [0, 1) through the parameter's sampling CDF; a
+    discrete value takes its band draw from rng."""
     if not spec.contains(value):
         raise SpaceError(f"{spec.name}: value {value!r} out of domain")
-    if spec.kind == "continuous":
-        if spec.scale == "log":
-            r = (math.log(value) - math.log(spec.lo)) / (
-                math.log(spec.hi) - math.log(spec.lo)
-            )
-        else:
-            r = (value - spec.lo) / (spec.hi - spec.lo)
-        return min(float(r), np.nextafter(1.0, 0.0))
-    levels, weights = spec.level_weights()
-    if spec.kind == "boolean":
-        value = bool(value)
-    j = levels.index(value)
-    lo = float(np.sum(weights[:j]))
-    hi = lo + weights[j]
-    return float(rng.uniform(lo, hi))
+    draws = [rng.random()] if spec.is_discrete else None
+    return float(_column_ranks(spec, [value], draws)[0])
 
 
 def _substream(seed: int, name: str, index: int) -> np.random.Generator:
@@ -419,7 +428,7 @@ class NormalizedMatrix:
     names: tuple
     columns: dict            # name -> float64 array, nan where inactive
     active: dict             # name -> bool array
-    seed: int
+    draws: dict              # name -> band draw, nan where inactive or continuous
 
     def __len__(self):
         return 0 if not self.names else len(self.columns[self.names[0]])
@@ -437,28 +446,34 @@ class NormalizedMatrix:
             out &= self.active[n]
         return out
 
+    def rerank(self, spec: ParameterSpec, rows, values) -> np.ndarray:
+        """Ranks of values at rows under spec, reusing the rows' band draws."""
+        return _column_ranks(spec, values, self.draws[spec.name][rows])
+
 
 def normalize_trials(space: SearchSpace, trials, seed: int) -> NormalizedMatrix:
     """Build the rank matrix for a list of trials.
 
     Inactive entries are nan and flagged in the mask; estimators must never
-    read them.  Discrete randomization is keyed per (seed, parameter, trial)
+    read them.  Each active discrete cell draws once from its keyed stream,
     so the result is bit-reproducible.
     """
-    n = len(trials)
-    names = tuple(p.name for p in space.params)
-    columns = {name: np.full(n, np.nan) for name in names}
-    active = {name: np.zeros(n, dtype=bool) for name in names}
-    for i, trial in enumerate(trials):
-        config = trial.config if hasattr(trial, "config") else trial
+    configs = [t.config if hasattr(t, "config") else t for t in trials]
+    for config in configs:
         space.validate_config(config)
-        for p in space.params:
-            if p.name not in config:
-                continue
-            rng = _substream(seed, p.name, i)
-            columns[p.name][i] = cdf_transform(p, config[p.name], rng)
-            active[p.name][i] = True
-    return NormalizedMatrix(names, columns, active, int(seed))
+    n = len(configs)
+    names = tuple(p.name for p in space.params)
+    columns, active, draws = {}, {}, {}
+    for p in space.params:
+        active[p.name] = np.array([p.name in c for c in configs], dtype=bool)
+        rows = np.flatnonzero(active[p.name])
+        values = [configs[i][p.name] for i in rows]
+        draws[p.name] = np.full(n, np.nan)
+        if p.is_discrete:
+            draws[p.name][rows] = [_substream(seed, p.name, i).random() for i in rows]
+        columns[p.name] = np.full(n, np.nan)
+        columns[p.name][rows] = _column_ranks(p, values, draws[p.name][rows])
+    return NormalizedMatrix(names, columns, active, draws)
 
 
 # -- conditional groups ------------------------------------------------------

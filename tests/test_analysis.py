@@ -1,9 +1,11 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
+from hsictune import analysis, space as space_module
 from hsictune.analysis import (
     best_percentile,
     dummy_floor,
@@ -26,6 +28,7 @@ from hsictune.space import (
     continuous_param,
     integer_param,
     normalize_trials,
+    restrict,
 )
 
 
@@ -331,6 +334,53 @@ def test_interval_reduction_offset_zero_matches_rank_group():
     curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
                                floor, seed=1, n_boot=0)
     assert abs(curve.scores[0].value - entries["n_layers"].value) <= 1e-12
+
+
+def test_interval_reduction_matches_per_row_reference_ranks():
+    space = _layers_space()
+    trials = _layers_trials(1500, seed=2)
+    goal = best_percentile(0.1)
+    matrix = normalize_trials(space, trials, seed=6)
+    floor = dummy_floor(np.ones(len(trials), dtype=bool),
+                        make_goal_flags(trials, goal), 6, n_boot=10)
+    curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
+                               floor, seed=6, n_boot=10)
+    assert len(curve.offsets) > 3
+    values = np.array([t.config["n_layers"] for t in trials])
+    for c, score in zip(curve.offsets, curve.scores):
+        rows = np.flatnonzero(values >= 1 + c)
+        spec = restrict(space, "n_layers", (1 + c, 10)).param("n_layers")
+        levels, weights = spec.level_weights()
+        u = []
+        for i in rows:
+            key = (6, zlib.crc32(b"n_layers"), int(i))
+            rng = np.random.default_rng(np.random.SeedSequence(key))
+            j = levels.index(values[i])
+            lo = float(np.sum(weights[:j]))
+            u.append(rng.uniform(lo, lo + weights[j]))
+        ref = hsic_goal(np.array(u), make_goal_flags([trials[i] for i in rows], goal),
+                        n_boot=10, seed=6)
+        assert (score.value, score.std_error) == (ref.value, ref.std_error), c
+
+
+@pytest.mark.parametrize("name", ["n_layers", "x"])
+def test_interval_reduction_builds_no_streams(monkeypatch, name):
+    space = _layers_space()
+    trials = _layers_trials(600, seed=4)
+    goal = best_percentile(0.1)
+    matrix = normalize_trials(space, trials, seed=4)
+    floor = dummy_floor(np.ones(len(trials), dtype=bool),
+                        make_goal_flags(trials, goal), 4, n_boot=0)
+    built = []
+    for module in (space_module, analysis):
+        if hasattr(module, "_substream"):
+            original = module._substream
+            monkeypatch.setattr(module, "_substream",
+                                lambda *key, f=original: built.append(key) or f(*key))
+    curve = interval_reduction(space.param(name), trials, matrix, goal, floor,
+                               seed=4, n_boot=0)
+    assert len(curve.offsets) > 1
+    assert built == []
 
 
 @pytest.mark.slow

@@ -210,3 +210,38 @@ def test_each_command_normalizes_the_trials_once(tmp_path, monkeypatch):
         calls.clear()
         assert cli(argv) == 0, name
         assert len(calls) == 1, name
+
+
+def test_non_object_manifest_space_is_runtime_error(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
+         "--out", trials])
+    lines = open(trials).read().splitlines(keepends=True)
+    manifest = dict(json.loads(lines[0])["manifest"], space=[1, 2])
+    lines[0] = json.dumps({"manifest": manifest}) + "\n"
+    open(trials, "w").write("".join(lines))
+    assert cli(["analyze", trials]) == 2
+    assert "manifest space" in capsys.readouterr().err
+    # the resume path of search reads the same manifest
+    assert cli(["search", "--objective", "example2", "--n", "25", "--seed", "1",
+                "--out", trials]) == 2
+    assert "manifest space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("score", "bad", "score is not a number"),
+    ("i", [1], "trial index is not an integer"),
+    ("config", 5, "config is not a JSON object"),
+])
+def test_mistyped_trial_field_is_runtime_error(tmp_path, capsys, field, value, message):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
+         "--out", trials])
+    lines = open(trials).read().splitlines(keepends=True)
+    lines[3] = json.dumps(dict(json.loads(lines[3]), **{field: value})) + "\n"
+    open(trials, "w").write("".join(lines))
+    assert cli(["analyze", trials]) == 2
+    assert message in capsys.readouterr().err
+    assert cli(["search", "--objective", "example2", "--n", "25", "--seed", "1",
+                "--out", trials]) == 2
+    assert message in capsys.readouterr().err

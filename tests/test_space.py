@@ -1,8 +1,11 @@
 import json
+import math
+import zlib
 
 import numpy as np
 import pytest
 
+from hsictune import space as space_module
 from hsictune.space import (
     MAIN_GROUP,
     ConditionalRule,
@@ -245,6 +248,60 @@ def test_normalize_rejects_mismatched_config():
     space = make_space([continuous_param("x", 0, 1)])
     with pytest.raises(SpaceError):
         normalize_trials(space, [{"x": 5.0}], seed=0)
+
+
+def _reference_rank(spec, value, seed, index):
+    # one cell at a time: the CDF formula, or a uniform inside the level's
+    # band from the stream keyed by (seed, parameter, trial)
+    if spec.kind == "continuous":
+        if spec.scale == "log":
+            r = (math.log(value) - math.log(spec.lo)) / (
+                math.log(spec.hi) - math.log(spec.lo))
+        else:
+            r = (value - spec.lo) / (spec.hi - spec.lo)
+        return min(float(r), np.nextafter(1.0, 0.0))
+    key = (seed & 0xFFFFFFFF, zlib.crc32(spec.name.encode()), index)
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    levels, weights = spec.level_weights()
+    j = levels.index(bool(value) if spec.kind == "boolean" else value)
+    lo = float(np.sum(weights[:j]))
+    return float(rng.uniform(lo, lo + weights[j]))
+
+
+def test_normalize_matches_per_cell_reference():
+    space = make_space(
+        [
+            continuous_param("x", -1.0, 3.0),
+            continuous_param("gain", 1.0, 1.25, scale="log"),
+            integer_param("n", 3, 40),
+            categorical_param("act", ("relu", "tanh", "elu", "selu"),
+                              (0.13, 0.47, 0.29, 0.11)),
+            boolean_param("dropout", weight_true=0.3),
+            continuous_param("dropout_rate", 0.0, 0.9),
+        ],
+        [ConditionalRule("dropout_rate", "dropout", (True,))],
+    )
+    trials = _fake_trials(space, 1000, 8)
+    m = normalize_trials(space, trials, seed=12)
+    for p in space.params:
+        expected = np.array([
+            _reference_rank(p, t[p.name], 12, i) if p.name in t else np.nan
+            for i, t in enumerate(trials)
+        ])
+        assert np.array_equal(m.column(p.name), expected, equal_nan=True), p.name
+
+
+def test_continuous_normalization_builds_no_streams(monkeypatch):
+    built = []
+    original = space_module._substream
+    monkeypatch.setattr(space_module, "_substream",
+                        lambda *key: built.append(key) or original(*key))
+    space = make_space([continuous_param("x", 0, 1),
+                        continuous_param("lr", 1e-6, 1e-2, scale="log")])
+    normalize_trials(space, _fake_trials(space, 50, 0), seed=3)
+    assert built == []
+    normalize_trials(dropout_space(), _fake_trials(dropout_space(), 50, 0), seed=3)
+    assert len(built) == 50          # one draw per discrete cell, none per continuous
 
 
 # -- groups ------------------------------------------------------------------
