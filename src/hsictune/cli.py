@@ -12,6 +12,7 @@ import sys
 
 from . import analysis as an
 from . import reports
+from .gp import FitError
 from .harness import TrialFileError, jobs_from_env, load_trials, run_random_search
 from .hsic import EstimationError
 from .objectives import OBJECTIVE_NAMES, build_objective
@@ -28,6 +29,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _check_ranges(args) -> None:
+    """Counts are non-negative and a percentile lies in (0, 1)."""
+    for name in ("n", "init", "budget_step1", "budget_step2"):
+        if getattr(args, name, 0) < 0:
+            raise _UsageError(f"--{name.replace('_', '-')} must not be negative")
+    if not 0.0 < getattr(args, "percentile", 0.5) < 1.0:
+        raise _UsageError("--percentile must lie in (0, 1)")
 
 
 def _goal_from_args(args) -> an.GoalSet:
@@ -237,6 +247,7 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_ranges(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -246,7 +257,7 @@ def cli(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (SpaceError, EstimationError, TrialFileError, OSError, KeyError) as e:
+    except (SpaceError, EstimationError, TrialFileError, FitError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve, cholesky, LinAlgError
 from scipy.stats import norm, qmc
 
 from .harness import Trial, trial_seed
-from .space import SearchSpace, _sample_value, sample_configuration
+from .space import SearchSpace, _sample_value, _scale, sample_configuration
 
 __all__ = [
     "FitError",
@@ -70,10 +70,8 @@ def encode(space: SearchSpace, config: dict) -> np.ndarray:
             continue
         v = config[p.name]
         if p.kind == "continuous":
-            if p.scale == "log":
-                x[pos] = (math.log(v) - math.log(p.lo)) / (math.log(p.hi) - math.log(p.lo))
-            else:
-                x[pos] = (v - p.lo) / (p.hi - p.lo)
+            f, _ = _scale(p)
+            x[pos] = (f(v) - f(p.lo)) / (f(p.hi) - f(p.lo))
         elif p.kind == "integer":
             n = int(p.hi) - int(p.lo) + 1
             x[pos] = (int(v) - int(p.lo) + 0.5) / n
@@ -95,12 +93,9 @@ def decode(space: SearchSpace, x: np.ndarray) -> dict:
     for p, pos, w in blocks:
         if p.kind == "continuous":
             u = float(np.clip(x[pos], 0.0, 1.0))
-            if p.scale == "log":
-                v = math.exp(math.log(p.lo) + u * (math.log(p.hi) - math.log(p.lo)))
-                v = min(max(v, p.lo), p.hi)
-            else:
-                v = p.lo + u * (p.hi - p.lo)
-            config[p.name] = float(v)
+            f, f_inv = _scale(p)
+            v = f_inv(f(p.lo) + u * (f(p.hi) - f(p.lo)))
+            config[p.name] = float(min(max(v, p.lo), p.hi))
         elif p.kind == "integer":
             n = int(p.hi) - int(p.lo) + 1
             j = int(np.clip(np.floor(x[pos] * n), 0, n - 1))

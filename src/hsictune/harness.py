@@ -5,11 +5,14 @@ A run file is append-only JSON lines: the first line holds the manifest
 one trial keyed by its index.  Per-trial seeds derive purely from
 (master_seed, index), so the same file contents come out whatever the
 worker count, and interrupted runs resume by skipping already-present
-indices.
+indices.  Loading and resuming share one reader, so a resume checks every
+existing record the way loading does before it evaluates anything; it also
+drops an unterminated last line as an interrupted write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -147,43 +150,64 @@ def _check_trial_record(path, lineno, rec) -> None:
         raise TrialFileError(f"{path}: line {lineno}: config is not a JSON object")
 
 
-def _scan_existing(path, manifest_expected):
-    """Read back a partial run; tolerate a truncated trailing line."""
-    done = {}
-    with open(path, "r+", encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
-        good_bytes = 0
-        manifest = None
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            complete = line.endswith("\n")
-            try:
-                rec = json.loads(stripped) if stripped else None
-            except json.JSONDecodeError:
-                if lineno == len(lines) and not complete:
-                    break  # interrupted mid-write; drop it
-                raise TrialFileError(f"{path}: corrupt record at line {lineno}")
-            if rec is None:
-                good_bytes += len(line.encode())
-                continue
-            if not isinstance(rec, dict):
-                raise TrialFileError(f"{path}: line {lineno} is not a JSON object")
-            if lineno == 1:
-                manifest = _parse_manifest(path, rec)
-                if manifest.space_hash != manifest_expected.space_hash:
-                    raise TrialFileError(f"{path}: space hash mismatch")
-                if manifest.master_seed != manifest_expected.master_seed:
-                    raise TrialFileError(f"{path}: master seed mismatch")
-            else:
-                if not complete and lineno == len(lines):
-                    break
-                _check_trial_record(path, lineno, rec)
-                done[rec["i"]] = True
-            good_bytes += len(line.encode())
-        fh.truncate(good_bytes)
+def _read_run(path, fh, resume=False):
+    """Read a run file from the binary stream fh, checking every record.
+
+    Returns (manifest, {index: Trial}, bytes read).  With resume, an
+    unterminated line (only the last line can lack its newline) is an
+    interrupted write: the read stops before it.
+    """
+    manifest = None
+    trials = {}
+    good_bytes = 0
+    for lineno, line in enumerate(fh, start=1):
+        if resume and not line.endswith(b"\n"):
+            break
+        good_bytes += len(line)
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            rec = json.loads(stripped.decode())
+        except ValueError:    # bad UTF-8 or bad JSON
+            raise TrialFileError(f"{path}: corrupt record at line {lineno}") from None
+        if not isinstance(rec, dict):
+            raise TrialFileError(f"{path}: line {lineno} is not a JSON object")
+        if lineno == 1:
+            manifest = _parse_manifest(path, rec)
+            if space_hash(manifest.space) != manifest.space_hash:
+                raise TrialFileError(f"{path}: space hash mismatch")
+            continue
+        if manifest is None:
+            raise TrialFileError(f"{path}: missing manifest line")
+        _check_trial_record(path, lineno, rec)
+        idx = rec["i"]
+        if idx in trials:
+            raise TrialFileError(f"{path}: duplicate trial index {idx} (mixed runs?)")
+        trials[idx] = Trial(
+            config=rec["config"],
+            score=rec["score"],
+            status=rec["status"],
+            seed=rec["seed"],
+            wall_time_s=rec["wall_time_s"],
+            tags=rec.get("tags", {}),
+        )
     if manifest is None:
-        raise TrialFileError(f"{path}: missing manifest line")
-    return done
+        raise TrialFileError(f"{path}: no complete manifest line")
+    return manifest, trials, good_bytes
+
+
+def _scan_existing(path, manifest_expected):
+    """The trials of a partial run of the expected search, by index; drops
+    an interrupted last line.  A bad file raises before anything changes."""
+    with open(path, "r+b") as fh:
+        manifest, trials, good_bytes = _read_run(path, fh, resume=True)
+        if manifest.space_hash != manifest_expected.space_hash:
+            raise TrialFileError(f"{path}: space hash mismatch")
+        if manifest.master_seed != manifest_expected.master_seed:
+            raise TrialFileError(f"{path}: master seed mismatch")
+        fh.truncate(good_bytes)
+    return trials
 
 
 def jobs_from_env(jobs: int) -> int:
@@ -224,40 +248,30 @@ def run_random_search(
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     )
     done = {}
-    fh = None
-    if out_path is not None:
-        if os.path.exists(out_path) and os.path.getsize(out_path) > 0:
-            done = _scan_existing(out_path, manifest)
-            fh = open(out_path, "a", encoding="utf-8")
-        else:
-            fh = open(out_path, "w", encoding="utf-8")
-            fh.write(json.dumps({"manifest": asdict(manifest)}, sort_keys=True) + "\n")
-            fh.flush()
-    todo = [i for i in range(n_s) if i not in done]
     results = {}
-    try:
+    with contextlib.ExitStack() as stack:
+        fh = None
+        if out_path is not None:
+            if os.path.exists(out_path) and os.path.getsize(out_path) > 0:
+                done = _scan_existing(out_path, manifest)
+                fh = stack.enter_context(open(out_path, "a", encoding="utf-8"))
+            else:
+                fh = stack.enter_context(open(out_path, "w", encoding="utf-8"))
+                fh.write(json.dumps({"manifest": asdict(manifest)}, sort_keys=True) + "\n")
+                fh.flush()
+        todo = [i for i in range(n_s) if i not in done]
+        work = ((objective, parsed, i, master_seed) for i in todo)
         if jobs <= 1 or len(todo) <= 1:
-            for i in todo:
-                idx, trial = _evaluate_one((objective, parsed, i, master_seed))
-                results[idx] = trial
-                if fh:
-                    fh.write(_trial_record(idx, trial) + "\n")
-                    fh.flush()
+            finished = map(_evaluate_one, work)
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(_evaluate_one, (objective, parsed, i, master_seed)): i
-                    for i in todo
-                }
-                for fut in as_completed(futures):
-                    idx, trial = fut.result()
-                    results[idx] = trial
-                    if fh:
-                        fh.write(_trial_record(idx, trial) + "\n")
-                        fh.flush()
-    finally:
-        if fh:
-            fh.close()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            futures = [pool.submit(_evaluate_one, args) for args in work]
+            finished = (fut.result() for fut in as_completed(futures))
+        for idx, trial in finished:
+            results[idx] = trial
+            if fh:
+                fh.write(_trial_record(idx, trial) + "\n")
+                fh.flush()
     if out_path is not None:
         return load_trials(out_path)[1]
     return [results[i] for i in sorted(results)]
@@ -267,38 +281,6 @@ def load_trials(path):
     """Read (manifest, trials sorted by index); validate hash and integrity."""
     if not os.path.exists(path):
         raise TrialFileError(f"{path}: no such file")
-    manifest = None
-    trials = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                rec = json.loads(stripped)
-            except json.JSONDecodeError:
-                raise TrialFileError(f"{path}: corrupt record at line {lineno}")
-            if not isinstance(rec, dict):
-                raise TrialFileError(f"{path}: line {lineno} is not a JSON object")
-            if lineno == 1:
-                manifest = _parse_manifest(path, rec)
-                if space_hash(manifest.space) != manifest.space_hash:
-                    raise TrialFileError(f"{path}: space hash mismatch")
-                continue
-            if manifest is None:
-                raise TrialFileError(f"{path}: missing manifest line")
-            _check_trial_record(path, lineno, rec)
-            idx = rec["i"]
-            if idx in trials:
-                raise TrialFileError(f"{path}: duplicate trial index {idx} (mixed runs?)")
-            trials[idx] = Trial(
-                config=rec["config"],
-                score=rec["score"],
-                status=rec["status"],
-                seed=rec["seed"],
-                wall_time_s=rec["wall_time_s"],
-                tags=rec.get("tags", {}),
-            )
-    if manifest is None:
-        raise TrialFileError(f"{path}: empty file")
+    with open(path, "rb") as fh:
+        manifest, trials, _ = _read_run(path, fh)
     return manifest, [trials[i] for i in sorted(trials)]

@@ -382,13 +382,18 @@ def sample_configuration(space: SearchSpace, rng: np.random.Generator) -> dict:
 # -- CDF-rank normalization --------------------------------------------------
 
 
+def _scale(spec: ParameterSpec):
+    """(f, f_inv): a continuous parameter samples uniformly in f(value)."""
+    # math.log, not np.log: numpy's SIMD log can differ from it by one ulp
+    return (math.log, math.exp) if spec.scale == "log" else (float, float)
+
+
 def _column_ranks(spec: ParameterSpec, values, draws) -> np.ndarray:
     """Ranks of in-domain values: the CDF formula, clamped below 1, for a
     continuous parameter (draws unused); band_lo + band_w * draw for a
     discrete one, with one uniform draw in [0, 1) per value."""
     if spec.kind == "continuous":
-        # math.log, not np.log: numpy's SIMD log can differ from it by one ulp
-        f = math.log if spec.scale == "log" else float
+        f, _ = _scale(spec)
         r = (np.array([f(v) for v in values], dtype=float) - f(spec.lo)) / (
             f(spec.hi) - f(spec.lo))
         return np.minimum(r, np.nextafter(1.0, 0.0))

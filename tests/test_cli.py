@@ -245,3 +245,88 @@ def test_mistyped_trial_field_is_runtime_error(tmp_path, capsys, field, value, m
     assert cli(["search", "--objective", "example2", "--n", "25", "--seed", "1",
                 "--out", trials]) == 2
     assert message in capsys.readouterr().err
+
+
+def _break_unknown_status(lines):
+    lines[2] = json.dumps(dict(json.loads(lines[2]), status="lost")) + "\n"
+
+
+def _break_duplicate_index(lines):
+    lines.append(lines[3])
+
+
+def _break_manifest_hash(lines):
+    rec = json.loads(lines[0])
+    rec["manifest"]["space"]["params"][0]["hi"] = 4.0    # space_hash left as it was
+    lines[0] = json.dumps(rec) + "\n"
+
+
+def _break_unterminated_manifest(lines):
+    del lines[1:]
+    lines[0] = lines[0].rstrip("\n")
+
+
+def _break_utf8(lines):
+    lines.insert(2, "\udcff\n")     # written back as the lone byte 0xff
+
+
+@pytest.mark.parametrize("damage", [_break_unknown_status, _break_duplicate_index,
+                                    _break_manifest_hash, _break_unterminated_manifest,
+                                    _break_utf8])
+def test_resume_rejects_a_bad_run_file_before_evaluating(tmp_path, capsys, damage):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "example2", "--n", "5", "--seed", "1",
+                "--out", trials]) == 0
+    lines = open(trials).read().splitlines(keepends=True)
+    damage(lines)
+    open(trials, "w", errors="surrogateescape").write("".join(lines))
+    before = open(trials, "rb").read()
+    assert cli(["search", "--objective", "example2", "--n", "40", "--seed", "1",
+                "--out", trials]) == 2
+    assert "error" in capsys.readouterr().err
+    assert open(trials, "rb").read() == before
+
+
+def test_failed_gp_optimization_is_runtime_error(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "three_term", "--n", "100", "--seed", "2",
+         "--out", trials])
+    assert cli(["optimize", trials, "--objective", "three_term", "--init", "0",
+                "--budget-step1", "0", "--budget-step2", "0", "--seed", "2"]) == 2
+    assert "no successful evaluations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--objective", "example2", "--n", "-5", "--out", "new.jsonl"],
+    ["demo", "example2", "--n", "-5"],
+    ["optimize", "t.jsonl", "--objective", "example2", "--init", "-1"],
+    ["optimize", "t.jsonl", "--objective", "example2", "--budget-step1", "-1"],
+    ["optimize", "t.jsonl", "--objective", "example2", "--budget-step2", "-1"],
+])
+def test_negative_count_is_usage_error(tmp_path, capsys, argv):
+    assert cli(["search", "--objective", "example2", "--n", "50", "--seed", "1",
+                "--out", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+    argv = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in argv]
+    assert cli(argv) == 1
+    assert "usage" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "new.jsonl")
+
+
+@pytest.mark.parametrize("objective", ["example2", "three_term"])
+@pytest.mark.parametrize("percentile", ["1.5", "0", "-0.1", "nan"])
+def test_percentile_outside_unit_interval_is_usage_error(tmp_path, capsys,
+                                                         objective, percentile):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", objective, "--n", "100", "--seed", "3",
+                "--out", trials]) == 0
+    commands = [
+        ["analyze", trials],
+        ["reduce", trials, "--param", "x1", "--out", str(tmp_path / "red")],
+        ["report", trials, "--out", str(tmp_path / "rep")],
+        ["optimize", trials, "--objective", objective],
+        ["demo", objective, "--n", "100"],
+    ]
+    for argv in commands:
+        assert cli(argv + ["--percentile", percentile]) == 1, argv
+        assert "percentile" in capsys.readouterr().err, argv
