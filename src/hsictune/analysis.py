@@ -24,6 +24,7 @@ from .space import (
     NormalizedMatrix,
     ParameterSpec,
     SearchSpace,
+    _scale,
     build_groups,
     normalize_trials,
     restrict,
@@ -50,6 +51,16 @@ __all__ = [
 
 _MIN_TRIALS = 10
 IMPACT_K_SE = 2.0   # "impactful" means value > floor + k * (se + floor_se)
+_LEVEL_P = 0.1          # the level report's worst and best percentile
+_LEVEL_FACTOR = 2.0     # a level is flagged above this multiple of its prior
+_MIN_GOAL = 10          # goal trials an interval-reduction offset needs
+_CONTINUOUS_STEPS = 20  # interval-reduction offsets of a continuous knob
+
+
+def _clears_floor(score: HsicScore, floor: HsicScore) -> bool:
+    """The impact bar: the score exceeds the floor by IMPACT_K_SE combined
+    standard errors."""
+    return score.value > floor.value + IMPACT_K_SE * (score.std_error + floor.std_error)
 
 
 # -- goal construction -------------------------------------------------------
@@ -193,12 +204,11 @@ class InteractionMatrix:
 
 
 def interaction_matrix(params, matrix: NormalizedMatrix, z, *, seed: int = 0,
-                       n_boot: int = 100, pairs=None) -> InteractionMatrix:
+                       n_boot: int = 100) -> InteractionMatrix:
     """Pairwise joint scores; diagonal holds the single-column scores.
 
-    Every entry is computed on rows where both parameters are active.  When
-    pairs is given, only those off-diagonal entries are filled; the matrix
-    is symmetric by construction either way.
+    Every entry is computed on rows where both parameters are active, and
+    the matrix is symmetric by construction.
     """
     params = tuple(params)
     if len(params) < 2:
@@ -209,11 +219,12 @@ def interaction_matrix(params, matrix: NormalizedMatrix, z, *, seed: int = 0,
         rows = matrix.rows_where_active([name])
         scores[(i, i)] = hsic_goal(matrix.column(name)[rows], z[rows], n_boot=n_boot,
                                    seed=seed)
-    return _with_pairs(params, scores, matrix, z, seed, n_boot, pairs)
+    return _with_pairs(params, scores, matrix, z, seed, n_boot, None)
 
 
 def _with_pairs(params, diagonal, matrix, z, seed, n_boot, pairs) -> InteractionMatrix:
-    """The interaction matrix from its diagonal scores plus the wanted pairs."""
+    """The interaction matrix from its diagonal scores plus the wanted pairs
+    (every pair when pairs is None)."""
     k = len(params)
     wanted = None
     if pairs is not None:
@@ -258,19 +269,19 @@ class LevelReport:
         return w / max(w.sum(), 1.0), b / max(b.sum(), 1.0)
 
 
-def worst_level_report(param: ParameterSpec, trials, matrix: NormalizedMatrix,
-                       *, p: float = 0.1, factor: float = 2.0) -> LevelReport:
-    """Per-level counts among the worst and best percentile trials.
+def worst_level_report(param: ParameterSpec, trials,
+                       matrix: NormalizedMatrix) -> LevelReport:
+    """Per-level counts among the worst and best 10 percent of trials.
 
-    A level is flagged when its share of the worst set exceeds factor times
-    its prior weight while its share of the best set stays below the prior:
-    the signature of a value that actively hurts.
+    A level is flagged when its share of the worst set exceeds twice its
+    prior weight while its share of the best set stays below the prior: the
+    signature of a value that actively hurts.
     """
     if not param.is_discrete:
         raise EstimationError(f"{param.name}: level report needs a discrete parameter")
     levels, weights = param.level_weights()
-    worst = make_goal_flags(trials, worst_percentile(p), reject_constant=False)
-    best = make_goal_flags(trials, best_percentile(p), reject_constant=False)
+    worst = make_goal_flags(trials, worst_percentile(_LEVEL_P), reject_constant=False)
+    best = make_goal_flags(trials, best_percentile(_LEVEL_P), reject_constant=False)
     active = matrix.mask(param.name)
     values = [t.config.get(param.name) for t in trials]
 
@@ -290,7 +301,7 @@ def worst_level_report(param: ParameterSpec, trials, matrix: NormalizedMatrix,
     flagged = tuple(
         levels[i]
         for i in range(len(levels))
-        if w_share[i] > factor * weights[i] and b_share[i] < weights[i]
+        if w_share[i] > _LEVEL_FACTOR * weights[i] and b_share[i] < weights[i]
     )
     return LevelReport(param.name, tuple(levels), tuple(weights), tuple(wc),
                        tuple(bc), flagged)
@@ -306,7 +317,7 @@ class ReductionCurve:
     scores: tuple                # HsicScore per offset
     retained: tuple              # subpopulation sizes
     cutoff: int | None           # smallest c at the noise floor, None if never
-    step: float                  # parameter value per unit of c
+    lows: tuple                  # lower bound of the domain at each offset
 
     def values(self):
         return np.array([s.value for s in self.scores])
@@ -321,30 +332,32 @@ def interval_reduction(
     *,
     seed: int = 0,
     n_boot: int = 100,
-    k_se: float = IMPACT_K_SE,
-    min_goal: int = 10,
-    n_steps_continuous: int = 20,
 ):
     """Dependence score of an ordered parameter as its lower bound rises.
 
-    For each offset c the trial set restricts to values >= lo + c, the goal
-    percentile is re-taken inside that subpopulation, ranks are recomputed
-    on the restricted domain from the matrix's band draws, and the score is
+    The bound rises in equal steps of the sampling CDF: one level per step
+    for an integer, 1/20 of the range per step for a continuous knob, which
+    is a geometric step on a log scale.  For each offset c the trial set
+    restricts to values >= the raised bound, the goal percentile is
+    re-taken inside that subpopulation, ranks are recomputed on the
+    restricted domain from the matrix's band draws, and the score is
     compared to the noise floor.
-    The suggested cutoff is the smallest c whose score is within k_se
-    combined standard errors of the floor.  Offsets whose retained goal
-    count drops below min_goal truncate the curve.
+    The suggested cutoff is the smallest c whose score does not clear the
+    impact bar.  Offsets that retain fewer than 10 goal trials truncate the
+    curve.
     """
     if not param.is_ordered:
         raise EstimationError(f"{param.name}: interval reduction needs an ordered domain")
     space_one = SearchSpace((param,))
     active = matrix.mask(param.name)
     raw = np.array([t.config.get(param.name, np.nan) for t in trials], dtype=float)
-    n_steps = int(param.hi - param.lo) if param.kind == "integer" else n_steps_continuous
-    step = (param.hi - param.lo) / n_steps
-    kept_offsets, scores, retained = [], [], []
+    n_steps = int(param.hi - param.lo) if param.kind == "integer" else _CONTINUOUS_STEPS
+    f, f_inv = _scale(param)
+    step = (f(param.hi) - f(param.lo)) / n_steps
+    kept_offsets, scores, retained, lows = [], [], [], []
     for c in range(n_steps):
-        lo_c = param.lo + c * step
+        # exp(log(lo)) can miss lo by an ulp, and restrict rejects a bound below it
+        lo_c = float(param.lo) if c == 0 else f_inv(f(param.lo) + c * step)
         rows = np.flatnonzero(active & (raw >= lo_c))
         if len(rows) < _MIN_TRIALS:
             break
@@ -352,7 +365,7 @@ def interval_reduction(
             z_sub = make_goal_flags([trials[i] for i in rows], goal)
         except EstimationError:
             break
-        if int(z_sub.sum()) < min_goal:
+        if int(z_sub.sum()) < _MIN_GOAL:
             break
         restricted = restrict(space_one, param.name, (lo_c, param.hi))
         u = matrix.rerank(restricted.param(param.name), rows, raw[rows])
@@ -360,12 +373,13 @@ def interval_reduction(
         kept_offsets.append(c)
         scores.append(score)
         retained.append(len(rows))
+        lows.append(lo_c)
     if not kept_offsets:
         raise EstimationError(f"{param.name}: no offsets with enough samples")
-    bar = lambda s: noise_floor.value + k_se * (s.std_error + noise_floor.std_error)
-    cutoff = next((c for c, s in zip(kept_offsets, scores) if s.value <= bar(s)), None)
+    cutoff = next((c for c, s in zip(kept_offsets, scores)
+                   if not _clears_floor(s, noise_floor)), None)
     return ReductionCurve(param.name, tuple(kept_offsets), tuple(scores),
-                          tuple(retained), cutoff, step)
+                          tuple(retained), cutoff, tuple(lows))
 
 
 # -- the full pipeline ---------------------------------------------------------
@@ -379,9 +393,8 @@ class GroupRanking:
     n_rows: int
     n_goal: int
 
-    def impactful(self, k_se: float = IMPACT_K_SE):
-        bar = lambda s: self.floor.value + k_se * (s.std_error + self.floor.std_error)
-        return tuple(name for name, s in self.entries if s.value > bar(s))
+    def impactful(self):
+        return tuple(name for name, s in self.entries if _clears_floor(s, self.floor))
 
 
 @dataclass
@@ -400,7 +413,7 @@ class SensitivityReport:
                 return g
         raise KeyError(gid)
 
-    def impactful(self, k_se: float = IMPACT_K_SE):
+    def impactful(self):
         """Impactful parameters, preserving first-seen order.
 
         Main parameters are judged in the main group; a conditional group
@@ -409,25 +422,20 @@ class SensitivityReport:
         main_members = set(self.groups[0].group.members)
         seen = []
         for g in self.groups:
-            for name in g.impactful(k_se):
+            for name in g.impactful():
                 judged_here = g.group.id == MAIN_GROUP or name not in main_members
                 if judged_here and name not in seen:
                     seen.append(name)
         return tuple(seen)
 
-    def interacting_pairs(self, k_se: float = IMPACT_K_SE):
+    def interacting_pairs(self):
         """Off-diagonal pairs whose joint score clears the noise floor."""
         if self.interactions is None:
             return ()
-        out = []
         im = self.interactions
-        for (i, j), s in sorted(im.scores.items()):
-            if i == j:
-                continue
-            bar = self.noise_floor.value + k_se * (s.std_error + self.noise_floor.std_error)
-            if s.value > bar:
-                out.append((im.params[i], im.params[j]))
-        return tuple(out)
+        return tuple((im.params[i], im.params[j])
+                     for (i, j), s in sorted(im.scores.items())
+                     if i != j and _clears_floor(s, self.noise_floor))
 
 
 def run_algorithm1(
@@ -438,7 +446,6 @@ def run_algorithm1(
     *,
     n_boot: int = 100,
     full_interactions: bool = False,
-    k_se: float = IMPACT_K_SE,
 ) -> SensitivityReport:
     """Goal flags, conditional groups, per-group rankings, interactions.
 
@@ -466,7 +473,7 @@ def run_algorithm1(
         if full_interactions:
             pairs = None
         else:
-            quiet = [n for n in main_params if n not in main_ranking.impactful(k_se)]
+            quiet = [n for n in main_params if n not in main_ranking.impactful()]
             pairs = [(a, b) for ai, a in enumerate(quiet) for b in quiet[ai + 1:]]
         if pairs is None or pairs:
             # the main group spans every row, so its ranking is the diagonal

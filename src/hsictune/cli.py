@@ -136,9 +136,9 @@ def _cmd_search(args) -> int:
     if args.space:
         with open(args.space, encoding="utf-8") as fh:
             space = parse_space(fh.read())
-    run_random_search(space, objective, args.n, jobs=_jobs(args),
-                      master_seed=args.seed, out_path=args.out)
-    print(f"wrote {args.n} trials to {args.out}")
+    trials = run_random_search(space, objective, args.n, jobs=_jobs(args),
+                               master_seed=args.seed, out_path=args.out)
+    print(f"{args.out} holds {len(trials)} trials")
     return 0
 
 

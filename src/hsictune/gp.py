@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve, cholesky, LinAlgError
 from scipy.stats import norm, qmc
 
 from .harness import Trial, trial_seed
-from .space import SearchSpace, _sample_value, _scale, sample_configuration
+from .space import SearchSpace, _resolve_children, _scale, sample_configuration
 
 __all__ = [
     "FitError",
@@ -38,6 +38,8 @@ __all__ = [
 
 _JITTERS = tuple(1e-10 * 10**k for k in range(7))   # 1e-10 .. 1e-4
 _SQRT5 = math.sqrt(5.0)
+_N_CANDIDATES = 2048    # Sobol candidates per acquisition step
+_N_POLISH = 5           # best candidates given a local EI polish
 
 
 class FitError(RuntimeError):
@@ -104,10 +106,7 @@ def decode(space: SearchSpace, x: np.ndarray) -> dict:
             config[p.name] = p.levels[int(np.argmax(x[pos : pos + w]))]
         else:
             config[p.name] = bool(x[pos] >= 0.5)
-    for rule in space.rules:
-        if config.get(rule.parent) not in rule.activating_values:
-            config.pop(rule.child, None)
-    return config
+    return _resolve_children(space, config, None)
 
 
 # -- Matern-5/2 GP ------------------------------------------------------------
@@ -187,8 +186,8 @@ def _nll_and_grad(theta, X, y):
     return nll, grad
 
 
-def gp_fit(X, y, *, n_starts: int = 8, seed: int = 0) -> GpModel:
-    """Fit by maximizing log marginal likelihood from deterministic starts.
+def gp_fit(X, y) -> GpModel:
+    """Fit by maximizing log marginal likelihood from eight deterministic starts.
 
     Targets are standardized internally; predictions are de-standardized.
     """
@@ -212,7 +211,7 @@ def gp_fit(X, y, *, n_starts: int = 8, seed: int = 0) -> GpModel:
         np.array([math.log(l)] * d + [0.0, math.log(nz)])
         for l in ls_starts
         for nz in noise_starts
-    ][:n_starts]
+    ]
     best = None
     for x0 in starts:
         res = optimize.minimize(
@@ -278,13 +277,7 @@ def _force(space: SearchSpace, config: dict, fixed: dict, rng) -> dict:
     """Overwrite fixed values and re-resolve child activation."""
     out = dict(config)
     out.update(fixed or {})
-    for rule in space.rules:
-        active = out.get(rule.parent) in rule.activating_values
-        if active and rule.child not in out:
-            out[rule.child] = _sample_value(space.param(rule.child), rng)
-        if not active:
-            out.pop(rule.child, None)
-    return out
+    return _resolve_children(space, out, rng)
 
 
 def _finite_configs(space: SearchSpace, fixed: dict, limit: int):
@@ -301,13 +294,7 @@ def _finite_configs(space: SearchSpace, fixed: dict, limit: int):
     out = []
     for c in combos:
         c.update(fixed or {})
-        cfg = {}
-        for p in space.params:
-            if p.name in c:
-                cfg[p.name] = c[p.name]
-        for rule in space.rules:
-            if cfg.get(rule.parent) not in rule.activating_values:
-                cfg.pop(rule.child, None)
+        cfg = _resolve_children(space, {p.name: c[p.name] for p in space.params}, None)
         if cfg not in out:
             out.append(cfg)
     return out
@@ -341,8 +328,6 @@ def gpbo(
     n_iter: int = 25,
     seed: int = 0,
     initial_configs=None,
-    n_candidates: int = 2048,
-    n_polish: int = 5,
 ):
     """Sequential GP optimization; returns (incumbent trial, history).
 
@@ -388,7 +373,7 @@ def gpbo(
         X = np.array([encode(space, t.config) for t in history])
         y = _transform_targets(history)
         try:
-            model = gp_fit(X, y, seed=seed)
+            model = gp_fit(X, y)
         except FitError:
             cfg = _force(space, sample_configuration(space, rng), fixed, rng)
             _evaluate(cfg, n_init + it)
@@ -398,16 +383,16 @@ def gpbo(
             d=max(len(free_dims), 1), scramble=True,
             seed=np.random.default_rng(np.random.SeedSequence((int(seed), 0x50B01, it))),
         )
-        raw = sob.random(n_candidates)
+        raw = sob.random(_N_CANDIDATES)
         base = encode(space, _force(space, sample_configuration(space, rng), fixed, rng))
-        cand = np.tile(base, (n_candidates, 1))
+        cand = np.tile(base, (_N_CANDIDATES, 1))
         if free_dims:
             cand[:, free_dims] = raw
         configs = [_force(space, decode(space, c), fixed, rng) for c in cand]
         snapped = np.array([encode(space, c) for c in configs])
         ei = expected_improvement(model, snapped, best_t)
         ei = np.atleast_1d(ei)
-        top = np.argsort(-ei)[:n_polish]
+        top = np.argsort(-ei)[:_N_POLISH]
 
         best_cfg = configs[int(top[0])]
         best_ei = float(ei[int(top[0])])

@@ -404,10 +404,11 @@ def _select(backend, grid):
 # -- public operations -------------------------------------------------------
 
 
-def bandwidth_grid(median_distance: float, n_grid: int = N_GRID) -> np.ndarray:
-    """Log grid spanning GRID_SPAN times the median pairwise distance."""
+def bandwidth_grid(median_distance: float) -> np.ndarray:
+    """Log grid of N_GRID points spanning GRID_SPAN times the median
+    pairwise distance."""
     med = median_distance if median_distance > 0 else 1.0
-    return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, n_grid)
+    return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, N_GRID)
 
 
 def mmd2(xs, ys, kernel: Kernel) -> float:
@@ -454,10 +455,10 @@ def _prepare_labeled(u, z, active=None):
     return pts, flags
 
 
-def _score_labeled(pts, flags, n_boot, seed, grid):
+def _score_labeled(pts, flags, n_boot, seed):
     backend = _backend(pts, pts[flags])
     n, m = backend.n, backend.m
-    h, gamma, mmd, degenerate = _select(backend, grid)
+    h, gamma, mmd, degenerate = _select(backend, None)
     if m == n:
         value = 0.0   # goal set equals the full sample: embeddings coincide
     else:
@@ -470,7 +471,7 @@ def _score_labeled(pts, flags, n_boot, seed, grid):
     return HsicScore(value, se, n, m, kernel)
 
 
-def hsic_goal(u, z, *, active=None, n_boot=100, seed=0, grid=None) -> HsicScore:
+def hsic_goal(u, z, *, active=None, n_boot=100, seed=0) -> HsicScore:
     """Goal-oriented dependence score of one rank column.
 
     The bandwidth is selected by maximizing mmd2 between the full column and
@@ -481,20 +482,20 @@ def hsic_goal(u, z, *, active=None, n_boot=100, seed=0, grid=None) -> HsicScore:
     pts, flags = _prepare_labeled(u, z, active)
     if pts.shape[1] != 1:
         raise EstimationError("hsic_goal expects a single rank column")
-    return _score_labeled(pts, flags, n_boot, seed, grid)
+    return _score_labeled(pts, flags, n_boot, seed)
 
 
-def hsic_pair(u_i, u_j, z, *, active=None, n_boot=100, seed=0, grid=None) -> HsicScore:
+def hsic_pair(u_i, u_j, z, *, n_boot=100, seed=0) -> HsicScore:
     """Joint two-column dependence score with a product kernel (shared h)."""
     ui = np.asarray(u_i, dtype=float)
     uj = np.asarray(u_j, dtype=float)
     if ui.shape != uj.shape or ui.ndim != 1:
         raise EstimationError("pair columns must be 1-D and equally long")
-    pts, flags = _prepare_labeled(np.column_stack([ui, uj]), z, active)
-    return _score_labeled(pts, flags, n_boot, seed, grid)
+    pts, flags = _prepare_labeled(np.column_stack([ui, uj]), z)
+    return _score_labeled(pts, flags, n_boot, seed)
 
 
-def bootstrap_se(u, z, n_boot: int = 100, seed: int = 0, *, active=None) -> float:
+def bootstrap_se(u, z, n_boot: int = 100, seed: int = 0) -> float:
     """Percentile-bootstrap standard deviation of the score estimate.
 
     Resample b draws from the stream keyed (seed, b), so extending n_boot
@@ -502,5 +503,5 @@ def bootstrap_se(u, z, n_boot: int = 100, seed: int = 0, *, active=None) -> floa
     """
     if n_boot < 2:
         raise EstimationError("n_boot must be at least 2")
-    score = hsic_goal(u, z, active=active, n_boot=n_boot, seed=seed)
+    score = hsic_goal(u, z, n_boot=n_boot, seed=seed)
     return score.std_error

@@ -75,6 +75,8 @@ ACTIVATIONS = {
 
 LOSSES = ("l2", "l1")
 OPTIMIZERS = ("sgd", "adam")
+_ADAM_BETA_1 = 0.9
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -88,7 +90,6 @@ class MlpConfig:
     batch_size: int = 11
     n_epochs: int = 50
     seed: int = 0
-    beta_1: float = 0.9
     beta_2: float = 0.999
 
     def __post_init__(self):
@@ -168,8 +169,8 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    def __init__(self, lr: float, beta_1=0.9, beta_2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta_1, beta_2, eps
+    def __init__(self, lr: float, beta_2=0.999):
+        self.lr, self.b2 = lr, beta_2
         self.t = 0
         self.m = None
         self.v = None
@@ -179,14 +180,14 @@ class AdamOptimizer:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
+        c1 = 1.0 - _ADAM_BETA_1**self.t
         c2 = 1.0 - self.b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
+            m *= _ADAM_BETA_1
+            m += (1.0 - _ADAM_BETA_1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
 def mlp_forward_backward(config: MlpConfig, X, y, net: MlpNet | None = None):
@@ -203,7 +204,7 @@ def _train_once(config: MlpConfig, X, y, seed: int) -> MlpNet | None:
     rng = np.random.default_rng(seed)
     net = MlpNet(config, rng, n_inputs=X.shape[1])
     if config.optimizer == "adam":
-        opt = AdamOptimizer(config.learning_rate, config.beta_1, config.beta_2)
+        opt = AdamOptimizer(config.learning_rate, config.beta_2)
     else:
         opt = SgdOptimizer(config.learning_rate)
     n = len(y)
@@ -248,17 +249,16 @@ def mlp_train_eval(config: MlpConfig, train, test, n_seeds: int = 1) -> Trial:
     return Trial(vars(config).copy(), float(np.mean(errors)), STATUS_OK, config.seed)
 
 
-def runge_space(max_units: int = 128) -> SearchSpace:
+def runge_space() -> SearchSpace:
     """Eight-dimensional trainer space with one conditional parameter.
 
     The second-moment decay is only sampled when the optimizer is adam,
     which exercises the conditional-group machinery end to end.  Width is
-    capped at desk scale by default; pass a larger max_units for bigger
-    studies.
+    capped at desk scale.
     """
     params = (
         integer_param("n_layers", 1, 10),
-        integer_param("n_units", 7, max_units),
+        integer_param("n_units", 7, 128),
         categorical_param("activation", ("elu", "relu", "tanh", "sigmoid")),
         categorical_param("loss", ("l2", "l1")),
         categorical_param("optimizer", ("adam", "sgd")),
@@ -273,22 +273,17 @@ def runge_space(max_units: int = 128) -> SearchSpace:
 class RungeMlpObjective:
     """Train a small dense net on the bump function, score by test MSE.
 
-    The training grid has 11 equally spaced points and the test grid 1000;
-    both default to the function's natural domain [-1, 1], with [0, 1]
-    available behind the domain flag.
+    The training grid has 11 equally spaced points and the test grid 1000,
+    both on the function's natural domain [-1, 1].
     """
 
     name = "runge_mlp"
 
-    def __init__(self, domain=(-1.0, 1.0), n_train: int = 11, n_test: int = 1000,
-                 n_epochs: int = 30, n_seeds: int = 1, max_units: int = 128):
-        self.space = runge_space(max_units)
-        self.domain = tuple(domain)
+    def __init__(self, n_epochs: int = 30):
+        self.space = runge_space()
         self.n_epochs = int(n_epochs)
-        self.n_seeds = int(n_seeds)
-        lo, hi = self.domain
-        self.x_train = np.linspace(lo, hi, n_train)
-        self.x_test = np.linspace(lo, hi, n_test)
+        self.x_train = np.linspace(-1.0, 1.0, 11)
+        self.x_test = np.linspace(-1.0, 1.0, 1000)
         self.y_train = runge(self.x_train)
         self.y_test = runge(self.x_test)
 
@@ -309,7 +304,6 @@ class RungeMlpObjective:
             mlp,
             (self.x_train[:, None], self.y_train),
             (self.x_test[:, None], self.y_test),
-            n_seeds=self.n_seeds,
         )
         trial.config = dict(config)
         trial.seed = int(seed)

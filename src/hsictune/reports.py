@@ -26,6 +26,8 @@ __all__ = [
     "summary_dict",
 ]
 
+_HIST_BINS = 20
+
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_+-]", "_", name)
@@ -142,11 +144,12 @@ def save_reduction_curve(curve: ReductionCurve, out_dir: str) -> None:
     )
 
 
-def save_histograms(matrix: NormalizedMatrix, z, out_dir: str, n_bins: int = 20) -> None:
-    """Rank histograms per parameter: all active rows vs goal rows."""
+def save_histograms(matrix: NormalizedMatrix, z, out_dir: str) -> None:
+    """Rank histograms per parameter on 20 equal bins: all active rows vs
+    goal rows."""
     os.makedirs(out_dir, exist_ok=True)
     z = np.asarray(z, dtype=bool)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, _HIST_BINS + 1)
     for name in matrix.names:
         active = matrix.mask(name)
         u = matrix.column(name)
@@ -154,7 +157,7 @@ def save_histograms(matrix: NormalizedMatrix, z, out_dir: str, n_bins: int = 20)
         goal_counts, _ = np.histogram(u[active & z], bins=edges)
         rows = [
             (repr(edges[i]), repr(edges[i + 1]), int(all_counts[i]), int(goal_counts[i]))
-            for i in range(n_bins)
+            for i in range(_HIST_BINS)
         ]
         _write_csv(
             os.path.join(out_dir, f"hist_{_slug(name)}.csv"),

@@ -360,23 +360,33 @@ def _sample_value(spec: ParameterSpec, rng: np.random.Generator):
     return value
 
 
-def sample_configuration(space: SearchSpace, rng: np.random.Generator) -> dict:
-    """Draw one configuration; children are drawn only when activated.
+def _resolve_children(space: SearchSpace, config: dict, rng) -> dict:
+    """Settle child activation in place: drop each child its parent does
+    not activate, draw each missing active child from rng.
 
-    Parameters are visited in declaration order, so the draw is reproducible
-    for a given generator state.
+    Children are visited in declaration order.  rng may be None when no
+    active child can be missing.
     """
-    config = {}
     children = {r.child: r for r in space.rules}
     for p in space.params:
         rule = children.get(p.name)
         if rule is None:
-            config[p.name] = _sample_value(p, rng)
-    for p in space.params:
-        rule = children.get(p.name)
-        if rule is not None and config[rule.parent] in rule.activating_values:
+            continue
+        if config.get(rule.parent) not in rule.activating_values:
+            config.pop(p.name, None)
+        elif p.name not in config:
             config[p.name] = _sample_value(p, rng)
     return config
+
+
+def sample_configuration(space: SearchSpace, rng: np.random.Generator) -> dict:
+    """Draw one configuration; children are drawn only when activated.
+
+    Main parameters, then children, are visited in declaration order, so
+    the draw is reproducible for a given generator state.
+    """
+    config = {p.name: _sample_value(p, rng) for p in space.main_params}
+    return _resolve_children(space, config, rng)
 
 
 # -- CDF-rank normalization --------------------------------------------------

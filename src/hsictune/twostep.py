@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .analysis import (
     GoalSet,
-    IMPACT_K_SE,
     ReductionCurve,
     SensitivityReport,
     interval_reduction,
@@ -120,7 +119,7 @@ class TwoStepResult:
 def _speed_value(spec, direction, curve: ReductionCurve | None):
     lo, hi = spec.lo, spec.hi
     if curve is not None and curve.cutoff:
-        lo = spec.lo + curve.cutoff * curve.step
+        lo = curve.lows[curve.cutoff]
     if direction == "maximize":
         return int(hi) if spec.kind == "integer" else float(hi)
     return int(lo) if spec.kind == "integer" else float(lo)
@@ -133,8 +132,7 @@ def _matching_region(spec, a, b) -> bool:
 
 
 def select_fixed_values(report: SensitivityReport, trials, policy: FixingPolicy,
-                        curves: dict | None = None, space: SearchSpace | None = None,
-                        k_se: float = IMPACT_K_SE):
+                        curves: dict | None = None, *, space: SearchSpace):
     """Pin values for the parameters step 1 will not optimize.
 
     Returns (fixed values, provenance tags, step-1 dimensions).
@@ -142,17 +140,15 @@ def select_fixed_values(report: SensitivityReport, trials, policy: FixingPolicy,
     domain; other non-impactful parameters copy the best trial, with the
     interaction adjustment described in the module docstring.
     """
-    if space is None:
-        raise EstimationError("select_fixed_values needs the search space")
     ok = [t for t in trials if t.ok]
     if not ok:
         raise EstimationError("no ok trials to copy values from")
     best_trial = min(ok, key=lambda t: t.score)
     curves = curves or {}
-    impactful = set(report.impactful(k_se))
+    impactful = set(report.impactful())
     pairs = policy.interaction_pairs
     if pairs is None:
-        pairs = report.interacting_pairs(k_se)
+        pairs = report.interacting_pairs()
     fixed, provenance = {}, {}
     speed_fixed = {}
     for p in space.params:
@@ -210,23 +206,18 @@ def two_step_optimize(
     budgets: Budgets = Budgets(),
     seed: int = 0,
     *,
-    report: SensitivityReport | None = None,
     n_boot: int = 100,
-    k_se: float = IMPACT_K_SE,
 ) -> TwoStepResult:
     """Analysis, value fixing, then two focused optimization passes.
 
     Step 1 optimizes the impactful dimensions with everything else pinned.
     Step 2 re-opens the remaining dimensions (all of them under
     accuracy_only, all but the speed-pinned ones otherwise) and starts from
-    the step-1 incumbent, so the final incumbent can only improve.  A given
-    report must come from these trials: its rank matrix feeds the interval
-    reduction.
+    the step-1 incumbent, so the final incumbent can only improve.
     """
     if not trials:
         raise EstimationError("two_step_optimize needs prior random-search trials")
-    if report is None:
-        report = run_algorithm1(space, trials, goal, seed, n_boot=n_boot, k_se=k_se)
+    report = run_algorithm1(space, trials, goal, seed, n_boot=n_boot)
     curves = {}
     for name, direction in policy.speed_directions.items():
         spec = space.param(name)
@@ -235,12 +226,12 @@ def two_step_optimize(
         try:
             curves[name] = interval_reduction(
                 spec, trials, report.matrix, goal, report.noise_floor,
-                seed=seed, n_boot=n_boot, k_se=k_se,
+                seed=seed, n_boot=n_boot,
             )
         except EstimationError:
             curves[name] = None
     fixed, provenance, step1_dims = select_fixed_values(
-        report, trials, policy, curves, space=space, k_se=k_se
+        report, trials, policy, curves, space=space
     )
 
     if step1_dims:

@@ -407,6 +407,27 @@ def test_interval_reduction_trainer_curve_trend():
         assert sb.value <= sa.value + 2 * (sa.std_error + sb.std_error)
 
 
+@pytest.mark.parametrize("lo, hi", [(1e-6, 1e-2), (1e-5, 1e-1)])
+def test_interval_reduction_steps_log_knobs_geometrically(lo, hi):
+    # each offset drops 1/20 of the log range, so offset 1 keeps ~95% of a
+    # log-uniform sample; offset 0 is lo itself, which exp(log(lo)) misses
+    # by an ulp for lo = 1e-5
+    space = SearchSpace((continuous_param("lr", lo, hi, scale="log"),))
+    rng = np.random.default_rng(12)
+    trials = [ok_trial(space_module.sample_configuration(space, rng), rng.random())
+              for _ in range(2000)]
+    goal = best_percentile(0.1)
+    matrix = normalize_trials(space, trials, seed=12)
+    floor = dummy_floor(np.ones(len(trials), dtype=bool),
+                        make_goal_flags(trials, goal), 12, n_boot=0)
+    curve = interval_reduction(space.param("lr"), trials, matrix, goal, floor,
+                               seed=12, n_boot=0)
+    assert len(curve.offsets) > 2
+    assert curve.retained[1] / curve.retained[0] == pytest.approx(0.95, abs=0.02)
+    assert curve.lows[0] == lo
+    assert np.allclose(np.diff(np.log(curve.lows)), np.log(hi / lo) / 20)
+
+
 def test_interval_reduction_requires_ordered_param():
     space = _act_space()
     trials = _level_trials(100, seed=2)
@@ -499,6 +520,32 @@ def test_ranking_robust_to_sampling_distribution():
     floor_u = dummy_floor(np.ones(n, dtype=bool), z_u, 1, n_boot=50)
     assert s_tn.value > floor_tn.value + 2 * (s_tn.std_error + floor_tn.std_error)
     assert s_u.value > floor_u.value + 2 * (s_u.std_error + floor_u.std_error)
+
+
+def test_impact_bar_is_exclusive_at_its_boundary():
+    # a score exactly at floor + 2 (se + floor_se) does not clear the bar,
+    # one ulp above it does, for single parameters and pairs alike
+    from hsictune.analysis import GroupRanking, InteractionMatrix, SensitivityReport
+    from hsictune.hsic import HsicScore, Kernel
+    from hsictune.space import GroupSpec, MAIN_GROUP
+
+    kernel = Kernel((0.1,))
+    floor = HsicScore(3.1e-4, 1.7e-4, 300, 30, kernel)
+    quiet = HsicScore(1e-4, 1e-5, 300, 30, kernel)
+    se = 2.3e-4
+    at_bar = floor.value + 2 * (se + floor.std_error)
+    for value, clears in ((at_bar, False), (np.nextafter(at_bar, 1.0), True)):
+        score = HsicScore(float(value), se, 300, 30, kernel)
+        ranking = GroupRanking(GroupSpec(MAIN_GROUP, ("a", "b")),
+                               (("a", score), ("b", quiet)), floor, 300, 30)
+        im = InteractionMatrix(("a", "b"), np.full((2, 2), np.nan),
+                               np.full((2, 2), np.nan),
+                               {(0, 0): quiet, (1, 1): quiet, (0, 1): score})
+        report = SensitivityReport(best_percentile(0.1), 0, (ranking,), im, floor,
+                                   None, None)
+        assert ranking.impactful() == (("a",) if clears else ())
+        assert report.impactful() == (("a",) if clears else ())
+        assert report.interacting_pairs() == ((("a", "b"),) if clears else ())
 
 
 def test_group_scores_only_use_jointly_active_rows():

@@ -330,3 +330,15 @@ def test_percentile_outside_unit_interval_is_usage_error(tmp_path, capsys,
     for argv in commands:
         assert cli(argv + ["--percentile", percentile]) == 1, argv
         assert "percentile" in capsys.readouterr().err, argv
+
+
+def test_search_reports_the_trials_the_file_holds(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "example2", "--n", "12", "--seed", "4",
+                "--out", trials]) == 0
+    capsys.readouterr()
+    before = open(trials, "rb").read()
+    assert cli(["search", "--objective", "example2", "--n", "3", "--seed", "4",
+                "--out", trials]) == 0
+    assert "12 trials" in capsys.readouterr().out
+    assert open(trials, "rb").read() == before

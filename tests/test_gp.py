@@ -75,7 +75,7 @@ def test_inactive_child_encodes_to_zero_block():
 def test_interpolates_line_at_low_noise():
     X = np.linspace(0, 1, 5)[:, None]
     y = 2.0 * X[:, 0] + 1.0
-    model = gp_fit(X, y, seed=0)
+    model = gp_fit(X, y)
     for xi, yi in zip(X, y):
         mean, var = gp_predict(model, xi)
         assert abs(mean - yi) < 1e-6
@@ -85,14 +85,14 @@ def test_interpolates_line_at_low_noise():
 def test_conflicting_duplicates_force_noise():
     X = np.array([[0.5], [0.5], [0.2], [0.8]])
     y = np.array([0.0, 1.0, 0.3, 0.4])
-    model = gp_fit(X, y, seed=0)
+    model = gp_fit(X, y)
     assert model.noise_var > 1e-4
 
 
 def test_identical_points_identical_targets_fit_ok():
     X = np.array([[0.5], [0.5]])
     y = np.array([0.3, 0.3])
-    model = gp_fit(X, y, seed=0)
+    model = gp_fit(X, y)
     mean, var = gp_predict(model, [0.5])
     assert np.isfinite(mean) and var >= 0
 
@@ -101,7 +101,7 @@ def test_far_point_reverts_to_prior():
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 0.05, (8, 1))
     y = np.sin(20 * X[:, 0])
-    model = gp_fit(X, y, seed=0)
+    model = gp_fit(X, y)
     far = np.array([X.max() + 20 * model.lengthscales[0]])
     _, var = gp_predict(model, far)
     assert var >= 0.9 * model.signal_var * model.y_std**2
@@ -111,7 +111,7 @@ def test_variance_nonnegative_everywhere():
     rng = np.random.default_rng(2)
     X = rng.random((12, 2))
     y = rng.random(12)
-    model = gp_fit(X, y, seed=0)
+    model = gp_fit(X, y)
     pts = rng.random((1000, 2))
     _, var = gp_predict(model, pts)
     assert np.all(var >= 0)
@@ -152,7 +152,7 @@ def test_ei_closed_form_cases():
     # mean at the incumbent with unit spread: EI is the standard normal pdf at 0
     assert ei_value(1.0, 1.0, best_so_far=1.0) == pytest.approx(0.398942, abs=1e-6)
     X = np.array([[0.0], [1.0]])
-    model = gp_fit(X, np.array([0.0, 1.0]), seed=0)
+    model = gp_fit(X, np.array([0.0, 1.0]))
     ei = expected_improvement(model, np.array([[0.5]]), best_so_far=0.5)
     assert np.all(np.atleast_1d(ei) >= 0)
 
@@ -161,7 +161,7 @@ def test_ei_nonnegative_on_grid():
     rng = np.random.default_rng(4)
     X = rng.random((10, 1))
     y = rng.random(10)
-    model = gp_fit(X, y, seed=0)
+    model = gp_fit(X, y)
     grid = np.linspace(0, 1, 200)[:, None]
     ei = expected_improvement(model, grid, best_so_far=float(y.min()))
     assert np.all(ei >= 0)

@@ -124,7 +124,7 @@ def test_speed_pin_on_truncated_continuous_curve():
     floor = dummy_floor(np.ones(len(trials), dtype=bool), z, 5, n_boot=10)
     matrix = normalize_trials(space, trials, seed=5)
     curve = interval_reduction(space.param("x"), trials, matrix, goal, floor,
-                               seed=5, n_boot=10, n_steps_continuous=20)
+                               seed=5, n_boot=10)
     truncated = dataclasses.replace(curve, offsets=tuple(range(10)), cutoff=5)
     assert _speed_value(space.param("x"), "minimize", truncated) == 0.25
 
