@@ -43,6 +43,7 @@ from .space import (
     parse_space,
     restrict,
     sample_configuration,
+    space_from_dict,
 )
 from .twostep import Budgets, FixingPolicy, TwoStepResult, two_step_optimize
 

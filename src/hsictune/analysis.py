@@ -25,6 +25,7 @@ from .space import (
     ParameterSpec,
     SearchSpace,
     _scale,
+    _seed_sequence,
     build_groups,
     normalize_trials,
     restrict,
@@ -150,9 +151,8 @@ def make_goal_flags(trials, goal: GoalSet, *, reject_constant: bool = True) -> n
 
 
 def _dummy_column(seed: int, label: str, n: int) -> np.ndarray:
-    key = (int(seed) & 0xFFFFFFFF, zlib.crc32(b"~dummy~"), zlib.crc32(label.encode()))
-    rng = np.random.default_rng(np.random.SeedSequence(key))
-    return rng.random(n)
+    ss = _seed_sequence(seed, zlib.crc32(b"~dummy~"), zlib.crc32(label.encode()))
+    return np.random.default_rng(ss).random(n)
 
 
 def dummy_floor(rows: np.ndarray, z: np.ndarray, seed: int, label: str = MAIN_GROUP,
@@ -198,9 +198,11 @@ class InteractionMatrix:
         i, j = self.params.index(a), self.params.index(b)
         return self.scores[(min(i, j), max(i, j))]
 
-    def computed(self, a: str, b: str) -> bool:
-        i, j = self.params.index(a), self.params.index(b)
-        return (min(i, j), max(i, j)) in self.scores
+    def pair_scores(self):
+        """((param_i, param_j), score) of every computed off-diagonal pair,
+        in index order."""
+        return [((self.params[i], self.params[j]), s)
+                for (i, j), s in sorted(self.scores.items()) if i != j]
 
 
 def interaction_matrix(params, matrix: NormalizedMatrix, z, *, seed: int = 0,
@@ -432,10 +434,8 @@ class SensitivityReport:
         """Off-diagonal pairs whose joint score clears the noise floor."""
         if self.interactions is None:
             return ()
-        im = self.interactions
-        return tuple((im.params[i], im.params[j])
-                     for (i, j), s in sorted(im.scores.items())
-                     if i != j and _clears_floor(s, self.noise_floor))
+        return tuple(pair for pair, s in self.interactions.pair_scores()
+                     if _clears_floor(s, self.noise_floor))
 
 
 def run_algorithm1(

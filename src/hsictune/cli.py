@@ -16,7 +16,7 @@ from .gp import FitError
 from .harness import TrialFileError, jobs_from_env, load_trials, run_random_search
 from .hsic import EstimationError
 from .objectives import OBJECTIVE_NAMES, build_objective
-from .space import SpaceError, build_groups, normalize_trials, parse_space
+from .space import SpaceError, build_groups, normalize_trials, parse_space, space_from_dict
 from .twostep import Budgets, FixingPolicy, two_step_optimize
 
 __all__ = ["cli", "main"]
@@ -55,7 +55,7 @@ def _jobs(args) -> int:
 
 def _load(path):
     manifest, trials = load_trials(path)
-    space = parse_space(json.dumps(manifest.space))
+    space = space_from_dict(manifest.space)
     return manifest, space, trials
 
 

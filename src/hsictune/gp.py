@@ -20,8 +20,9 @@ from scipy import optimize
 from scipy.linalg import cho_solve, cholesky, LinAlgError
 from scipy.stats import norm, qmc
 
-from .harness import Trial, trial_seed
-from .space import SearchSpace, _resolve_children, _scale, sample_configuration
+from .harness import _evaluate_trial, trial_seed
+from .space import (SearchSpace, _resolve_children, _scale, _seed_sequence,
+                    sample_configuration)
 
 __all__ = [
     "FitError",
@@ -338,7 +339,7 @@ def gpbo(
     fixed = dict(fixed or {})
     for name in fixed:
         space.param(name)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6B0)))
+    rng = np.random.default_rng(_seed_sequence(seed, 0x6B0))
     blocks, width = _blocks(space)
     free_dims = []
     for p, pos, w in blocks:
@@ -348,13 +349,7 @@ def gpbo(
     history = []
 
     def _evaluate(config, index):
-        s = trial_seed(seed, index)
-        try:
-            trial = objective.evaluate(config, s)
-        except Exception as e:
-            trial = Trial(dict(config), None, "failed", s, tags={"error": repr(e)[:200]})
-        history.append(trial)
-        return trial
+        history.append(_evaluate_trial(objective, config, trial_seed(seed, index)))
 
     init_configs = list(initial_configs or [])
     init_configs = [_force(space, c, fixed, rng) for c in init_configs]
@@ -381,7 +376,7 @@ def gpbo(
         best_t = float(np.min(y))
         sob = qmc.Sobol(
             d=max(len(free_dims), 1), scramble=True,
-            seed=np.random.default_rng(np.random.SeedSequence((int(seed), 0x50B01, it))),
+            seed=np.random.default_rng(_seed_sequence(seed, 0x50B01, it)),
         )
         raw = sob.random(_N_CANDIDATES)
         base = encode(space, _force(space, sample_configuration(space, rng), fixed, rng))

@@ -8,6 +8,9 @@ worker count, and interrupted runs resume by skipping already-present
 indices.  Loading and resuming share one reader, so a resume checks every
 existing record the way loading does before it evaluates anything; it also
 drops an unterminated last line as an interrupted write.
+
+_evaluate_trial evaluates every trial, here and in the GP optimizer: it
+times the call and turns an objective fault into a failed trial.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .space import SearchSpace, parse_space, sample_configuration, space_to_dict
+from .space import (SearchSpace, _seed_sequence, sample_configuration, space_from_dict,
+                    space_to_dict)
 
 __all__ = [
     "Trial",
@@ -90,7 +94,7 @@ def space_hash(space: SearchSpace | dict) -> str:
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Pure function of (master_seed, index); independent of scheduling."""
-    ss = np.random.SeedSequence((int(master_seed) & 0xFFFFFFFF, int(index)))
+    ss = _seed_sequence(master_seed, index)
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
@@ -107,18 +111,22 @@ def _trial_record(index: int, trial: Trial) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def _evaluate_one(args):
-    objective, space, index, master_seed = args
-    seed = trial_seed(master_seed, index)
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed & 0xFFFFFFFF, index, 1)))
-    config = sample_configuration(space, rng)
+def _evaluate_trial(objective, config: dict, seed: int) -> Trial:
+    """objective.evaluate(config, seed), timed; a fault becomes a failed trial."""
     t0 = time.perf_counter()
     try:
         trial = objective.evaluate(config, seed)
     except Exception as e:  # objective faults must not kill the run
-        trial = Trial(config, None, STATUS_FAILED, seed, tags={"error": repr(e)[:200]})
+        trial = Trial(dict(config), None, STATUS_FAILED, seed, tags={"error": repr(e)[:200]})
     trial.wall_time_s = time.perf_counter() - t0
-    return index, trial
+    return trial
+
+
+def _evaluate_one(args):
+    objective, space, index, master_seed = args
+    rng = np.random.default_rng(_seed_sequence(master_seed, index, 1))
+    config = sample_configuration(space, rng)
+    return index, _evaluate_trial(objective, config, trial_seed(master_seed, index))
 
 
 def _parse_manifest(path, rec) -> RunManifest:
@@ -233,12 +241,13 @@ def run_random_search(
 
     Returns the trial list sorted by index.  When out_path is given, results
     append to a JSONL file with a manifest header and existing indices are
-    skipped, so an interrupted run picks up where it left off.
+    skipped, so an interrupted run picks up where it left off; the list then
+    holds every trial of the file.
     """
     jobs = jobs_from_env(jobs)
     space_doc = space_to_dict(space)
     # trials sample from the space as the manifest records it
-    parsed = parse_space(json.dumps(space_doc))
+    parsed = space_from_dict(space_doc)
     manifest = RunManifest(
         space=space_doc,
         space_hash=space_hash(space_doc),
@@ -247,19 +256,18 @@ def run_random_search(
         n_s=int(n_s),
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     )
-    done = {}
-    results = {}
+    trials = {}
     with contextlib.ExitStack() as stack:
         fh = None
         if out_path is not None:
             if os.path.exists(out_path) and os.path.getsize(out_path) > 0:
-                done = _scan_existing(out_path, manifest)
+                trials = _scan_existing(out_path, manifest)
                 fh = stack.enter_context(open(out_path, "a", encoding="utf-8"))
             else:
                 fh = stack.enter_context(open(out_path, "w", encoding="utf-8"))
                 fh.write(json.dumps({"manifest": asdict(manifest)}, sort_keys=True) + "\n")
                 fh.flush()
-        todo = [i for i in range(n_s) if i not in done]
+        todo = [i for i in range(n_s) if i not in trials]
         work = ((objective, parsed, i, master_seed) for i in todo)
         if jobs <= 1 or len(todo) <= 1:
             finished = map(_evaluate_one, work)
@@ -268,13 +276,11 @@ def run_random_search(
             futures = [pool.submit(_evaluate_one, args) for args in work]
             finished = (fut.result() for fut in as_completed(futures))
         for idx, trial in finished:
-            results[idx] = trial
+            trials[idx] = trial
             if fh:
                 fh.write(_trial_record(idx, trial) + "\n")
                 fh.flush()
-    if out_path is not None:
-        return load_trials(out_path)[1]
-    return [results[i] for i in sorted(results)]
+    return [trials[i] for i in sorted(trials)]
 
 
 def load_trials(path):

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .space import _seed_sequence
+
 __all__ = [
     "EstimationError",
     "Kernel",
@@ -370,7 +372,7 @@ def _bootstrap(backend, gamma, n_boot, seed):
     sums = backend.sums_at(gamma)
     vals = np.empty(n_boot)
     for b in range(n_boot):
-        cb, gb = backend.draw(np.random.default_rng(np.random.SeedSequence((int(seed), b))))
+        cb, gb = backend.draw(np.random.default_rng(_seed_sequence(seed, b)))
         mb = gb.sum()
         if mb < 1:
             vals[b] = 0.0

@@ -64,18 +64,8 @@ def summary_dict(report: SensitivityReport) -> dict:
         )
     interactions = []
     if report.interactions is not None:
-        im = report.interactions
-        for (i, j), s in sorted(im.scores.items()):
-            if i == j:
-                continue
-            interactions.append(
-                {
-                    "i": im.params[i],
-                    "j": im.params[j],
-                    "hsic": s.value,
-                    "se": s.std_error,
-                }
-            )
+        interactions = [{"i": a, "j": b, "hsic": s.value, "se": s.std_error}
+                        for (a, b), s in report.interactions.pair_scores()]
     return {
         "goal": {
             "kind": report.goal.kind,
@@ -109,12 +99,8 @@ def save_report_bundle(report: SensitivityReport, out_dir: str) -> None:
         )
     rows = []
     if report.interactions is not None:
-        im = report.interactions
-        rows = [
-            (im.params[i], im.params[j], repr(s.value), repr(s.std_error))
-            for (i, j), s in sorted(im.scores.items())
-            if i != j
-        ]
+        rows = [(a, b, repr(s.value), repr(s.std_error))
+                for (a, b), s in report.interactions.pair_scores()]
     _write_csv(
         os.path.join(out_dir, "interactions.csv"),
         ("i", "j", "hsic", "se"),

@@ -10,6 +10,10 @@ level's probability band, so the rank is marginally uniform, drawn once per
 active cell from a stream keyed by (seed, parameter, trial).  The rank
 matrix keeps those draws, and interval reduction reuses them to re-rank a
 knob on each shrunken domain.
+
+Owners: _KIND_KEYS holds each kind's document keys for space_from_dict and
+its inverse space_to_dict; ParameterSpec and ConditionalRule validate, then
+coerce, their fields; _seed_sequence keys every seeded stream of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "categorical_param",
     "boolean_param",
     "parse_space",
+    "space_from_dict",
     "space_to_dict",
     "sample_configuration",
     "cdf_transform",
@@ -41,22 +46,45 @@ __all__ = [
     "restrict",
 ]
 
-KINDS = ("continuous", "integer", "categorical", "boolean")
+# The document keys of each kind besides "name" and "kind", in document order.
+_KIND_KEYS = {
+    "continuous": ("lo", "hi", "scale"),
+    "integer": ("lo", "hi"),
+    "categorical": ("levels", "weights"),
+    "boolean": ("weight_true",),
+}
 
 _WEIGHT_TOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class SpaceError(ValueError):
     """Malformed space document or invariant violation."""
 
 
+def _is_real(x) -> bool:
+    """A finite real number that is not a boolean."""
+    real = isinstance(x, (int, float, np.integer, np.floating))
+    # an int beyond the float range is not finite
+    return real and not isinstance(x, (bool, np.bool_)) and abs(x) <= _FLOAT_MAX
+
+
+def _is_array(x, item) -> bool:
+    """A list or tuple whose every element passes item."""
+    return isinstance(x, (list, tuple)) and all(item(v) for v in x)
+
+
+def _is_scalar(x) -> bool:
+    return x is None or isinstance(x, (str, int, float))
+
+
 @dataclass(frozen=True)
 class ParameterSpec:
     """One hyperparameter and its sampling distribution.
 
-    kind selects which fields are meaningful:
+    kind selects which fields are meaningful (_KIND_KEYS):
       continuous  -> lo, hi, scale ("linear" or "log")
-      integer     -> lo, hi (inclusive bounds)
+      integer     -> lo, hi (inclusive bounds, coerced to int)
       categorical -> levels, weights
       boolean     -> weight_true
     """
@@ -73,11 +101,13 @@ class ParameterSpec:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise SpaceError("parameter name must be a nonempty string")
-        if self.kind not in KINDS:
+        if self.kind not in _KIND_KEYS:
             raise SpaceError(f"{self.name}: unknown kind {self.kind!r}")
         if self.kind in ("continuous", "integer"):
-            if self.lo is None or self.hi is None or not (self.lo < self.hi):
-                raise SpaceError(f"{self.name}: requires lo < hi")
+            if not (_is_real(self.lo) and _is_real(self.hi)):
+                raise SpaceError(f"{self.name}: lo and hi must be finite numbers")
+            if not (self.lo < self.hi) or not math.isfinite(float(self.hi) - float(self.lo)):
+                raise SpaceError(f"{self.name}: requires lo < hi with a finite range")
             if self.kind == "continuous" and self.scale not in ("linear", "log"):
                 raise SpaceError(f"{self.name}: scale must be linear or log")
             if self.kind == "continuous" and self.scale == "log" and self.lo <= 0:
@@ -86,7 +116,14 @@ class ParameterSpec:
                 int(self.lo) != self.lo or int(self.hi) != self.hi
             ):
                 raise SpaceError(f"{self.name}: integer bounds must be integral")
+            cast = int if self.kind == "integer" else float
+            object.__setattr__(self, "lo", cast(self.lo))
+            object.__setattr__(self, "hi", cast(self.hi))
         elif self.kind == "categorical":
+            if not _is_array(self.levels, _is_scalar):
+                raise SpaceError(f"{self.name}: levels must be an array of scalars")
+            if self.weights is not None and not _is_array(self.weights, _is_real):
+                raise SpaceError(f"{self.name}: weights must be an array of numbers")
             if len(self.levels) < 2:
                 raise SpaceError(f"{self.name}: needs at least two levels")
             if len(set(self.levels)) != len(self.levels):
@@ -101,18 +138,16 @@ class ParameterSpec:
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
             object.__setattr__(self, "levels", tuple(self.levels))
         elif self.kind == "boolean":
-            if not (0.0 <= self.weight_true <= 1.0):
+            if not (_is_real(self.weight_true) and 0.0 <= self.weight_true <= 1.0):
                 raise SpaceError(f"{self.name}: weight_true must lie in [0, 1]")
+            object.__setattr__(self, "weight_true", float(self.weight_true))
 
     # Discrete parameters are treated uniformly as (levels, weights) pairs;
     # integers become equal-weight levels, booleans a two-level categorical.
     def level_weights(self):
         if self.kind == "integer":
-            n = int(self.hi) - int(self.lo) + 1
-            return (
-                tuple(range(int(self.lo), int(self.hi) + 1)),
-                tuple(1.0 / n for _ in range(n)),
-            )
+            n = self.hi - self.lo + 1
+            return tuple(range(self.lo, self.hi + 1)), tuple(1.0 / n for _ in range(n))
         if self.kind == "categorical":
             return self.levels, self.weights
         if self.kind == "boolean":
@@ -129,11 +164,7 @@ class ParameterSpec:
 
     def contains(self, value) -> bool:
         if self.kind == "continuous":
-            return (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and self.lo <= value <= self.hi
-            )
+            return _is_real(value) and self.lo <= value <= self.hi
         if self.kind == "integer":
             return (
                 isinstance(value, (int, np.integer))
@@ -146,21 +177,19 @@ class ParameterSpec:
 
 
 def continuous_param(name, lo, hi, scale="linear") -> ParameterSpec:
-    return ParameterSpec(name, "continuous", lo=float(lo), hi=float(hi), scale=scale)
+    return ParameterSpec(name, "continuous", lo=lo, hi=hi, scale=scale)
 
 
 def integer_param(name, lo, hi) -> ParameterSpec:
-    return ParameterSpec(name, "integer", lo=int(lo), hi=int(hi))
+    return ParameterSpec(name, "integer", lo=lo, hi=hi)
 
 
 def categorical_param(name, levels, weights=None) -> ParameterSpec:
-    return ParameterSpec(
-        name, "categorical", levels=tuple(levels), weights=tuple(weights or ())
-    )
+    return ParameterSpec(name, "categorical", levels=levels, weights=weights)
 
 
 def boolean_param(name, weight_true=0.5) -> ParameterSpec:
-    return ParameterSpec(name, "boolean", weight_true=float(weight_true))
+    return ParameterSpec(name, "boolean", weight_true=weight_true)
 
 
 @dataclass(frozen=True)
@@ -172,8 +201,12 @@ class ConditionalRule:
     activating_values: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.child, str) and isinstance(self.parent, str)):
+            raise SpaceError("each rule needs a child and a parent parameter name")
         if self.child == self.parent:
             raise SpaceError(f"rule for {self.child}: child equals parent")
+        if not _is_array(self.activating_values, _is_scalar):
+            raise SpaceError(f"rule for {self.child}: when must be an array of scalars")
         if not self.activating_values:
             raise SpaceError(f"rule for {self.child}: empty activating set")
         object.__setattr__(self, "activating_values", tuple(self.activating_values))
@@ -255,22 +288,27 @@ class SearchSpace:
                 raise SpaceError(f"{p.name}: value {config[p.name]!r} out of domain")
 
 
-# -- parsing ---------------------------------------------------------------
+# -- the space document --------------------------------------------------
 
-_PARAM_KEYS = {"name", "kind", "lo", "hi", "scale", "levels", "weights", "weight_true"}
 _RULE_KEYS = {"child", "parent", "when"}
 
 
 def parse_space(text: str) -> SearchSpace:
-    """Parse the JSON space document.
-
-    Top level: {"params": [...], "rules": [...]}.  Unknown keys anywhere are
-    rejected so typos fail loudly instead of silently changing a run.
-    """
+    """Parse the JSON space document (see space_from_dict)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpaceError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}")
+    return space_from_dict(doc)
+
+
+def space_from_dict(doc) -> SearchSpace:
+    """The space of a decoded space document; inverse of space_to_dict.
+
+    Top level: {"params": [...], "rules": [...]}.  A param takes "name",
+    "kind" and its kind's _KIND_KEYS.  Unknown keys anywhere are rejected so
+    typos fail loudly instead of silently changing a run.
+    """
     if not isinstance(doc, dict):
         raise SpaceError("space document must be a JSON object")
     unknown = set(doc) - {"params", "rules"}
@@ -283,29 +321,14 @@ def parse_space(text: str) -> SearchSpace:
     for entry in raw_params:
         if not isinstance(entry, dict):
             raise SpaceError("each param entry must be an object")
-        unknown = set(entry) - _PARAM_KEYS
-        if unknown:
-            raise SpaceError(
-                f"param {entry.get('name', '?')}: unknown keys {sorted(unknown)}"
-            )
-        kind = entry.get("kind")
-        name = entry.get("name")
-        if kind == "continuous":
-            params.append(
-                continuous_param(
-                    name, entry["lo"], entry["hi"], entry.get("scale", "linear")
-                )
-            )
-        elif kind == "integer":
-            params.append(integer_param(name, entry["lo"], entry["hi"]))
-        elif kind == "categorical":
-            params.append(
-                categorical_param(name, entry["levels"], entry.get("weights"))
-            )
-        elif kind == "boolean":
-            params.append(boolean_param(name, entry.get("weight_true", 0.5)))
-        else:
+        name, kind = entry.get("name"), entry.get("kind")
+        if kind not in _KIND_KEYS:
             raise SpaceError(f"param {name!r}: unknown kind {kind!r}")
+        unknown = set(entry) - {"name", "kind", *_KIND_KEYS[kind]}
+        if unknown:
+            raise SpaceError(f"param {name!r}: unknown keys {sorted(unknown)}")
+        fields = {k: entry[k] for k in _KIND_KEYS[kind] if k in entry}
+        params.append(ParameterSpec(name, kind, **fields))
     rules = []
     for entry in doc.get("rules", []):
         if not isinstance(entry, dict):
@@ -315,28 +338,21 @@ def parse_space(text: str) -> SearchSpace:
             raise SpaceError(
                 f"rule {entry.get('child', '?')}: unknown keys {sorted(unknown)}"
             )
-        rules.append(
-            ConditionalRule(entry["child"], entry["parent"], tuple(entry["when"]))
-        )
+        rules.append(ConditionalRule(entry.get("child"), entry.get("parent"),
+                                     entry.get("when")))
     return SearchSpace(tuple(params), tuple(rules))
 
 
 def space_to_dict(space: SearchSpace) -> dict:
-    """Inverse of parse_space, suitable for manifests and hashing."""
-    params = []
-    for p in space.params:
-        d = {"name": p.name, "kind": p.kind}
-        if p.kind in ("continuous", "integer"):
-            d["lo"] = p.lo
-            d["hi"] = p.hi
-        if p.kind == "continuous":
-            d["scale"] = p.scale
-        if p.kind == "categorical":
-            d["levels"] = list(p.levels)
-            d["weights"] = list(p.weights)
-        if p.kind == "boolean":
-            d["weight_true"] = p.weight_true
-        params.append(d)
+    """The space document of a space, suitable for manifests and hashing."""
+    def doc_value(v):
+        return list(v) if isinstance(v, tuple) else v
+
+    params = [
+        {"name": p.name, "kind": p.kind,
+         **{k: doc_value(getattr(p, k)) for k in _KIND_KEYS[p.kind]}}
+        for p in space.params
+    ]
     rules = [
         {"child": r.child, "parent": r.parent, "when": list(r.activating_values)}
         for r in space.rules
@@ -353,11 +369,7 @@ def _sample_value(spec: ParameterSpec, rng: np.random.Generator):
             return float(np.exp(rng.uniform(np.log(spec.lo), np.log(spec.hi))))
         return float(rng.uniform(spec.lo, spec.hi))
     levels, weights = spec.level_weights()
-    idx = int(rng.choice(len(levels), p=np.asarray(weights)))
-    value = levels[idx]
-    if spec.kind == "integer":
-        return int(value)
-    return value
+    return levels[int(rng.choice(len(levels), p=np.asarray(weights)))]
 
 
 def _resolve_children(space: SearchSpace, config: dict, rng) -> dict:
@@ -413,7 +425,7 @@ def _column_ranks(spec: ParameterSpec, values, draws) -> np.ndarray:
     band_lo = np.array([float(np.sum(weights[:j])) for j in range(len(levels))])
     band_w = (band_lo + np.asarray(weights)) - band_lo
     if spec.kind == "integer":
-        j = np.asarray(values, dtype=np.int64) - int(spec.lo)
+        j = np.asarray(values, dtype=np.int64) - spec.lo
     else:
         index = {v: j for j, v in enumerate(levels)}
         j = np.array([index[v] for v in values], dtype=np.intp)
@@ -429,11 +441,16 @@ def cdf_transform(spec: ParameterSpec, value, rng: np.random.Generator) -> float
     return float(_column_ranks(spec, [value], draws)[0])
 
 
+def _seed_sequence(*key) -> np.random.SeedSequence:
+    """The seed sequence of the stream keyed by the ints key; each part is
+    taken modulo 2**32, so seed -1 names the streams of seed 2**32 - 1."""
+    return np.random.SeedSequence(tuple(int(k) % 2**32 for k in key))
+
+
 def _substream(seed: int, name: str, index: int) -> np.random.Generator:
     # Keyed by (seed, parameter, trial) so column randomizations are
     # independent and reproducible regardless of evaluation order.
-    key = (int(seed) & 0xFFFFFFFF, zlib.crc32(name.encode()), int(index))
-    return np.random.default_rng(np.random.SeedSequence(key))
+    return np.random.default_rng(_seed_sequence(seed, zlib.crc32(name.encode()), index))
 
 
 @dataclass
@@ -500,22 +517,13 @@ MAIN_GROUP = "main"
 class GroupSpec:
     """A set of parameters that are jointly active on a subpopulation.
 
-    The main group holds the unconditioned parameters and matches every
-    trial.  A conditional group is keyed by (parent, activating value set);
-    it contains the main parameters plus every child whose activation is
-    implied by that key, and matches trials where the parent took one of the
-    activating values.
+    The main group holds the unconditioned parameters.  A conditional group
+    is keyed by (parent, activating value set); it contains the main
+    parameters plus every child whose activation is implied by that key.
     """
 
     id: str
     members: tuple
-    parent: str | None = None
-    activating_values: tuple = ()
-
-    def matches(self, config: dict) -> bool:
-        if self.parent is None:
-            return True
-        return config.get(self.parent) in self.activating_values
 
 
 def build_groups(space: SearchSpace):
@@ -545,11 +553,7 @@ def build_groups(space: SearchSpace):
             if r.parent == parent and values <= frozenset(r.activating_values)
         ]
         gid = "+".join(sorted(exact))
-        members = main + tuple(sorted(implied))
-        ordered = tuple(
-            sorted(values, key=lambda v: space.param(parent).level_weights()[0].index(v))
-        )
-        groups.append(GroupSpec(gid, members, parent, ordered))
+        groups.append(GroupSpec(gid, main + tuple(sorted(implied))))
     return groups
 
 
@@ -567,10 +571,7 @@ def restrict(space: SearchSpace, param: str, new_domain) -> SearchSpace:
         lo, hi = new_domain
         if lo < spec.lo or hi > spec.hi or not (lo < hi):
             raise SpaceError(f"{param}: restriction [{lo}, {hi}] not a sub-range")
-        if spec.kind == "integer":
-            new_spec = replace(spec, lo=int(lo), hi=int(hi))
-        else:
-            new_spec = replace(spec, lo=float(lo), hi=float(hi))
+        new_spec = replace(spec, lo=lo, hi=hi)
     elif spec.kind == "categorical":
         kept = tuple(new_domain)
         if not kept or any(v not in spec.levels for v in kept):
@@ -582,9 +583,7 @@ def restrict(space: SearchSpace, param: str, new_domain) -> SearchSpace:
             raise SpaceError(f"{param}: restriction has zero total weight")
         if len(kept) == 1:
             raise SpaceError(f"{param}: restriction must keep at least two levels")
-        new_spec = replace(
-            spec, levels=kept, weights=tuple(x / total for x in w)
-        )
+        new_spec = replace(spec, levels=kept, weights=tuple(x / total for x in w))
     else:
         kept = {bool(v) for v in new_domain}
         if not kept:

@@ -342,3 +342,74 @@ def test_search_reports_the_trials_the_file_holds(tmp_path, capsys):
                 "--out", trials]) == 0
     assert "12 trials" in capsys.readouterr().out
     assert open(trials, "rb").read() == before
+
+
+_X = '{"name": "x", "kind": "continuous", "lo": 0, "hi": 1}'
+
+
+@pytest.mark.parametrize("params, rules, message", [
+    ('{"name": "x", "kind": "continuous", "lo": "abc", "hi": 1}', "", "finite numbers"),
+    ('{"name": "x", "kind": "continuous", "lo": 0, "hi": 1e400}', "", "finite numbers"),
+    ('{"name": "x", "kind": "continuous", "lo": -1e308, "hi": 1e308}', "", "finite range"),
+    ('{"name": "x", "kind": "continuous", "lo": true, "hi": 2}', "", "finite numbers"),
+    ('{"name": "x", "kind": "integer", "lo": 1.5, "hi": 4}', "", "integral"),
+    ('{"name": "x", "kind": "integer", "lo": 1, "hi": 4, "scale": "log"}', "",
+     "unknown keys"),
+    ('{"name": "x", "kind": "boolean", "levels": [true, false]}', "", "unknown keys"),
+    ('{"name": "x", "kind": "boolean", "weight_true": "x"}', "", "weight_true"),
+    ('{"name": "x", "kind": "categorical", "levels": 5}', "", "levels"),
+    ('{"name": "x", "kind": "categorical", "levels": [[1], [2]]}', "", "levels"),
+    ('{"name": "x", "kind": "categorical", "levels": ["a", "b"], "weights": "ab"}', "",
+     "weights"),
+    ('{"name": "b", "kind": "boolean"}, ' + _X,
+     '{"child": "x", "parent": "b", "when": 5}', "when"),
+    ('{"name": "b", "kind": "boolean"}, ' + _X, '{"parent": "b", "when": [true]}', "rule"),
+], ids=["lo-string", "hi-overflow", "range-overflow", "lo-boolean", "integer-lo-fraction",
+        "integer-scale", "boolean-levels", "weight_true-string", "levels-number", "levels-arrays",
+        "weights-string", "when-number", "rule-without-child"])
+def test_mistyped_space_document_is_runtime_error(tmp_path, capsys, params, rules, message):
+    doc = tmp_path / "space.json"
+    doc.write_text(f'{{"params": [{params}], "rules": [{rules}]}}')
+    trials = tmp_path / "trials.jsonl"
+    assert cli(["search", "--objective", "quadratic1d", "--space", str(doc), "--n", "12",
+                "--out", str(trials)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not trials.exists()
+
+
+@pytest.mark.parametrize("change, message", [("seed", "master seed mismatch"),
+                                             ("space", "space hash mismatch")])
+def test_search_onto_another_run_is_runtime_error(tmp_path, capsys, change, message):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "quadratic1d", "--n", "6", "--seed", "1",
+                "--out", trials]) == 0
+    before = open(trials, "rb").read()
+    other = tmp_path / "space.json"
+    other.write_text('{"params": [{"name": "x", "kind": "continuous", "lo": 0, "hi": 2}]}')
+    argv = ["--seed", "2"] if change == "seed" else ["--seed", "1", "--space", str(other)]
+    capsys.readouterr()
+    assert cli(["search", "--objective", "quadratic1d", "--n", "9", *argv,
+                "--out", trials]) == 2
+    assert message in capsys.readouterr().err
+    assert open(trials, "rb").read() == before
+
+
+def test_negative_seed_names_the_streams_of_its_32_bit_residue(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "three_term", "--n", "150", "--seed", "3",
+                "--out", trials]) == 0
+    commands = [
+        ["analyze", trials],
+        ["reduce", trials, "--param", "x3", "--out", str(tmp_path / "red")],
+        ["optimize", trials, "--objective", "three_term", "--speed", "x3=minimize",
+         "--init", "3", "--budget-step1", "2", "--budget-step2", "2"],
+        ["demo", "example2", "--n", "150"],
+    ]
+    for argv in commands:
+        capsys.readouterr()
+        assert cli(argv + ["--seed", "4294967295"]) == 0, argv
+        expected = capsys.readouterr().out
+        assert cli(argv + ["--seed", "-1"]) == 0, argv
+        assert capsys.readouterr().out == expected, argv

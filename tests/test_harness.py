@@ -150,3 +150,14 @@ def test_env_var_overrides_jobs(tmp_path, monkeypatch):
     trials = run_random_search(obj.space, obj, 8, jobs=4, master_seed=9,
                                out_path=path)
     assert len(trials) == 8
+
+
+def test_returned_trials_are_the_file_trials(tmp_path):
+    obj = _FaultyObjective()
+    path = str(tmp_path / "t.jsonl")
+    fresh = run_random_search(obj.space, obj, 30, master_seed=6, out_path=path)
+    assert fresh == load_trials(path)[1]
+    resumed = run_random_search(obj.space, obj, 50, master_seed=6, out_path=path)
+    assert resumed == load_trials(path)[1]
+    assert resumed[:30] == fresh
+    assert any(not t.ok for t in resumed[:30]) and any(not t.ok for t in resumed[30:])

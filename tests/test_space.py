@@ -21,6 +21,7 @@ from hsictune.space import (
     parse_space,
     restrict,
     sample_configuration,
+    space_from_dict,
     space_to_dict,
 )
 
@@ -419,3 +420,25 @@ def test_restrict_then_sample_stays_inside():
         cfg = sample_configuration(out, rng)
         assert 4 <= cfg["n"] <= 10
         assert cfg["c"] in ("b", "c")
+
+
+def test_space_from_dict_inverts_space_to_dict():
+    space = make_space(
+        [
+            continuous_param("lr", 1e-6, 1e-2, scale="log"),
+            integer_param("n", 1.0, 10),
+            categorical_param("act", ["a", "b", "c"], [0.25, 0.25, 0.5]),
+            boolean_param("dropout", weight_true=1),
+            continuous_param("dropout_rate", 0, 1),
+        ],
+        [ConditionalRule("dropout_rate", "dropout", [True])],
+    )
+    doc = space_to_dict(space)
+    assert space_from_dict(doc) == space
+    assert space_to_dict(space_from_dict(json.loads(json.dumps(doc)))) == doc
+    n = space.param("n")
+    assert (type(n.lo), type(n.hi)) == (int, int)
+    assert space.param("dropout_rate").lo == 0.0 and space.param("dropout").weight_true == 1.0
+    assert restrict(space, "n", (3.0, 10)).param("n").lo == 3
+    with pytest.raises(SpaceError, match="integral"):
+        integer_param("n", 1.5, 10)
