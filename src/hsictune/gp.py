@@ -7,7 +7,9 @@ ARD process whose hyperparameters maximize the log marginal likelihood
 from eight deterministic starts, with a jitter ladder guarding the
 Cholesky.  The optimizer alternates fit, acquisition maximization over a
 scrambled low-discrepancy candidate set with a local polish of the best
-few, and evaluation; failed evaluations are penalized, never fatal.
+few, and evaluation; failed evaluations are penalized, never fatal.  The
+candidate set is snapped to valid configurations as one array (_snap),
+with the arithmetic of decode and encode, so it matches them bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class FitError(RuntimeError):
 
 
 def _blocks(space: SearchSpace):
+    """The encoding layout: ([(spec, first column, width)], total width)."""
     out = []
     pos = 0
     for p in space.params:
@@ -66,7 +69,11 @@ def encoding_width(space: SearchSpace) -> int:
 
 def encode(space: SearchSpace, config: dict) -> np.ndarray:
     """Map a configuration to [0, 1]^d; inactive children become zeros."""
-    blocks, width = _blocks(space)
+    return _encode(_blocks(space), config)
+
+
+def _encode(layout, config: dict) -> np.ndarray:
+    blocks, width = layout
     x = np.zeros(width)
     for p, pos, w in blocks:
         if p.name not in config:
@@ -91,9 +98,12 @@ def decode(space: SearchSpace, x: np.ndarray) -> dict:
     Parents decode before children so activation is respected; inactive
     children are dropped.
     """
-    blocks, _ = _blocks(space)
+    return _decode(space, _blocks(space), x)
+
+
+def _decode(space: SearchSpace, layout, x: np.ndarray) -> dict:
     config = {}
-    for p, pos, w in blocks:
+    for p, pos, w in layout[0]:
         if p.kind == "continuous":
             u = float(np.clip(x[pos], 0.0, 1.0))
             f, f_inv = _scale(p)
@@ -108,6 +118,57 @@ def decode(space: SearchSpace, x: np.ndarray) -> dict:
         else:
             config[p.name] = bool(x[pos] >= 0.5)
     return _resolve_children(space, config, None)
+
+
+def _snap(space: SearchSpace, layout, cand: np.ndarray, fixed: dict) -> np.ndarray:
+    """Row i is encode(_force(decode(cand[i]), fixed)), computed a block at a time.
+
+    Each fixed parent's columns must encode its fixed value, as gpbo's
+    base row ensures: then every row decodes the parent to that value,
+    _force draws nothing, and the block equals the row-wise result bit for
+    bit.  The arithmetic is decode's and encode's, in the same order; the
+    log scale calls math.log and math.exp per value.
+    """
+    blocks, width = layout
+    n = len(cand)
+    out = np.zeros((n, width))
+    fixed_x = _encode(layout, fixed)
+    level = {}          # free discrete name -> level index per row
+    for p, pos, w in blocks:
+        col = cand[:, pos]
+        if p.name in fixed:
+            out[:, pos : pos + w] = fixed_x[pos : pos + w]
+        elif p.kind == "continuous":
+            f, f_inv = _scale(p)
+            f_lo, span = f(p.lo), f(p.hi) - f(p.lo)
+            v = np.array([f_inv(t) for t in f_lo + np.clip(col, 0.0, 1.0) * span])
+            v = np.where(p.lo > v, p.lo, v)         # max(v, lo), then min(., hi)
+            v = np.where(p.hi < v, p.hi, v)
+            out[:, pos] = (np.array([f(t) for t in v]) - f_lo) / span
+        elif p.kind == "integer":
+            n_levels = int(p.hi) - int(p.lo) + 1
+            j = np.clip(np.floor(col * n_levels), 0, n_levels - 1).astype(np.int64)
+            out[:, pos] = (j + 0.5) / n_levels
+            level[p.name] = j
+        elif p.kind == "categorical":
+            j = np.argmax(cand[:, pos : pos + w], axis=1)
+            out[np.arange(n), pos + j] = 1.0
+            level[p.name] = j
+        else:
+            j = (col >= 0.5).astype(np.int64)
+            out[:, pos] = j
+            level[p.name] = j
+    columns = {p.name: (pos, w) for p, pos, w in blocks}
+    for rule in space.rules:
+        if rule.parent in fixed:
+            active = np.full(n, fixed[rule.parent] in rule.activating_values)
+        else:
+            levels, _ = space.param(rule.parent).level_weights()
+            seen, row_of = np.unique(level[rule.parent], return_inverse=True)
+            active = np.array([levels[k] in rule.activating_values for k in seen])[row_of]
+        pos, w = columns[rule.child]
+        out[~active, pos : pos + w] = 0.0
+    return out
 
 
 # -- Matern-5/2 GP ------------------------------------------------------------
@@ -340,7 +401,8 @@ def gpbo(
     for name in fixed:
         space.param(name)
     rng = np.random.default_rng(_seed_sequence(seed, 0x6B0))
-    blocks, width = _blocks(space)
+    layout = _blocks(space)
+    blocks, width = layout
     free_dims = []
     for p, pos, w in blocks:
         if p.name in fixed:
@@ -365,7 +427,7 @@ def gpbo(
         _evaluate(cfg, i)
 
     for it in range(n_iter):
-        X = np.array([encode(space, t.config) for t in history])
+        X = np.array([_encode(layout, t.config) for t in history])
         y = _transform_targets(history)
         try:
             model = gp_fit(X, y)
@@ -379,17 +441,16 @@ def gpbo(
             seed=np.random.default_rng(_seed_sequence(seed, 0x50B01, it)),
         )
         raw = sob.random(_N_CANDIDATES)
-        base = encode(space, _force(space, sample_configuration(space, rng), fixed, rng))
+        base = _encode(layout, _force(space, sample_configuration(space, rng), fixed, rng))
         cand = np.tile(base, (_N_CANDIDATES, 1))
         if free_dims:
             cand[:, free_dims] = raw
-        configs = [_force(space, decode(space, c), fixed, rng) for c in cand]
-        snapped = np.array([encode(space, c) for c in configs])
+        snapped = _snap(space, layout, cand, fixed)
         ei = expected_improvement(model, snapped, best_t)
         ei = np.atleast_1d(ei)
         top = np.argsort(-ei)[:_N_POLISH]
 
-        best_cfg = configs[int(top[0])]
+        best_cfg = _force(space, _decode(space, layout, cand[int(top[0])]), fixed, rng)
         best_ei = float(ei[int(top[0])])
         cont_dims = [
             pos for p, pos, w in blocks
@@ -411,8 +472,8 @@ def gpbo(
                 )
                 xx = x0.copy()
                 xx[cont_dims] = res.x
-                cfg = _force(space, decode(space, xx), fixed, rng)
-                val = float(expected_improvement(model, encode(space, cfg), best_t))
+                cfg = _force(space, _decode(space, layout, xx), fixed, rng)
+                val = float(expected_improvement(model, _encode(layout, cfg), best_t))
                 if val > best_ei:
                     best_ei = val
                     best_cfg = cfg

@@ -11,11 +11,18 @@ drops an unterminated last line as an interrupted write.
 
 _evaluate_trial evaluates every trial, here and in the GP optimizer: it
 times the call and turns an objective fault into a failed trial.
+
+Each worker of a parallel search pins every loaded OpenBLAS to its share
+of the cores (cores // jobs, at least 1), so jobs workers do not each
+start a pool of threads as large as the machine.  The pin goes through
+ctypes on the libraries the process has mapped; without an OpenBLAS it
+does nothing, and the parent's own thread count is left alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -218,6 +225,53 @@ def _scan_existing(path, manifest_expected):
     return trials
 
 
+def _openblas_libraries() -> list:
+    """Paths of the mapped shared libraries whose path names OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:     # no /proc: nothing to pin
+        return []
+    return sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+
+
+def _openblas_function(path, verb):
+    """The library's {verb}_num_threads entry point: numpy's and scipy's
+    prefixed builds first, then a plain OpenBLAS; None when it has none."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:     # mapped, but not a loadable library (e.g. deleted)
+        return None
+    for name in (f"scipy_openblas_{verb}_num_threads64_", f"scipy_openblas_{verb}_num_threads",
+                 f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int] if verb == "set" else []
+            fn.restype = None if verb == "set" else ctypes.c_int
+            return fn
+    return None
+
+
+def _blas_threads() -> list:
+    """The thread count each loaded OpenBLAS reports, in library order."""
+    getters = (_openblas_function(path, "get") for path in _openblas_libraries())
+    return [get() for get in getters if get is not None]
+
+
+def _pin_blas_threads(n: int) -> None:
+    """Set every loaded OpenBLAS to n threads (a search worker's initializer)."""
+    for path in _openblas_libraries():
+        set_threads = _openblas_function(path, "set")
+        if set_threads is not None:
+            set_threads(n)
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def jobs_from_env(jobs: int) -> int:
     """Worker count: HSIC_TUNE_JOBS when it is set, else jobs."""
     raw = os.environ.get("HSIC_TUNE_JOBS")
@@ -272,7 +326,11 @@ def run_random_search(
         if jobs <= 1 or len(todo) <= 1:
             finished = map(_evaluate_one, work)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # the default start method (fork on Linux): a spawned worker
+            # would import the package, scipy.stats with it, afresh
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, initializer=_pin_blas_threads,
+                initargs=(max(1, _cores() // jobs),)))
             futures = [pool.submit(_evaluate_one, args) for args in work]
             finished = (fut.result() for fut in as_completed(futures))
         for idx, trial in finished:

@@ -22,6 +22,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,14 +146,26 @@ class ParameterSpec:
     # Discrete parameters are treated uniformly as (levels, weights) pairs;
     # integers become equal-weight levels, booleans a two-level categorical.
     def level_weights(self):
+        levels, weights, _ = self._level_table
+        return levels, weights
+
+    @cached_property
+    def _level_table(self):
+        """(levels, weights, cdf), built once per spec; cdf is the table
+        rng.choice(len(levels), p=weights) searches."""
         if self.kind == "integer":
             n = self.hi - self.lo + 1
-            return tuple(range(self.lo, self.hi + 1)), tuple(1.0 / n for _ in range(n))
-        if self.kind == "categorical":
-            return self.levels, self.weights
-        if self.kind == "boolean":
-            return (False, True), (1.0 - self.weight_true, self.weight_true)
-        raise SpaceError(f"{self.name}: not a discrete parameter")
+            levels, weights = tuple(range(self.lo, self.hi + 1)), tuple(1.0 / n for _ in range(n))
+        elif self.kind == "categorical":
+            levels, weights = self.levels, self.weights
+        elif self.kind == "boolean":
+            levels, weights = (False, True), (1.0 - self.weight_true, self.weight_true)
+        else:
+            raise SpaceError(f"{self.name}: not a discrete parameter")
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return levels, weights, cdf
 
     @property
     def is_discrete(self) -> bool:
@@ -368,8 +381,9 @@ def _sample_value(spec: ParameterSpec, rng: np.random.Generator):
         if spec.scale == "log":
             return float(np.exp(rng.uniform(np.log(spec.lo), np.log(spec.hi))))
         return float(rng.uniform(spec.lo, spec.hi))
-    levels, weights = spec.level_weights()
-    return levels[int(rng.choice(len(levels), p=np.asarray(weights)))]
+    # rng.choice(len(levels), p=weights) in Generator.choice's own arithmetic
+    levels, _, cdf = spec._level_table
+    return levels[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _resolve_children(space: SearchSpace, config: dict, rng) -> dict:

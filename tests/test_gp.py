@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hsictune import gp
 from hsictune.gp import (
     FitError,
     _nll_and_grad,
@@ -20,6 +21,7 @@ from hsictune.space import (
     categorical_param,
     continuous_param,
     integer_param,
+    sample_configuration,
 )
 
 
@@ -67,6 +69,33 @@ def test_inactive_child_encodes_to_zero_block():
     assert x[1] == 0.0
     cfg = decode(space, np.array([0.0, 0.7]))
     assert "c" not in cfg
+
+
+@pytest.mark.parametrize("fixed", [{}, {"opt": "adam"}, {"opt": "sgd"}, {"beta": 0.9}])
+def test_snapped_block_equals_rowwise_snapping(fixed):
+    space = SearchSpace(
+        (
+            continuous_param("lr", 1e-5, 1e-1, scale="log"),
+            continuous_param("drop", -0.5, 0.5),
+            integer_param("n", 1, 13),
+            categorical_param("opt", ("sgd", "adam", "rms")),
+            boolean_param("flag"),
+            continuous_param("beta", 0.5, 0.999, scale="log"),
+        ),
+        (ConditionalRule("beta", "opt", ("adam",)),),
+    )
+    layout = gp._blocks(space)
+    rng = np.random.default_rng(3)
+    # as gpbo builds them: a forced base row, free columns replaced
+    base = encode(space, gp._force(space, sample_configuration(space, rng), fixed, rng))
+    free = [c for p, pos, w in layout[0] if p.name not in fixed for c in range(pos, pos + w)]
+    cand = np.tile(base, (300, 1))
+    cand[:, free] = rng.random((300, len(free)))
+    cand[:3, free] = [[0.0], [0.5], [1.0]]     # clip edges and argmax ties
+    state = rng.bit_generator.state
+    rows = [encode(space, gp._force(space, decode(space, r), fixed, rng)) for r in cand]
+    assert rng.bit_generator.state == state
+    assert np.array_equal(gp._snap(space, layout, cand, fixed), np.array(rows))
 
 
 # -- gp fit / predict -------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from hsictune import harness
 from hsictune.harness import (
     Trial,
     TrialFileError,
@@ -52,6 +54,47 @@ def test_jobs_do_not_change_records(tmp_path):
     m2, r2 = _read_records(p2)
     assert m1["manifest"]["space_hash"] == m2["manifest"]["space_hash"]
     assert _strip_times(r1) == _strip_times(r2)
+
+
+class _BlasThreadsObjective:
+    """Tags each trial with the thread counts its process's OpenBLAS reports."""
+
+    name = "blas_threads"
+
+    def __init__(self):
+        self.space = SearchSpace((continuous_param("x", 0.0, 1.0),))
+        self.libraries = harness._openblas_libraries()
+
+    def evaluate(self, config, seed):
+        counts = [harness._openblas_function(path, "get")() for path in self.libraries]
+        return Trial(dict(config), config["x"], "ok", seed, tags={"blas_threads": counts})
+
+
+def _without_tags(records):
+    return [{k: v for k, v in r.items() if k not in ("wall_time_s", "tags")}
+            for r in records]
+
+
+def test_search_workers_pin_blas_to_their_share(tmp_path, monkeypatch):
+    parent = harness._blas_threads()
+    if not parent:
+        pytest.skip("no OpenBLAS loaded")
+    obj = _BlasThreadsObjective()
+    pinned, unpinned = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    run_random_search(obj.space, obj, 12, jobs=2, master_seed=4, out_path=pinned)
+    assert harness._blas_threads() == parent
+    share = max(1, len(os.sched_getaffinity(0)) // 2)
+    _, records = _read_records(pinned)
+    assert [r["tags"]["blas_threads"] for r in records] == [[share] * len(parent)] * 12
+
+    # without a library to pin, workers keep the parent's count and the
+    # search gives the same records
+    monkeypatch.setattr(harness, "_openblas_libraries", lambda: [])
+    run_random_search(obj.space, obj, 12, jobs=2, master_seed=4, out_path=unpinned)
+    monkeypatch.undo()
+    _, bare = _read_records(unpinned)
+    assert _without_tags(bare) == _without_tags(records)
+    assert all(r["tags"]["blas_threads"] == parent for r in bare)
 
 
 def test_resume_evaluates_only_missing_indices(tmp_path):

@@ -155,6 +155,29 @@ def test_categorical_frequencies_near_weights():
         assert abs(freq - 0.25) < 0.02
 
 
+@pytest.mark.parametrize("spec", [
+    integer_param("i2", 0, 1),
+    integer_param("i9", 1, 9),
+    integer_param("i13", -3, 9),
+    integer_param("i1e5", 1, 10**5),
+    categorical_param("w", ("a", "b", "c", "d"), (0.1, 0.2, 0.3, 0.4)),
+    categorical_param("odd", (1, "x", None), (0.7, 0.0, 0.3)),
+    boolean_param("b"),
+    boolean_param("b3", 0.3),
+    boolean_param("b1", 1.0),
+])
+def test_draw_equals_generator_choice(spec):
+    # a draw searches a cached CDF; it must keep rng.choice's bits and stream
+    levels, weights = spec.level_weights()
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = space_module._sample_value(spec, rng)
+            want = levels[int(ref.choice(len(levels), p=np.asarray(weights)))]
+            assert got == want and type(got) is type(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # -- cdf ranks ---------------------------------------------------------------
 
 
