@@ -1,15 +1,16 @@
 """Gaussian-process surrogate and expected-improvement optimization.
 
-Configurations are encoded into [0, 1]^d (deterministic CDF midpoints for
-ordered parameters, one-hot blocks for categoricals, 0/1 for booleans;
-inactive conditional blocks are zeroed).  The surrogate is a Matern-5/2
-ARD process whose hyperparameters maximize the log marginal likelihood
-from eight deterministic starts, with a jitter ladder guarding the
-Cholesky.  The optimizer alternates fit, acquisition maximization over a
-scrambled low-discrepancy candidate set with a local polish of the best
-few, and evaluation; failed evaluations are penalized, never fatal.  The
-candidate set is snapped to valid configurations as one array (_snap),
-with the arithmetic of decode and encode, so it matches them bit for bit.
+One codec maps configurations to [0, 1]^d: _columns decodes rows to
+per-parameter columns (a continuous knob's value, through space's CDF maps,
+or a discrete knob's level index) and _rows encodes them (CDF midpoints for
+integers, one-hot blocks for categoricals, 0/1 for booleans; inactive
+conditional blocks are zeroed); encode and decode are its one-row case.
+The surrogate is a Matern-5/2 ARD process fit by maximum marginal
+likelihood from eight starts, with a jitter ladder guarding the Cholesky.
+The optimizer alternates fit, EI maximization over scrambled Sobol
+candidates with a local polish of the best few, and evaluation; failed
+evaluations are penalized, never fatal.  Candidates, polished points and
+the history are rows, decoded only to be evaluated.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from scipy.linalg import cho_solve, cholesky, LinAlgError
 from scipy.stats import norm, qmc
 
 from .harness import _evaluate_trial, trial_seed
-from .space import (SearchSpace, _resolve_children, _scale, _seed_sequence,
-                    sample_configuration)
+from .space import (SearchSpace, _continuous_cdf, _continuous_quantile,
+                    _resolve_children, _seed_sequence, sample_configuration)
 
 __all__ = [
     "FitError",
@@ -67,29 +68,54 @@ def encoding_width(space: SearchSpace) -> int:
     return _blocks(space)[1]
 
 
+def _columns(layout, X: np.ndarray) -> dict:
+    """The decoder: rows X as per-parameter columns (see _column_entry)."""
+    columns = {}
+    for p, pos, w in layout[0]:
+        u = X[:, pos]
+        if p.kind == "continuous":
+            columns[p.name] = _continuous_quantile(p, u)
+        elif p.kind == "integer":
+            n = p.hi - p.lo + 1
+            columns[p.name] = np.clip(np.floor(u * n), 0, n - 1).astype(np.int64)
+        elif p.kind == "categorical":
+            columns[p.name] = np.argmax(X[:, pos : pos + w], axis=1)
+        else:
+            columns[p.name] = (u >= 0.5).astype(np.int64)
+    return columns
+
+
+def _rows(layout, columns: dict, n: int) -> np.ndarray:
+    """The encoder: n rows of per-parameter columns; a missing column encodes to zeros."""
+    X = np.zeros((n, layout[1]))
+    for p, pos, w in layout[0]:
+        if p.name not in columns:
+            continue
+        c = columns[p.name]
+        if p.kind == "continuous":
+            X[:, pos] = _continuous_cdf(p, c)
+        elif p.kind == "integer":
+            X[:, pos] = (c + 0.5) / (p.hi - p.lo + 1)
+        elif p.kind == "categorical":
+            X[np.arange(n), pos + c] = 1.0
+        else:
+            X[:, pos] = c
+    return X
+
+
+def _column_entry(p, v):
+    """A value as its column holds it: itself if continuous, else its level index."""
+    if p.kind == "continuous":
+        return v
+    return int(v) - p.lo if p.kind == "integer" else p.level_weights()[0].index(v)
+
+
 def encode(space: SearchSpace, config: dict) -> np.ndarray:
     """Map a configuration to [0, 1]^d; inactive children become zeros."""
-    return _encode(_blocks(space), config)
-
-
-def _encode(layout, config: dict) -> np.ndarray:
-    blocks, width = layout
-    x = np.zeros(width)
-    for p, pos, w in blocks:
-        if p.name not in config:
-            continue
-        v = config[p.name]
-        if p.kind == "continuous":
-            f, _ = _scale(p)
-            x[pos] = (f(v) - f(p.lo)) / (f(p.hi) - f(p.lo))
-        elif p.kind == "integer":
-            n = int(p.hi) - int(p.lo) + 1
-            x[pos] = (int(v) - int(p.lo) + 0.5) / n
-        elif p.kind == "categorical":
-            x[pos + p.levels.index(v)] = 1.0
-        else:
-            x[pos] = 1.0 if v else 0.0
-    return x
+    layout = _blocks(space)
+    columns = {p.name: np.array([_column_entry(p, config[p.name])])
+               for p, _, _ in layout[0] if p.name in config}
+    return _rows(layout, columns, 1)[0]
 
 
 def decode(space: SearchSpace, x: np.ndarray) -> dict:
@@ -98,75 +124,40 @@ def decode(space: SearchSpace, x: np.ndarray) -> dict:
     Parents decode before children so activation is respected; inactive
     children are dropped.
     """
-    return _decode(space, _blocks(space), x)
-
-
-def _decode(space: SearchSpace, layout, x: np.ndarray) -> dict:
+    layout = _blocks(space)
+    columns = _columns(layout, np.asarray(x, dtype=float)[None, :])
     config = {}
-    for p, pos, w in layout[0]:
+    for p, _, _ in layout[0]:
+        c = columns[p.name][0]
         if p.kind == "continuous":
-            u = float(np.clip(x[pos], 0.0, 1.0))
-            f, f_inv = _scale(p)
-            v = f_inv(f(p.lo) + u * (f(p.hi) - f(p.lo)))
-            config[p.name] = float(min(max(v, p.lo), p.hi))
+            config[p.name] = float(c)
         elif p.kind == "integer":
-            n = int(p.hi) - int(p.lo) + 1
-            j = int(np.clip(np.floor(x[pos] * n), 0, n - 1))
-            config[p.name] = int(p.lo) + j
-        elif p.kind == "categorical":
-            config[p.name] = p.levels[int(np.argmax(x[pos : pos + w]))]
+            config[p.name] = p.lo + int(c)
         else:
-            config[p.name] = bool(x[pos] >= 0.5)
+            config[p.name] = p.level_weights()[0][c]
     return _resolve_children(space, config, None)
 
 
 def _snap(space: SearchSpace, layout, cand: np.ndarray, fixed: dict) -> np.ndarray:
-    """Row i is encode(_force(decode(cand[i]), fixed)), computed a block at a time.
+    """Row i is encode(_force(decode(cand[i]), fixed)): the encoder applied
+    to the decoder's columns with the fixed values overriding, then each
+    inactive child zeroed.
 
     Each fixed parent's columns must encode its fixed value, as gpbo's
     base row ensures: then every row decodes the parent to that value,
-    _force draws nothing, and the block equals the row-wise result bit for
-    bit.  The arithmetic is decode's and encode's, in the same order; the
-    log scale calls math.log and math.exp per value.
+    _force draws nothing, and the block equals the row-wise result.
     """
-    blocks, width = layout
     n = len(cand)
-    out = np.zeros((n, width))
-    fixed_x = _encode(layout, fixed)
-    level = {}          # free discrete name -> level index per row
-    for p, pos, w in blocks:
-        col = cand[:, pos]
-        if p.name in fixed:
-            out[:, pos : pos + w] = fixed_x[pos : pos + w]
-        elif p.kind == "continuous":
-            f, f_inv = _scale(p)
-            f_lo, span = f(p.lo), f(p.hi) - f(p.lo)
-            v = np.array([f_inv(t) for t in f_lo + np.clip(col, 0.0, 1.0) * span])
-            v = np.where(p.lo > v, p.lo, v)         # max(v, lo), then min(., hi)
-            v = np.where(p.hi < v, p.hi, v)
-            out[:, pos] = (np.array([f(t) for t in v]) - f_lo) / span
-        elif p.kind == "integer":
-            n_levels = int(p.hi) - int(p.lo) + 1
-            j = np.clip(np.floor(col * n_levels), 0, n_levels - 1).astype(np.int64)
-            out[:, pos] = (j + 0.5) / n_levels
-            level[p.name] = j
-        elif p.kind == "categorical":
-            j = np.argmax(cand[:, pos : pos + w], axis=1)
-            out[np.arange(n), pos + j] = 1.0
-            level[p.name] = j
-        else:
-            j = (col >= 0.5).astype(np.int64)
-            out[:, pos] = j
-            level[p.name] = j
-    columns = {p.name: (pos, w) for p, pos, w in blocks}
+    columns = _columns(layout, cand)
+    for name, v in fixed.items():
+        columns[name] = np.full(n, _column_entry(space.param(name), v))
+    out = _rows(layout, columns, n)
+    where = {p.name: (pos, w) for p, pos, w in layout[0]}
     for rule in space.rules:
-        if rule.parent in fixed:
-            active = np.full(n, fixed[rule.parent] in rule.activating_values)
-        else:
-            levels, _ = space.param(rule.parent).level_weights()
-            seen, row_of = np.unique(level[rule.parent], return_inverse=True)
-            active = np.array([levels[k] in rule.activating_values for k in seen])[row_of]
-        pos, w = columns[rule.child]
+        levels, _ = space.param(rule.parent).level_weights()
+        seen, row_of = np.unique(columns[rule.parent], return_inverse=True)
+        active = np.array([levels[k] in rule.activating_values for k in seen])[row_of]
+        pos, w = where[rule.child]
         out[~active, pos : pos + w] = 0.0
     return out
 
@@ -402,16 +393,13 @@ def gpbo(
         space.param(name)
     rng = np.random.default_rng(_seed_sequence(seed, 0x6B0))
     layout = _blocks(space)
-    blocks, width = layout
-    free_dims = []
-    for p, pos, w in blocks:
-        if p.name in fixed:
-            continue
-        free_dims.extend(range(pos, pos + w))
-    history = []
+    free_dims = [c for p, pos, w in layout[0] if p.name not in fixed for c in range(pos, pos + w)]
+    cont_dims = [pos for p, pos, w in layout[0] if p.kind == "continuous" and p.name not in fixed]
+    history, rows = [], []
 
     def _evaluate(config, index):
         history.append(_evaluate_trial(objective, config, trial_seed(seed, index)))
+        rows.append(encode(space, config))
 
     init_configs = list(initial_configs or [])
     init_configs = [_force(space, c, fixed, rng) for c in init_configs]
@@ -427,10 +415,9 @@ def gpbo(
         _evaluate(cfg, i)
 
     for it in range(n_iter):
-        X = np.array([_encode(layout, t.config) for t in history])
         y = _transform_targets(history)
         try:
-            model = gp_fit(X, y)
+            model = gp_fit(np.array(rows), y)
         except FitError:
             cfg = _force(space, sample_configuration(space, rng), fixed, rng)
             _evaluate(cfg, n_init + it)
@@ -441,21 +428,17 @@ def gpbo(
             seed=np.random.default_rng(_seed_sequence(seed, 0x50B01, it)),
         )
         raw = sob.random(_N_CANDIDATES)
-        base = _encode(layout, _force(space, sample_configuration(space, rng), fixed, rng))
+        base = encode(space, _force(space, sample_configuration(space, rng), fixed, rng))
         cand = np.tile(base, (_N_CANDIDATES, 1))
         if free_dims:
             cand[:, free_dims] = raw
         snapped = _snap(space, layout, cand, fixed)
         ei = expected_improvement(model, snapped, best_t)
-        ei = np.atleast_1d(ei)
         top = np.argsort(-ei)[:_N_POLISH]
 
-        best_cfg = _force(space, _decode(space, layout, cand[int(top[0])]), fixed, rng)
-        best_ei = float(ei[int(top[0])])
-        cont_dims = [
-            pos for p, pos, w in blocks
-            if p.kind == "continuous" and p.name not in fixed
-        ]
+        # keep the rows before snapping: decoding a snapped row can move a
+        # continuous value by an ulp (log scale on [0.5, 0.999]: ~1% of rows)
+        best_row, best_ei = cand[int(top[0])], float(ei[int(top[0])])
         if cont_dims:
             for idx in top:
                 x0 = snapped[int(idx)].copy()
@@ -472,12 +455,11 @@ def gpbo(
                 )
                 xx = x0.copy()
                 xx[cont_dims] = res.x
-                cfg = _force(space, _decode(space, layout, xx), fixed, rng)
-                val = float(expected_improvement(model, _encode(layout, cfg), best_t))
+                snapped_xx = _snap(space, layout, xx[None, :], fixed)
+                val = float(expected_improvement(model, snapped_xx, best_t))
                 if val > best_ei:
-                    best_ei = val
-                    best_cfg = cfg
-        _evaluate(best_cfg, n_init + it)
+                    best_row, best_ei = xx, val
+        _evaluate(_force(space, decode(space, best_row), fixed, rng), n_init + it)
 
     ok = [t for t in history if t.ok]
     if not ok:

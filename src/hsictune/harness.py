@@ -217,10 +217,9 @@ def _scan_existing(path, manifest_expected):
     an interrupted last line.  A bad file raises before anything changes."""
     with open(path, "r+b") as fh:
         manifest, trials, good_bytes = _read_run(path, fh, resume=True)
-        if manifest.space_hash != manifest_expected.space_hash:
-            raise TrialFileError(f"{path}: space hash mismatch")
-        if manifest.master_seed != manifest_expected.master_seed:
-            raise TrialFileError(f"{path}: master seed mismatch")
+        for field in ("space_hash", "master_seed", "objective"):
+            if getattr(manifest, field) != getattr(manifest_expected, field):
+                raise TrialFileError(f"{path}: {field.replace('_', ' ')} mismatch")
         fh.truncate(good_bytes)
     return trials
 

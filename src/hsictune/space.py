@@ -13,7 +13,9 @@ knob on each shrunken domain.
 
 Owners: _KIND_KEYS holds each kind's document keys for space_from_dict and
 its inverse space_to_dict; ParameterSpec and ConditionalRule validate, then
-coerce, their fields; _seed_sequence keys every seeded stream of the package.
+coerce, their fields; _seed_sequence keys every seeded stream of the package;
+_continuous_cdf and its inverse _continuous_quantile map a continuous knob
+onto [0, 1] and back, for the ranks here and for the GP's codec.
 """
 
 from __future__ import annotations
@@ -424,26 +426,41 @@ def _scale(spec: ParameterSpec):
     return (math.log, math.exp) if spec.scale == "log" else (float, float)
 
 
+def _continuous_cdf(spec: ParameterSpec, values) -> np.ndarray:
+    """The sampling CDF of a continuous knob, unclamped, f called per value."""
+    f, _ = _scale(spec)
+    return (np.array([f(v) for v in values], dtype=float) - f(spec.lo)) / (
+        f(spec.hi) - f(spec.lo))
+
+
+def _continuous_quantile(spec: ParameterSpec, u) -> np.ndarray:
+    """Inverse of _continuous_cdf: u clipped to [0, 1], f_inv per value, [lo, hi] clamp."""
+    f, f_inv = _scale(spec)
+    t = f(spec.lo) + np.clip(u, 0.0, 1.0) * (f(spec.hi) - f(spec.lo))
+    v = np.array([f_inv(x) for x in t], dtype=float)
+    v = np.where(spec.lo > v, spec.lo, v)       # max(v, lo), then min(., hi)
+    return np.where(spec.hi < v, spec.hi, v)
+
+
 def _column_ranks(spec: ParameterSpec, values, draws) -> np.ndarray:
-    """Ranks of in-domain values: the CDF formula, clamped below 1, for a
+    """Ranks of in-domain values: the CDF, clamped below 1, for a
     continuous parameter (draws unused); band_lo + band_w * draw for a
     discrete one, with one uniform draw in [0, 1) per value."""
     if spec.kind == "continuous":
-        f, _ = _scale(spec)
-        r = (np.array([f(v) for v in values], dtype=float) - f(spec.lo)) / (
-            f(spec.hi) - f(spec.lo))
-        return np.minimum(r, np.nextafter(1.0, 0.0))
+        return np.minimum(_continuous_cdf(spec, values), np.nextafter(1.0, 0.0))
     levels, weights = spec.level_weights()
-    # float(np.sum(...)) per level, as uniform(lo, lo + w) saw it; a cumsum
-    # rounds differently from numpy's pairwise sum for 9 or more levels
-    band_lo = np.array([float(np.sum(weights[:j])) for j in range(len(levels))])
-    band_w = (band_lo + np.asarray(weights)) - band_lo
     if spec.kind == "integer":
         j = np.asarray(values, dtype=np.int64) - spec.lo
     else:
         index = {v: j for j, v in enumerate(levels)}
         j = np.array([index[v] for v in values], dtype=np.intp)
-    return band_lo[j] + band_w[j] * np.asarray(draws, dtype=float)
+    weights = np.asarray(weights)
+    seen, row_of = np.unique(j, return_inverse=True)
+    # float(np.sum(...)) per level present, as uniform(lo, lo + w) saw it; a
+    # cumsum rounds differently from numpy's pairwise sum for 9 or more levels
+    band_lo = np.array([float(np.sum(weights[:k])) for k in seen], dtype=float)
+    band_w = (band_lo + weights[seen]) - band_lo
+    return band_lo[row_of] + band_w[row_of] * np.asarray(draws, dtype=float)
 
 
 def cdf_transform(spec: ParameterSpec, value, rng: np.random.Generator) -> float:

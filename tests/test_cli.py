@@ -380,7 +380,8 @@ def test_mistyped_space_document_is_runtime_error(tmp_path, capsys, params, rule
 
 
 @pytest.mark.parametrize("change, message", [("seed", "master seed mismatch"),
-                                             ("space", "space hash mismatch")])
+                                             ("space", "space hash mismatch"),
+                                             ("objective", "objective mismatch")])
 def test_search_onto_another_run_is_runtime_error(tmp_path, capsys, change, message):
     trials = str(tmp_path / "trials.jsonl")
     assert cli(["search", "--objective", "quadratic1d", "--n", "6", "--seed", "1",
@@ -388,10 +389,13 @@ def test_search_onto_another_run_is_runtime_error(tmp_path, capsys, change, mess
     before = open(trials, "rb").read()
     other = tmp_path / "space.json"
     other.write_text('{"params": [{"name": "x", "kind": "continuous", "lo": 0, "hi": 2}]}')
-    argv = ["--seed", "2"] if change == "seed" else ["--seed", "1", "--space", str(other)]
+    same = tmp_path / "same.json"       # quadratic1d's own space, as a document
+    same.write_text('{"params": [{"name": "x", "kind": "continuous", "lo": 0, "hi": 1}]}')
+    argv = {"seed": ["--objective", "quadratic1d", "--seed", "2"],
+            "space": ["--objective", "quadratic1d", "--seed", "1", "--space", str(other)],
+            "objective": ["--objective", "three_term", "--seed", "1", "--space", str(same)]}
     capsys.readouterr()
-    assert cli(["search", "--objective", "quadratic1d", "--n", "9", *argv,
-                "--out", trials]) == 2
+    assert cli(["search", "--n", "9", *argv[change], "--out", trials]) == 2
     assert message in capsys.readouterr().err
     assert open(trials, "rb").read() == before
 

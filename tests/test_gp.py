@@ -17,6 +17,8 @@ from hsictune.objectives import BraninObjective, QuadraticObjective, build_objec
 from hsictune.space import (
     ConditionalRule,
     SearchSpace,
+    _resolve_children,
+    _scale,
     boolean_param,
     categorical_param,
     continuous_param,
@@ -96,6 +98,91 @@ def test_snapped_block_equals_rowwise_snapping(fixed):
     rows = [encode(space, gp._force(space, decode(space, r), fixed, rng)) for r in cand]
     assert rng.bit_generator.state == state
     assert np.array_equal(gp._snap(space, layout, cand, fixed), np.array(rows))
+
+
+
+# The row-wise codec that the array codec replaced, kept verbatim as the
+# reference: one configuration or one row at a time, kind by kind.
+def _encode(layout, config: dict) -> np.ndarray:
+    blocks, width = layout
+    x = np.zeros(width)
+    for p, pos, w in blocks:
+        if p.name not in config:
+            continue
+        v = config[p.name]
+        if p.kind == "continuous":
+            f, _ = _scale(p)
+            x[pos] = (f(v) - f(p.lo)) / (f(p.hi) - f(p.lo))
+        elif p.kind == "integer":
+            n = int(p.hi) - int(p.lo) + 1
+            x[pos] = (int(v) - int(p.lo) + 0.5) / n
+        elif p.kind == "categorical":
+            x[pos + p.levels.index(v)] = 1.0
+        else:
+            x[pos] = 1.0 if v else 0.0
+    return x
+
+
+def _decode(space: SearchSpace, layout, x: np.ndarray) -> dict:
+    config = {}
+    for p, pos, w in layout[0]:
+        if p.kind == "continuous":
+            u = float(np.clip(x[pos], 0.0, 1.0))
+            f, f_inv = _scale(p)
+            v = f_inv(f(p.lo) + u * (f(p.hi) - f(p.lo)))
+            config[p.name] = float(min(max(v, p.lo), p.hi))
+        elif p.kind == "integer":
+            n = int(p.hi) - int(p.lo) + 1
+            j = int(np.clip(np.floor(x[pos] * n), 0, n - 1))
+            config[p.name] = int(p.lo) + j
+        elif p.kind == "categorical":
+            config[p.name] = p.levels[int(np.argmax(x[pos : pos + w]))]
+        else:
+            config[p.name] = bool(x[pos] >= 0.5)
+    return _resolve_children(space, config, None)
+
+
+@pytest.mark.parametrize("fixed", [{}, {"opt": "adam"}, {"beta": 0.9}])
+def test_codec_matches_rowwise_reference(fixed):
+    space = SearchSpace(
+        (
+            continuous_param("lr", 1e-5, 1e-1, scale="log"),
+            continuous_param("drop", -0.5, 0.5),
+            integer_param("n", 1, 13),
+            categorical_param("opt", ("sgd", "adam", "rms")),
+            boolean_param("flag"),
+            continuous_param("beta", 0.5, 0.999, scale="log"),
+        ),
+        (ConditionalRule("beta", "opt", ("adam",)),),
+    )
+    layout = gp._blocks(space)
+    rng = np.random.default_rng(8)
+    base = _encode(layout, gp._force(space, sample_configuration(space, rng), fixed, rng))
+    free = [c for p, pos, w in layout[0] if p.name not in fixed for c in range(pos, pos + w)]
+    cand = np.tile(base, (400, 1))
+    cand[:, free] = rng.random((400, len(free)))
+    cand[:3, free] = [[0.0], [0.5], [1.0]]
+    cand[3:100, free] = np.round(cand[3:100, free] * 2) / 2    # edges and argmax ties
+    for row in cand:
+        config = _decode(space, layout, row)
+        got = decode(space, row)
+        assert list(got) == list(config)
+        assert all(type(got[k]) is type(v) and np.array_equal(got[k], v)
+                   for k, v in config.items())
+        forced = gp._force(space, config, fixed, rng)
+        assert np.array_equal(encode(space, config), _encode(layout, config))
+        assert np.array_equal(encode(space, forced), _encode(layout, forced))
+    rows = [_encode(layout, gp._force(space, _decode(space, layout, r), fixed, rng))
+            for r in cand]
+    assert np.array_equal(gp._snap(space, layout, cand, fixed), np.array(rows))
+
+
+def test_wide_integer_knob_builds_no_level_tuple():
+    space = SearchSpace((integer_param("n", 0, 10**12), continuous_param("x", 0.0, 1.0)))
+    x = encode(space, {"n": 10**12 - 7, "x": 0.25})
+    assert decode(space, x)["n"] == 10**12 - 7
+    gp._snap(space, gp._blocks(space), np.random.default_rng(0).random((50, 2)), {})
+    assert "_level_table" not in space.param("n").__dict__
 
 
 # -- gp fit / predict -------------------------------------------------------------

@@ -328,6 +328,21 @@ def test_continuous_normalization_builds_no_streams(monkeypatch):
     assert len(built) == 50          # one draw per discrete cell, none per continuous
 
 
+
+def test_band_sums_only_for_the_levels_present(monkeypatch):
+    # a band sum per level of the knob made ranking quadratic in its range
+    space = make_space([integer_param("n", 1, 1000),
+                        categorical_param("act", tuple("abcdefghijkl"))])
+    trials = _fake_trials(space, 10, 4)
+    sums = []
+    original = np.sum
+    monkeypatch.setattr(space_module.np, "sum",
+                        lambda *a, **k: sums.append(1) or original(*a, **k))
+    normalize_trials(space, trials, seed=3)
+    distinct = sum(len({t[p.name] for t in trials}) for p in space.params)
+    assert 0 < len(sums) <= distinct
+
+
 # -- groups ------------------------------------------------------------------
 
 
