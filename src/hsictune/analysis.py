@@ -24,6 +24,7 @@ from .space import (
     NormalizedMatrix,
     ParameterSpec,
     SearchSpace,
+    _level_index,
     _scale,
     _seed_sequence,
     build_groups,
@@ -284,28 +285,15 @@ def worst_level_report(param: ParameterSpec, trials,
     levels, weights = param.level_weights()
     worst = make_goal_flags(trials, worst_percentile(_LEVEL_P), reject_constant=False)
     best = make_goal_flags(trials, best_percentile(_LEVEL_P), reject_constant=False)
-    active = matrix.mask(param.name)
-    values = [t.config.get(param.name) for t in trials]
-
-    def counts(flags):
-        out = np.zeros(len(levels), dtype=int)
-        for i in np.flatnonzero(flags & active):
-            v = values[i]
-            if param.kind == "boolean":
-                v = bool(v)
-            out[levels.index(v)] += 1
-        return out
-
-    wc = counts(worst)
-    bc = counts(best)
+    active = np.flatnonzero(matrix.mask(param.name))
+    index = _level_index(param, [trials[i].config[param.name] for i in active])
+    wc, bc = (np.bincount(index[flags[active]], minlength=len(levels)) for flags in (worst, best))
     w_share = wc / max(wc.sum(), 1)
     b_share = bc / max(bc.sum(), 1)
-    flagged = tuple(
-        levels[i]
-        for i in range(len(levels))
-        if w_share[i] > _LEVEL_FACTOR * weights[i] and b_share[i] < weights[i]
-    )
-    return LevelReport(param.name, tuple(levels), tuple(weights), tuple(wc),
+    weights = np.asarray(weights)
+    hurts = (w_share > _LEVEL_FACTOR * weights) & (b_share < weights)
+    flagged = tuple(levels[i] for i in np.flatnonzero(hurts))
+    return LevelReport(param.name, tuple(levels), tuple(weights.tolist()), tuple(wc),
                        tuple(bc), flagged)
 
 

@@ -201,7 +201,10 @@ def _cmd_optimize(args) -> int:
     best = result.incumbent
     print(f"fixed: {result.fixed}")
     print(f"step1 dims: {list(result.step1_dims)}  step2 dims: {list(result.step2_dims)}")
-    print(f"best error: {best.score:.6g}  config: {best.config}")
+    if best is None:
+        print("no optimization step ran: every parameter is pinned")
+    else:
+        print(f"best error: {best.score:.6g}  config: {best.config}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(result.to_dict(), fh, sort_keys=True, indent=2)

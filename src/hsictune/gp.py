@@ -2,11 +2,13 @@
 
 One codec maps configurations to [0, 1]^d: _columns decodes rows to
 per-parameter columns (a continuous knob's value, through space's CDF maps,
-or a discrete knob's level index) and _rows encodes them (CDF midpoints for
-integers, one-hot blocks for categoricals, 0/1 for booleans; inactive
-conditional blocks are zeroed); encode and decode are its one-row case.
-The surrogate is a Matern-5/2 ARD process fit by maximum marginal
-likelihood from eight starts, with a jitter ladder guarding the Cholesky.
+or a discrete knob's level index, through space's _level_index and _levels)
+and _rows encodes them (CDF midpoints for integers, one-hot blocks for
+categoricals, 0/1 for booleans; inactive conditional blocks are zeroed);
+encode and decode are its one-row case.  The surrogate is a Matern-5/2 ARD
+process fit by maximum marginal likelihood from eight starts, with a jitter
+ladder guarding the Cholesky; _build_cov assembles its covariance from the
+per-dimension distances of _scaled_sq, which the likelihood gradient reuses.
 The optimizer alternates fit, EI maximization over scrambled Sobol
 candidates with a local polish of the best few, and evaluation; failed
 evaluations are penalized, never fatal.  Candidates, polished points and
@@ -23,9 +25,9 @@ from scipy import optimize
 from scipy.linalg import cho_solve, cholesky, LinAlgError
 from scipy.stats import norm, qmc
 
-from .harness import _evaluate_trial, trial_seed
-from .space import (SearchSpace, _continuous_cdf, _continuous_quantile,
-                    _resolve_children, _seed_sequence, sample_configuration)
+from .harness import _best_trial, _evaluate_trial, trial_seed
+from .space import (SearchSpace, _continuous_cdf, _continuous_quantile, _level_index,
+                    _levels, _resolve_children, _seed_sequence, sample_configuration)
 
 __all__ = [
     "FitError",
@@ -105,9 +107,7 @@ def _rows(layout, columns: dict, n: int) -> np.ndarray:
 
 def _column_entry(p, v):
     """A value as its column holds it: itself if continuous, else its level index."""
-    if p.kind == "continuous":
-        return v
-    return int(v) - p.lo if p.kind == "integer" else p.level_weights()[0].index(v)
+    return v if p.kind == "continuous" else _level_index(p, [v])[0]
 
 
 def encode(space: SearchSpace, config: dict) -> np.ndarray:
@@ -129,12 +129,7 @@ def decode(space: SearchSpace, x: np.ndarray) -> dict:
     config = {}
     for p, _, _ in layout[0]:
         c = columns[p.name][0]
-        if p.kind == "continuous":
-            config[p.name] = float(c)
-        elif p.kind == "integer":
-            config[p.name] = p.lo + int(c)
-        else:
-            config[p.name] = p.level_weights()[0][c]
+        config[p.name] = float(c) if p.kind == "continuous" else _levels(p)[c]
     return _resolve_children(space, config, None)
 
 
@@ -154,22 +149,24 @@ def _snap(space: SearchSpace, layout, cand: np.ndarray, fixed: dict) -> np.ndarr
     out = _rows(layout, columns, n)
     where = {p.name: (pos, w) for p, pos, w in layout[0]}
     for rule in space.rules:
-        levels, _ = space.param(rule.parent).level_weights()
-        seen, row_of = np.unique(columns[rule.parent], return_inverse=True)
-        active = np.array([levels[k] in rule.activating_values for k in seen])[row_of]
+        on = _level_index(space.param(rule.parent), rule.activating_values)
         pos, w = where[rule.child]
-        out[~active, pos : pos + w] = 0.0
+        out[~np.isin(columns[rule.parent], on), pos : pos + w] = 0.0
     return out
 
 
 # -- Matern-5/2 GP ------------------------------------------------------------
 
 
-def _scaled_r(X1, X2, ls):
-    d2 = np.zeros((len(X1), len(X2)))
-    for d in range(X1.shape[1]):
-        d2 += ((X1[:, d, None] - X2[None, :, d]) / ls[d]) ** 2
-    return np.sqrt(np.maximum(d2, 0.0))
+def _scaled_sq(X1, X2, ls):
+    """The per-dimension terms ((x1 - x2) / ls)**2, one (n1, n2) array per
+    dimension, made lazily so a prediction on many candidates holds one."""
+    return (((X1[:, d, None] - X2[None, :, d]) / ls[d]) ** 2 for d in range(X1.shape[1]))
+
+
+def _scaled_r(terms):
+    """Distances from the terms, added in dimension order: .sum(axis=0) rounds differently."""
+    return np.sqrt(np.maximum(sum(terms), 0.0))
 
 
 def _matern52(r):
@@ -194,8 +191,8 @@ class GpModel:
         return len(self.X)
 
 
-def _build_cov(X, ls, signal, noise):
-    K = signal * _matern52(_scaled_r(X, X, ls))
+def _build_cov(M, signal, noise):
+    K = signal * M
     K[np.diag_indices_from(K)] += noise
     return K
 
@@ -216,12 +213,11 @@ def _nll_and_grad(theta, X, y):
     ls = np.exp(theta[:d])
     signal = math.exp(theta[d])
     noise = math.exp(theta[d + 1])
-    r = _scaled_r(X, X, ls)
+    S = list(_scaled_sq(X, X, ls))
+    r = _scaled_r(S)
     M = _matern52(r)
-    K = signal * M
-    K[np.diag_indices_from(K)] += noise
     try:
-        L, _ = _chol_with_jitter(K)
+        L, _ = _chol_with_jitter(_build_cov(M, signal, noise))
     except FitError:
         return 1e25, np.zeros_like(theta)
     n = len(y)
@@ -232,8 +228,7 @@ def _nll_and_grad(theta, X, y):
     grad = np.empty_like(theta)
     base = signal * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
     for k in range(d):
-        Sd = ((X[:, k, None] - X[None, :, k]) / ls[k]) ** 2
-        grad[k] = -0.5 * float(np.sum(W * (base * Sd)))
+        grad[k] = -0.5 * float(np.sum(W * (base * S[k])))
     grad[d] = -0.5 * float(np.sum(W * (signal * M)))
     grad[d + 1] = -0.5 * float(np.trace(W)) * noise
     return nll, grad
@@ -277,8 +272,8 @@ def gp_fit(X, y) -> GpModel:
     ls = np.exp(theta[:d])
     signal = math.exp(theta[d])
     noise = math.exp(theta[d + 1])
-    K = _build_cov(X, ls, signal, noise)
-    L, jit = _chol_with_jitter(K)
+    M = _matern52(_scaled_r(_scaled_sq(X, X, ls)))
+    L, jit = _chol_with_jitter(_build_cov(M, signal, noise))
     alpha = cho_solve((L, True), ys)
     return GpModel(X, y, y_mean, y_std, ls, signal, noise, jit, L, alpha)
 
@@ -288,7 +283,8 @@ def gp_predict(model: GpModel, x) -> tuple:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.X.shape[1]:
         raise FitError("prediction point dimension mismatch")
-    ks = model.signal_var * _matern52(_scaled_r(model.X, x, model.lengthscales))
+    r = _scaled_r(_scaled_sq(model.X, x, model.lengthscales))
+    ks = model.signal_var * _matern52(r)
     mean_s = ks.T @ model.alpha
     v = cho_solve((model.chol, True), ks)
     var_s = model.signal_var - np.einsum("ij,ij->j", ks, v)
@@ -340,10 +336,10 @@ def _finite_configs(space: SearchSpace, fixed: dict, limit: int):
         return None
     combos = [{}]
     for p in free:
-        levels, _ = p.level_weights()
-        combos = [dict(c, **{p.name: v}) for c in combos for v in levels]
-        if len(combos) > limit:
+        levels = _levels(p)
+        if len(combos) * len(levels) > limit:
             return None
+        combos = [dict(c, **{p.name: v}) for c in combos for v in levels]
     out = []
     for c in combos:
         c.update(fixed or {})
@@ -461,8 +457,7 @@ def gpbo(
                     best_row, best_ei = xx, val
         _evaluate(_force(space, decode(space, best_row), fixed, rng), n_init + it)
 
-    ok = [t for t in history if t.ok]
-    if not ok:
+    incumbent = _best_trial(history)
+    if incumbent is None:
         raise FitError("no successful evaluations")
-    incumbent = min(ok, key=lambda t: t.score)
     return incumbent, history

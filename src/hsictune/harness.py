@@ -11,6 +11,8 @@ drops an unterminated last line as an interrupted write.
 
 _evaluate_trial evaluates every trial, here and in the GP optimizer: it
 times the call and turns an objective fault into a failed trial.
+_best_trial picks the best ok trial for both optimizers.  A resume leaves
+line one alone, so load_trials reports n_s as at least the highest index + 1.
 
 Each worker of a parallel search pins every loaded OpenBLAS to its share
 of the cores (cores // jobs, at least 1), so jobs workers do not each
@@ -82,6 +84,11 @@ class Trial:
         return self.status == STATUS_OK
 
 
+def _best_trial(trials):
+    """The lowest-score ok trial, the earliest on ties; None when none is ok."""
+    return min((t for t in trials if t.ok), key=lambda t: t.score, default=None)
+
+
 @dataclass
 class RunManifest:
     space: dict
@@ -149,6 +156,8 @@ def _parse_manifest(path, rec) -> RunManifest:
         raise TrialFileError(f"{path}: manifest fields do not match a run manifest") from None
     if not isinstance(manifest.space, dict):
         raise TrialFileError(f"{path}: manifest space is not a JSON object")
+    if not isinstance(manifest.n_s, int) or isinstance(manifest.n_s, bool):
+        raise TrialFileError(f"{path}: manifest n_s is not an integer")
     return manifest
 
 
@@ -346,4 +355,5 @@ def load_trials(path):
         raise TrialFileError(f"{path}: no such file")
     with open(path, "rb") as fh:
         manifest, trials, _ = _read_run(path, fh)
+    manifest.n_s = max([manifest.n_s, *(i + 1 for i in trials)])
     return manifest, [trials[i] for i in sorted(trials)]

@@ -15,7 +15,8 @@ Owners: _KIND_KEYS holds each kind's document keys for space_from_dict and
 its inverse space_to_dict; ParameterSpec and ConditionalRule validate, then
 coerce, their fields; _seed_sequence keys every seeded stream of the package;
 _continuous_cdf and its inverse _continuous_quantile map a continuous knob
-onto [0, 1] and back, for the ranks here and for the GP's codec.
+onto [0, 1] and back, for the ranks here and for the GP's codec; _levels
+and _level_index give a discrete knob's levels and a value's level index.
 """
 
 from __future__ import annotations
@@ -145,29 +146,24 @@ class ParameterSpec:
                 raise SpaceError(f"{self.name}: weight_true must lie in [0, 1]")
             object.__setattr__(self, "weight_true", float(self.weight_true))
 
-    # Discrete parameters are treated uniformly as (levels, weights) pairs;
-    # integers become equal-weight levels, booleans a two-level categorical.
     def level_weights(self):
-        levels, weights, _ = self._level_table
-        return levels, weights
+        """(levels, weights); integers have equal weights, booleans two levels."""
+        return _levels(self), self._level_table[0]
 
     @cached_property
     def _level_table(self):
-        """(levels, weights, cdf), built once per spec; cdf is the table
-        rng.choice(len(levels), p=weights) searches."""
+        """(weights, cdf), built once; cdf is what rng.choice(len(weights), p=weights) searches."""
+        n = len(_levels(self))      # raises unless discrete
         if self.kind == "integer":
-            n = self.hi - self.lo + 1
-            levels, weights = tuple(range(self.lo, self.hi + 1)), tuple(1.0 / n for _ in range(n))
+            weights = np.full(n, 1.0 / n)
         elif self.kind == "categorical":
-            levels, weights = self.levels, self.weights
-        elif self.kind == "boolean":
-            levels, weights = (False, True), (1.0 - self.weight_true, self.weight_true)
+            weights = self.weights
         else:
-            raise SpaceError(f"{self.name}: not a discrete parameter")
+            weights = (1.0 - self.weight_true, self.weight_true)
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         cdf.flags.writeable = False
-        return levels, weights, cdf
+        return weights, cdf
 
     @property
     def is_discrete(self) -> bool:
@@ -189,6 +185,24 @@ class ParameterSpec:
         if self.kind == "categorical":
             return value in self.levels
         return isinstance(value, (bool, np.bool_))
+
+
+def _levels(spec: ParameterSpec):
+    """A discrete parameter's levels; an integer's is the range of its bounds."""
+    if spec.kind == "integer":
+        return range(spec.lo, spec.hi + 1)
+    if spec.kind == "categorical":
+        return spec.levels
+    if spec.kind == "boolean":
+        return (False, True)
+    raise SpaceError(f"{spec.name}: not a discrete parameter")
+
+
+def _level_index(spec: ParameterSpec, values) -> np.ndarray:
+    if spec.kind == "integer":
+        return np.asarray(values, dtype=np.int64) - spec.lo
+    index = {v: j for j, v in enumerate(_levels(spec))}
+    return np.array([index[v] for v in values], dtype=np.intp)
 
 
 def continuous_param(name, lo, hi, scale="linear") -> ParameterSpec:
@@ -259,9 +273,8 @@ class SearchSpace:
             parent = by_name[r.parent]
             if not parent.is_discrete:
                 raise SpaceError(f"rule for {r.child}: parent must be discrete")
-            plevels, _ = parent.level_weights()
             for v in r.activating_values:
-                if v not in plevels:
+                if v not in _levels(parent):
                     raise SpaceError(
                         f"rule for {r.child}: {v!r} not a level of {r.parent}"
                     )
@@ -384,8 +397,8 @@ def _sample_value(spec: ParameterSpec, rng: np.random.Generator):
             return float(np.exp(rng.uniform(np.log(spec.lo), np.log(spec.hi))))
         return float(rng.uniform(spec.lo, spec.hi))
     # rng.choice(len(levels), p=weights) in Generator.choice's own arithmetic
-    levels, _, cdf = spec._level_table
-    return levels[int(cdf.searchsorted(rng.random(), side="right"))]
+    _, cdf = spec._level_table
+    return _levels(spec)[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _resolve_children(space: SearchSpace, config: dict, rng) -> dict:
@@ -448,14 +461,8 @@ def _column_ranks(spec: ParameterSpec, values, draws) -> np.ndarray:
     discrete one, with one uniform draw in [0, 1) per value."""
     if spec.kind == "continuous":
         return np.minimum(_continuous_cdf(spec, values), np.nextafter(1.0, 0.0))
-    levels, weights = spec.level_weights()
-    if spec.kind == "integer":
-        j = np.asarray(values, dtype=np.int64) - spec.lo
-    else:
-        index = {v: j for j, v in enumerate(levels)}
-        j = np.array([index[v] for v in values], dtype=np.intp)
-    weights = np.asarray(weights)
-    seen, row_of = np.unique(j, return_inverse=True)
+    weights = np.asarray(spec.level_weights()[1])
+    seen, row_of = np.unique(_level_index(spec, values), return_inverse=True)
     # float(np.sum(...)) per level present, as uniform(lo, lo + w) saw it; a
     # cumsum rounds differently from numpy's pairwise sum for 9 or more levels
     band_lo = np.array([float(np.sum(weights[:k])) for k in seen], dtype=float)
@@ -608,7 +615,7 @@ def restrict(space: SearchSpace, param: str, new_domain) -> SearchSpace:
         if not kept or any(v not in spec.levels for v in kept):
             raise SpaceError(f"{param}: restriction is empty or out of range")
         kept = tuple(v for v in spec.levels if v in kept)
-        w = [spec.weights[spec.levels.index(v)] for v in kept]
+        w = [spec.weights[j] for j in _level_index(spec, kept)]
         total = sum(w)
         if total <= 0:
             raise SpaceError(f"{param}: restriction has zero total weight")

@@ -22,6 +22,7 @@ from .analysis import (
     run_algorithm1,
 )
 from .gp import gpbo
+from .harness import _best_trial
 from .hsic import EstimationError
 from .space import SearchSpace
 
@@ -84,8 +85,8 @@ class TwoStepResult:
 
     @property
     def incumbent(self):
-        cands = [t for t in (self.step1_incumbent, self.step2_incumbent) if t is not None]
-        return min(cands, key=lambda t: t.score)
+        """The better step incumbent; None when no step ran."""
+        return _best_trial(filter(None, (self.step1_incumbent, self.step2_incumbent)))
 
     @property
     def n_evaluations(self) -> int:
@@ -140,10 +141,9 @@ def select_fixed_values(report: SensitivityReport, trials, policy: FixingPolicy,
     domain; other non-impactful parameters copy the best trial, with the
     interaction adjustment described in the module docstring.
     """
-    ok = [t for t in trials if t.ok]
-    if not ok:
+    best_trial = _best_trial(trials)
+    if best_trial is None:
         raise EstimationError("no ok trials to copy values from")
-    best_trial = min(ok, key=lambda t: t.score)
     curves = curves or {}
     impactful = set(report.impactful())
     pairs = policy.interaction_pairs
@@ -174,13 +174,12 @@ def select_fixed_values(report: SensitivityReport, trials, policy: FixingPolicy,
                 in_free_pair = True
         if partner is not None:
             pspec = space.param(partner)
-            region = [
-                t for t in ok
+            source = _best_trial(
+                t for t in trials
                 if partner in t.config and p.name in t.config
                 and _matching_region(pspec, t.config[partner], speed_fixed[partner])
-            ]
-            if region:
-                source = min(region, key=lambda t: t.score)
+            )
+            if source is not None:
                 fixed[p.name] = source.config[p.name]
                 provenance[p.name] = PROVENANCE_INTERACTION
                 continue
@@ -243,22 +242,19 @@ def two_step_optimize(
     else:
         step1_incumbent, hist1 = None, []
 
-    ok = [t for t in trials if t.ok]
-    baseline = min(ok, key=lambda t: t.score) if ok else None
-    anchor = step1_incumbent or baseline
+    anchor = step1_incumbent or _best_trial(trials)
     if policy.mode == "accuracy_and_speed":
         keep = {n: v for n, v in fixed.items() if provenance[n] == PROVENANCE_SPEED}
     else:
         keep = {}
     fixed2 = dict(keep)
-    if anchor is not None:
-        for name in step1_dims:
-            if name in anchor.config:
-                fixed2[name] = anchor.config[name]
+    for name in step1_dims:
+        if name in anchor.config:
+            fixed2[name] = anchor.config[name]
     step2_dims = tuple(
         p.name for p in space.params if p.name not in fixed2
     )
-    if step2_dims and anchor is not None:
+    if step2_dims:
         step2_incumbent, hist2 = gpbo(
             objective, space, fixed=fixed2,
             n_init=budgets.n_init_step2, n_iter=budgets.n_iter_step2,

@@ -417,3 +417,42 @@ def test_negative_seed_names_the_streams_of_its_32_bit_residue(tmp_path, capsys)
         expected = capsys.readouterr().out
         assert cli(argv + ["--seed", "-1"]) == 0, argv
         assert capsys.readouterr().out == expected, argv
+
+
+def test_optimize_with_every_knob_pinned_runs_no_step(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    out = str(tmp_path / "optimize.json")
+    assert cli(["search", "--objective", "quadratic1d", "--n", "40", "--out", trials]) == 0
+    capsys.readouterr()
+    assert cli(["optimize", trials, "--objective", "quadratic1d", "--speed", "x=minimize",
+                "--init", "2", "--budget-step1", "2", "--budget-step2", "2",
+                "--out", out]) == 0
+    assert "no optimization step ran" in capsys.readouterr().out
+    result = json.load(open(out))
+    assert result["step1_dims"] == [] and result["step2_dims"] == []
+    assert result["step1_incumbent"] is None and result["step2_incumbent"] is None
+    assert result["n_evaluations"] == 40
+
+
+def test_resume_that_grows_a_run_reports_its_size(tmp_path):
+    trials = str(tmp_path / "trials.jsonl")
+    argv = ["search", "--objective", "example2", "--seed", "1", "--out", trials]
+    assert cli(argv + ["--n", "5"]) == 0
+    before = open(trials, "rb").read().splitlines(keepends=True)
+    assert cli(argv + ["--n", "12"]) == 0
+    assert open(trials, "rb").read().splitlines(keepends=True)[:6] == before
+    manifest, loaded = load_trials(trials)
+    assert manifest.n_s == 12 and len(loaded) == 12
+
+
+@pytest.mark.parametrize("n_s", ["5", 5.0, True, None])
+def test_non_integer_manifest_n_s_is_runtime_error(tmp_path, capsys, n_s):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
+         "--out", trials])
+    lines = open(trials).read().splitlines(keepends=True)
+    manifest = dict(json.loads(lines[0])["manifest"], n_s=n_s)
+    lines[0] = json.dumps({"manifest": manifest}) + "\n"
+    open(trials, "w").write("".join(lines))
+    assert cli(["analyze", trials]) == 2
+    assert "n_s is not an integer" in capsys.readouterr().err

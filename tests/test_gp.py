@@ -373,3 +373,28 @@ def test_gpbo_incumbent_monotone():
             best_so_far = min(best_so_far, t.score)
         incumbents.append(best_so_far)
     assert all(b <= a + 1e-15 for a, b in zip(incumbents, incumbents[1:]))
+
+
+def _loop_scaled_r(X1, X2, ls):
+    d2 = np.zeros((len(X1), len(X2)))
+    for d in range(X1.shape[1]):
+        d2 += ((X1[:, d, None] - X2[None, :, d]) / ls[d]) ** 2
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def test_scaled_r_equals_the_per_dimension_loop():
+    rng = np.random.default_rng(5)
+    for d, n1, n2 in [(1, 4, 9), (3, 20, 20), (11, 25, 300), (17, 8, 2048)]:
+        X1, X2 = rng.random((n1, d)), rng.random((n2, d))
+        ls = np.exp(rng.uniform(np.log(3e-2), np.log(3e1), d))
+        got = gp._scaled_r(gp._scaled_sq(X1, X2, ls))
+        assert np.array_equal(got, _loop_scaled_r(X1, X2, ls))
+
+
+def test_finite_configs_checks_its_size_before_enumerating():
+    space = SearchSpace((integer_param("n", 0, 10**12), boolean_param("b")))
+    assert gp._finite_configs(space, {}, 10) is None
+    assert "_level_table" not in space.param("n").__dict__
+    small = SearchSpace((integer_param("n", 0, 4), boolean_param("b")))
+    assert gp._finite_configs(small, {}, 9) is None
+    assert len(gp._finite_configs(small, {}, 10)) == 10

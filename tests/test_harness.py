@@ -204,3 +204,13 @@ def test_returned_trials_are_the_file_trials(tmp_path):
     assert resumed == load_trials(path)[1]
     assert resumed[:30] == fresh
     assert any(not t.ok for t in resumed[:30]) and any(not t.ok for t in resumed[30:])
+
+
+def test_best_trial_is_the_earliest_lowest_ok_trial():
+    trials = [Trial({"x": 0.0}, 2.0, "ok", 0), Trial({"x": 0.1}, None, "failed", 1),
+              Trial({"x": 0.2}, 1.0, "ok", 2), Trial({"x": 0.3}, 1.0, "ok", 3),
+              Trial({"x": 0.4}, None, "diverged", 4)]
+    assert harness._best_trial(trials) is trials[2]
+    assert harness._best_trial(reversed(trials)) is trials[3]
+    assert harness._best_trial([trials[1], trials[4]]) is None
+    assert harness._best_trial([]) is None

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -480,3 +481,18 @@ def test_space_from_dict_inverts_space_to_dict():
     assert restrict(space, "n", (3.0, 10)).param("n").lo == 3
     with pytest.raises(SpaceError, match="integral"):
         integer_param("n", 1.5, 10)
+
+
+def test_wide_integer_knob_draws_and_ranks_in_bounded_memory():
+    # the levels are a range, the weights one float array: no Python object per level
+    space = make_space([integer_param("n", 1, 10**6)])
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(0)
+        configs = [sample_configuration(space, rng) for _ in range(10)]
+        matrix = normalize_trials(space, configs, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all((matrix.column("n") >= 0) & (matrix.column("n") < 1))
+    assert peak < 32 * 2**20
