@@ -60,6 +60,7 @@ _KIND_KEYS = {
 
 _WEIGHT_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
+_INT64 = np.iinfo(np.int64)
 
 
 class SpaceError(ValueError):
@@ -116,10 +117,14 @@ class ParameterSpec:
                 raise SpaceError(f"{self.name}: scale must be linear or log")
             if self.kind == "continuous" and self.scale == "log" and self.lo <= 0:
                 raise SpaceError(f"{self.name}: log scale requires lo > 0")
-            if self.kind == "integer" and (
-                int(self.lo) != self.lo or int(self.hi) != self.hi
-            ):
-                raise SpaceError(f"{self.name}: integer bounds must be integral")
+            if self.kind == "integer":
+                if int(self.lo) != self.lo or int(self.hi) != self.hi:
+                    raise SpaceError(f"{self.name}: integer bounds must be integral")
+                # a value's level index and the level count are int64
+                if not (_INT64.min <= self.lo and self.hi <= _INT64.max
+                        and int(self.hi) - int(self.lo) < _INT64.max):
+                    raise SpaceError(
+                        f"{self.name}: integer bounds and level count must fit int64")
             cast = int if self.kind == "integer" else float
             object.__setattr__(self, "lo", cast(self.lo))
             object.__setattr__(self, "hi", cast(self.hi))

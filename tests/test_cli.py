@@ -353,6 +353,8 @@ _X = '{"name": "x", "kind": "continuous", "lo": 0, "hi": 1}'
     ('{"name": "x", "kind": "continuous", "lo": -1e308, "hi": 1e308}', "", "finite range"),
     ('{"name": "x", "kind": "continuous", "lo": true, "hi": 2}', "", "finite numbers"),
     ('{"name": "x", "kind": "integer", "lo": 1.5, "hi": 4}', "", "integral"),
+    ('{"name": "x", "kind": "integer", "lo": 0, "hi": 1e19}', "", "int64"),
+    ('{"name": "x", "kind": "integer", "lo": -5e18, "hi": 5e18}', "", "int64"),
     ('{"name": "x", "kind": "integer", "lo": 1, "hi": 4, "scale": "log"}', "",
      "unknown keys"),
     ('{"name": "x", "kind": "boolean", "levels": [true, false]}', "", "unknown keys"),
@@ -365,6 +367,7 @@ _X = '{"name": "x", "kind": "continuous", "lo": 0, "hi": 1}'
      '{"child": "x", "parent": "b", "when": 5}', "when"),
     ('{"name": "b", "kind": "boolean"}, ' + _X, '{"parent": "b", "when": [true]}', "rule"),
 ], ids=["lo-string", "hi-overflow", "range-overflow", "lo-boolean", "integer-lo-fraction",
+        "integer-hi-beyond-int64", "integer-range-beyond-int64",
         "integer-scale", "boolean-levels", "weight_true-string", "levels-number", "levels-arrays",
         "weights-string", "when-number", "rule-without-child"])
 def test_mistyped_space_document_is_runtime_error(tmp_path, capsys, params, rules, message):

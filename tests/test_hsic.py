@@ -1,8 +1,9 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import truncnorm
+from scipy.stats import rankdata, truncnorm
 
 from hsictune import hsic
 from hsictune.hsic import (
@@ -393,3 +394,110 @@ def test_dense_and_binned_scores_agree(dim):
         dense = selected_score(backend(hsic._DenseBackend, pts, z))
         binned = selected_score(backend(hsic._BinnedBackend, pts, z))
         assert abs(binned - dense) <= 1e-2 * dense
+
+
+# -- the bandwidth screen ------------------------------------------------------------
+
+
+def exhaustive_select(backend, grid):
+    """Bandwidth selection by a dense sweep of the whole grid, as it stood
+    before the binned screen."""
+    med = backend.median_distance()
+    degenerate = med <= 0.0
+    grid = bandwidth_grid(med) if grid is None else np.sort(np.asarray(grid, dtype=float))
+    if len(grid) == 0 or np.any(grid <= 0):
+        raise EstimationError("bandwidth grid must be nonempty and positive")
+    if degenerate:
+        warnings.warn("all samples identical; bandwidth selection is degenerate")
+    gammas = 1.0 / (2.0 * grid**2)
+    mmds = hsic._mmd_from_sums(backend.sweep(gammas), backend.n, backend.m)
+    best = 0 if degenerate else int(np.argmax(mmds))    # first occurrence: smaller h
+    return grid[best], gammas[best], float(mmds[best]), degenerate
+
+
+def assert_selects_as_exhaustive(points_a, points_b, grid=None):
+    eng = hsic._DenseBackend(*hsic._support(hsic._as_points(points_a),
+                                            hsic._as_points(points_b)))
+    got = hsic._select(eng, grid)
+    want = exhaustive_select(eng, grid)
+    assert got == want           # h, gamma and mmd2 to the bit
+    return eng
+
+
+def ranked_labeled_points(rng, n, dim):
+    """Rank columns (with ties when the raw values repeat) and goal flags of
+    one of three shapes: none, a main effect or an interaction."""
+    levels = int(rng.choice([0, 0, 5, 40]))
+    raw = rng.integers(0, levels, (n, dim)) if levels else rng.random((n, dim))
+    u = np.column_stack([rankdata(raw[:, d]) / n for d in range(dim)])
+    shape = rng.choice(["null", "main", "interaction"])
+    if shape == "null":
+        z = rng.random(n) < rng.uniform(0.05, 0.5)
+    elif shape == "main":
+        z = u[:, 0] < rng.uniform(0.05, 0.5)
+    else:
+        z = (u[:, 0] - 0.5) * (u[:, -1] - 0.5) > rng.uniform(0.0, 0.1)
+    return u, z
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screened_selection_matches_exhaustive(dim):
+    rng = np.random.default_rng(60 + dim)
+    screened = 0
+    for _ in range(16):
+        n = int(np.exp(rng.uniform(np.log(50), np.log(1800))))
+        u, z = ranked_labeled_points(rng, n, dim)
+        if not 2 <= z.sum() <= hsic._DENSE_LIMIT - n:
+            continue
+        eng = assert_selects_as_exhaustive(u, u[z])
+        screened += (2 * hsic._BINS[dim]) ** dim < len(eng.c) ** 2
+    assert screened >= 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screened_selection_of_equal_sets_matches_exhaustive(dim):
+    # every exact mmd2 is 0 while the binned twin carries FFT rounding
+    u = np.random.default_rng(70 + dim).random((1000, dim))
+    assert_selects_as_exhaustive(u, u.copy())
+
+
+def test_screened_selection_with_point_masses_matches_exhaustive():
+    rng = np.random.default_rng(80)
+    assert_selects_as_exhaustive(np.full(20, 0.2), np.full(20, 0.7))
+    with pytest.warns(UserWarning, match="degenerate"):     # median distance 0
+        assert_selects_as_exhaustive(np.full(300, 0.2), np.full(40, 0.7))
+    # atoms holding most rows, plus a continuous part wide enough to screen
+    a = np.concatenate([np.repeat([0.1, 0.5, 0.9], 300), rng.random(400)])
+    assert_selects_as_exhaustive(a, a[(a < 0.3) | (a == 0.5)])
+    # three columns: no binned twin, the whole grid is swept
+    pts = rng.random((800, 3))
+    assert_selects_as_exhaustive(pts, pts[pts[:, 0] < 0.3])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screened_selection_on_a_user_grid_with_ties(dim):
+    # repeated bandwidths tie exactly, and far below the spacing of the ranks
+    # the kernel matrix is the identity at every h, another run of exact ties;
+    # the maximum lands on a repeated h in 1-D and on the identity run in 2-D
+    rng = np.random.default_rng(90 + dim)
+    u = (np.argsort(rng.random((900, dim)), axis=0) + 0.5) / 900
+    z = rng.random(900) < 0.3
+    grid = np.concatenate([np.geomspace(1e-7, 1e-5, 7), np.repeat([0.01, 0.05, 0.2], 3)])
+    assert_selects_as_exhaustive(u, u[z], grid)
+
+
+def test_screen_sums_the_dense_kernel_at_few_grid_points(monkeypatch):
+    swept = []
+    sweep = hsic._DenseBackend.sweep
+
+    def counting_sweep(self, gammas):
+        swept.append(len(gammas))
+        return sweep(self, gammas)
+
+    monkeypatch.setattr(hsic._DenseBackend, "sweep", counting_sweep)
+    u = (np.arange(1500) + 0.5) / 1500
+    z = np.random.default_rng(100).random(1500) < 0.1 + 0.3 * u
+    eng = hsic._DenseBackend(*hsic._support(u[:, None], u[z, None]))
+    assert len(eng.c) == 1500
+    hsic._select(eng, None)
+    assert len(swept) == 1 and 1 <= swept[0] <= 4
