@@ -175,9 +175,6 @@ def rank_group(group: GroupSpec, matrix: NormalizedMatrix, z, *, seed: int = 0,
     rows = matrix.rows_where_active(group.members)
     entries = []
     for name in group.members:
-        active = matrix.mask(name)[rows]
-        if not active.all():
-            raise EstimationError(f"{name}: inactive rows inside group {group.id}")
         u = matrix.column(name)[rows]
         score = hsic_goal(u, z[rows], n_boot=n_boot, seed=seed)
         entries.append((name, score))

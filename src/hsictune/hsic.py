@@ -22,11 +22,14 @@ points (n + m) the dense backend sums the kernel matrix of the support
 exactly.  Above it the binned backend snaps the support onto a grid of
 _BINS[dim] bins per dimension (4096 in 1-D, 256 in 2-D) and turns the sums
 into FFT correlations, which keeps random searches of tens of thousands of
-trials cheap.  Each backend gives the pooled median distance that centers
-the bandwidth grid, the sums over the grid, the sums at one bandwidth, and
-its own bootstrap draw; one bootstrap loop scores the replicates at the
-selected bandwidth.  Both backends are deterministic and permutation
-invariant: the support is sorted and counts are order-free.
+trials cheap.  One fold serves every binned dimension: along each axis in
+turn it adds the correlation at lag -d onto lag d.  Only the dimensions in
+_BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
+pooled points are rejected.  Each backend gives the pooled median distance
+that centers the bandwidth grid, the sums over the grid, the sums at one
+bandwidth, and its own bootstrap draw; one bootstrap loop scores the
+replicates at the selected bandwidth.  Both backends are deterministic and
+permutation invariant: the support is sorted and counts are order-free.
 
 The dense backend's bandwidth search runs coarse to fine.  When the padded
 FFT grid of B bins per dimension has fewer cells than the dense kernel
@@ -42,6 +45,7 @@ that slack.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -162,10 +166,12 @@ def _support(points_a, points_b):
 
 
 def _backend(points_a, points_b):
+    dense = len(points_a) + len(points_b) <= _DENSE_LIMIT
+    dim = points_a.shape[1]
+    if not dense and dim not in _BINS:
+        raise EstimationError(f"sets of {dim} columns are limited to {_DENSE_LIMIT} pooled points")
     support, c, g = _support(points_a, points_b)
-    if len(points_a) + len(points_b) <= _DENSE_LIMIT:
-        return _DenseBackend(support, c, g)
-    return _BinnedBackend(support, c, g)
+    return (_DenseBackend if dense else _BinnedBackend)(support, c, g)
 
 
 def _mmd_from_sums(sums, n, m):
@@ -248,8 +254,8 @@ class _BinnedBackend:
         lo, hi = support.min(axis=0), support.max(axis=0)
         width = np.where(hi > lo, hi - lo, 1.0) / B
         idx = np.clip(((support - lo) / width).astype(np.int64), 0, B - 1)
-        flat = idx[:, 0] if self.dim == 1 else idx[:, 0] * B + idx[:, 1]
         shape = (B,) * self.dim
+        flat = np.ravel_multi_index(tuple(idx.T), shape)
         self.c = np.bincount(flat, weights=c, minlength=B**self.dim).reshape(shape)
         self.g = np.bincount(flat, weights=g, minlength=B**self.dim).reshape(shape)
         self.lag2 = [(np.arange(B) * float(w)) ** 2 for w in width]   # per axis
@@ -263,21 +269,27 @@ class _BinnedBackend:
     def _spectrum(self, counts):
         return np.fft.rfftn(counts, (2 * self.B,) * self.dim, tuple(range(self.dim)))
 
-    def _correlation(self, fx, fy, auto):
-        """Correlation of two count grids from their spectra, folded onto
-        absolute lags."""
-        raw = np.fft.irfftn(fx * np.conj(fy), (2 * self.B,) * self.dim,
-                            tuple(range(self.dim)))
-        return (_fold1 if self.dim == 1 else _fold2)(raw, self.B, auto)
+    def _correlation(self, fx, fy):
+        """Correlation of two count grids from their spectra, summed onto
+        absolute lags [0, B) along every axis.
+
+        Along an axis of the 2B-point correlation, index d holds lag +d and
+        index 2B - d lag -d; lag B never occurs between two bins.
+        """
+        B = self.B
+        x = np.fft.irfftn(fx * np.conj(fy), (2 * B,) * self.dim, tuple(range(self.dim)))
+        for axis in range(self.dim):
+            x = np.moveaxis(x, axis, 0)
+            folded = x[:B].copy()
+            folded[1:] += x[:B:-1]
+            x = np.moveaxis(folded, 0, axis)
+        return x
 
     def median_distance(self) -> float:
         f = self._spectrum(self.c + self.g)
-        w = self._correlation(f, f, auto=True)
+        w = self._correlation(f, f)
         w.flat[0] -= self.n + self.m            # drop self-pairs
-        if self.dim == 1:
-            dists = np.sqrt(self.lag2[0])
-        else:
-            dists = np.sqrt(self.lag2[0][:, None] + self.lag2[1][None, :]).ravel()
+        dists = np.sqrt(functools.reduce(np.add.outer, self.lag2)).ravel()
         w = np.maximum(w.ravel(), 0.0)
         total = w.sum()
         if total <= 0:
@@ -289,12 +301,15 @@ class _BinnedBackend:
 
     def sweep(self, gammas):
         fc, fg = self._spectrum(self.c), self._spectrum(self.g)
-        ws = (self._correlation(fc, fc, auto=True), self._correlation(fc, fg, auto=False),
-              self._correlation(fg, fg, auto=True))
+        ws = (self._correlation(fc, fc), self._correlation(fc, fg),
+              self._correlation(fg, fg))
         out = np.empty((len(gammas), 3))
         for i, gamma in enumerate(gammas):
-            k = [np.exp(e * (-gamma)) for e in self.lag2]
-            out[i] = [w @ k[0] if self.dim == 1 else k[0] @ w @ k[1] for w in ws]
+            ks = [np.exp(e * (-gamma)) for e in self.lag2]
+            for j, w in enumerate(ws):
+                for k in reversed(ks):      # contract the last axis first
+                    w = w @ k
+                out[i, j] = w
         return out
 
     def sums_at(self, gamma):
@@ -344,41 +359,6 @@ class _BinnedBackend:
         half = len(counts) // 2
         g = counts[:half]
         return g + counts[half:], g
-
-
-def _fold1(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
-    """Collapse signed lags onto absolute lags d in [0, B)."""
-    M = len(raw)
-    out = np.empty(B)
-    out[0] = raw[0]
-    if auto:
-        out[1:] = 2.0 * raw[1:B]
-    else:
-        # cross-correlation needs both lag signs: raw[d] and raw[M-d]
-        out[1:] = raw[1:B] + raw[M - 1 : M - B : -1]
-    return out
-
-
-def _fold2(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
-    """Collapse signed 2-D lags onto absolute lags (e1, e2) in [0, B)^2."""
-    M = raw.shape[0]
-    out = np.zeros((B, B))
-    pp = raw[:B, :B]                      # (+e1, +e2)
-    pm = raw[:B, M - 1 : M - B : -1]      # (+e1, -e2), e2 >= 1
-    mp = raw[M - 1 : M - B : -1, :B]      # (-e1, +e2), e1 >= 1
-    mm = raw[M - 1 : M - B : -1, M - 1 : M - B : -1]
-    if auto:
-        # a == b: lag (e1, e2) and (-e1, -e2) coincide, likewise the mixed pair
-        out[0, 0] = pp[0, 0]
-        out[0, 1:] = 2.0 * pp[0, 1:]
-        out[1:, 0] = 2.0 * pp[1:, 0]
-        out[1:, 1:] = 2.0 * (pp[1:, 1:] + pm[1:, :])
-    else:
-        out[0, 0] = pp[0, 0]
-        out[0, 1:] = pp[0, 1:] + pm[0, :]
-        out[1:, 0] = pp[1:, 0] + mp[:, 0]
-        out[1:, 1:] = pp[1:, 1:] + pm[1:, :] + mp[:, 1:] + mm
-    return out
 
 
 def _bootstrap(backend, gamma, n_boot, seed):

@@ -220,8 +220,8 @@ def two_step_optimize(
     curves = {}
     for name, direction in policy.speed_directions.items():
         spec = space.param(name)
-        if not spec.is_ordered:
-            continue
+        if direction == "neutral" or not spec.is_ordered:
+            continue        # select_fixed_values reads no curve for these
         try:
             curves[name] = interval_reduction(
                 spec, trials, report.matrix, goal, report.noise_floor,

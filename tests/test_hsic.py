@@ -396,6 +396,120 @@ def test_dense_and_binned_scores_agree(dim):
         assert abs(binned - dense) <= 1e-2 * dense
 
 
+def test_three_columns_above_the_dense_limit_are_rejected():
+    rng = np.random.default_rng(50)
+    a, b = rng.random((1500, 3)), rng.random((600, 3))
+    with pytest.raises(EstimationError, match="limited to 2000 pooled points"):
+        mmd2(a, b, Kernel((0.3,) * 3))
+    with pytest.raises(EstimationError, match="limited to 2000 pooled points"):
+        select_bandwidth(a, b)
+    assert mmd2(a, b[:500], Kernel((0.3,) * 3)) >= 0.0       # dense up to the limit
+
+
+# -- the lag fold, against the per-dimension folds it replaced -----------------------
+
+
+def _fold1(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
+    """Collapse signed lags onto absolute lags d in [0, B)."""
+    M = len(raw)
+    out = np.empty(B)
+    out[0] = raw[0]
+    if auto:
+        out[1:] = 2.0 * raw[1:B]
+    else:
+        # cross-correlation needs both lag signs: raw[d] and raw[M-d]
+        out[1:] = raw[1:B] + raw[M - 1 : M - B : -1]
+    return out
+
+
+def _fold2(raw: np.ndarray, B: int, auto: bool) -> np.ndarray:
+    """Collapse signed 2-D lags onto absolute lags (e1, e2) in [0, B)^2."""
+    M = raw.shape[0]
+    out = np.zeros((B, B))
+    pp = raw[:B, :B]                      # (+e1, +e2)
+    pm = raw[:B, M - 1 : M - B : -1]      # (+e1, -e2), e2 >= 1
+    mp = raw[M - 1 : M - B : -1, :B]      # (-e1, +e2), e1 >= 1
+    mm = raw[M - 1 : M - B : -1, M - 1 : M - B : -1]
+    if auto:
+        # a == b: lag (e1, e2) and (-e1, -e2) coincide, likewise the mixed pair
+        out[0, 0] = pp[0, 0]
+        out[0, 1:] = 2.0 * pp[0, 1:]
+        out[1:, 0] = 2.0 * pp[1:, 0]
+        out[1:, 1:] = 2.0 * (pp[1:, 1:] + pm[1:, :])
+    else:
+        out[0, 0] = pp[0, 0]
+        out[0, 1:] = pp[0, 1:] + pm[0, :]
+        out[1:, 0] = pp[1:, 0] + mp[:, 0]
+        out[1:, 1:] = pp[1:, 1:] + pm[1:, :] + mp[:, 1:] + mm
+    return out
+
+
+class ReferenceBinned:
+    """The binned backend's correlation, median distance and sweep as they
+    stood with one hand-written fold per dimension."""
+
+    def __init__(self, eng):
+        self.eng = eng
+
+    def _correlation(self, fx, fy, auto):
+        eng = self.eng
+        raw = np.fft.irfftn(fx * np.conj(fy), (2 * eng.B,) * eng.dim,
+                            tuple(range(eng.dim)))
+        return (_fold1 if eng.dim == 1 else _fold2)(raw, eng.B, auto)
+
+    def median_distance(self) -> float:
+        eng = self.eng
+        f = eng._spectrum(eng.c + eng.g)
+        w = self._correlation(f, f, auto=True)
+        w.flat[0] -= eng.n + eng.m            # drop self-pairs
+        if eng.dim == 1:
+            dists = np.sqrt(eng.lag2[0])
+        else:
+            dists = np.sqrt(eng.lag2[0][:, None] + eng.lag2[1][None, :]).ravel()
+        w = np.maximum(w.ravel(), 0.0)
+        total = w.sum()
+        if total <= 0:
+            return 0.0
+        order = np.argsort(dists)
+        cum = np.cumsum(w[order])
+        med_idx = np.searchsorted(cum, 0.5 * total)
+        return float(dists[order][min(med_idx, len(order) - 1)])
+
+    def sweep(self, gammas):
+        eng = self.eng
+        fc, fg = eng._spectrum(eng.c), eng._spectrum(eng.g)
+        ws = (self._correlation(fc, fc, auto=True), self._correlation(fc, fg, auto=False),
+              self._correlation(fg, fg, auto=True))
+        out = np.empty((len(gammas), 3))
+        for i, gamma in enumerate(gammas):
+            k = [np.exp(e * (-gamma)) for e in eng.lag2]
+            out[i] = [w @ k[0] if eng.dim == 1 else k[0] @ w @ k[1] for w in ws]
+        return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("levels", [0, 5, 40], ids=["continuous", "5-levels", "40-levels"])
+def test_lag_fold_matches_the_per_dimension_folds(dim, levels):
+    rng = np.random.default_rng(110 + 10 * dim + levels)
+    n = 4000
+    raw = rng.integers(0, levels, (n, dim)) if levels else rng.random((n, dim))
+    u = np.column_stack([rankdata(raw[:, d]) / n for d in range(dim)])
+    z = (u[:, 0] - 0.5) * (u[:, -1] - 0.5) > 0.02 if dim == 2 else u[:, 0] < 0.3
+    eng = backend(hsic._BinnedBackend, u, z)
+    ref = ReferenceBinned(eng)
+    fc, fg = eng._spectrum(eng.c), eng._spectrum(eng.g)
+    for fx, fy, auto in ((fc, fc, True), (fc, fg, False), (fg, fg, True)):
+        got, want = eng._correlation(fx, fy), ref._correlation(fx, fy, auto)
+        assert got.shape == want.shape == (eng.B,) * dim
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if dim == 1 and not auto:
+            assert np.array_equal(got, want)
+    med = eng.median_distance()
+    assert med == ref.median_distance()
+    gammas = 1.0 / (2.0 * bandwidth_grid(med) ** 2)
+    np.testing.assert_allclose(eng.sweep(gammas), ref.sweep(gammas), rtol=1e-12, atol=0)
+
+
 # -- the bandwidth screen ------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hsictune import twostep
 from hsictune.analysis import (
     best_percentile,
     dummy_floor,
@@ -136,6 +137,23 @@ def test_no_ok_trials_raises():
     policy = FixingPolicy()
     with pytest.raises(EstimationError):
         select_fixed_values(None, trials, policy, space=obj.space)
+
+
+def test_neutral_speed_direction_runs_no_reduction(monkeypatch):
+    reduced = []
+    reduce = twostep.interval_reduction
+
+    def spy(spec, *args, **kwargs):
+        reduced.append(spec.name)
+        return reduce(spec, *args, **kwargs)
+
+    monkeypatch.setattr(twostep, "interval_reduction", spy)
+    obj, trials = three_term_setup(200, seed=9)
+    policy = FixingPolicy(speed_directions={"x2": "minimize", "x3": "neutral"})
+    result = two_step_optimize(obj.space, trials, obj, best_percentile(0.1), policy,
+                               Budgets(3, 2, 3, 2), seed=9, n_boot=10)
+    assert reduced == ["x2"]
+    assert set(result.curves) == {"x2"}
 
 
 def test_two_step_pipeline_three_term():
