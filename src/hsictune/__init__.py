@@ -21,11 +21,9 @@ from .hsic import (
     EstimationError,
     HsicScore,
     Kernel,
-    bootstrap_se,
     hsic_goal,
     hsic_pair,
     mmd2,
-    rbf_kernel,
     select_bandwidth,
 )
 from .space import (

@@ -188,8 +188,6 @@ def rank_group(group: GroupSpec, matrix: NormalizedMatrix, z, *, seed: int = 0,
 @dataclass
 class InteractionMatrix:
     params: tuple
-    values: np.ndarray           # (k, k), nan where not computed
-    std_errors: np.ndarray
     scores: dict                 # (i, j) with i <= j -> HsicScore
 
     def score(self, a: str, b: str) -> HsicScore:
@@ -207,8 +205,7 @@ def interaction_matrix(params, matrix: NormalizedMatrix, z, *, seed: int = 0,
                        n_boot: int = 100) -> InteractionMatrix:
     """Pairwise joint scores; diagonal holds the single-column scores.
 
-    Every entry is computed on rows where both parameters are active, and
-    the matrix is symmetric by construction.
+    Every entry is computed on rows where both parameters are active.
     """
     params = tuple(params)
     if len(params) < 2:
@@ -243,12 +240,7 @@ def _with_pairs(params, diagonal, matrix, z, seed, n_boot, pairs) -> Interaction
                 n_boot=n_boot,
                 seed=seed,
             )
-    values = np.full((k, k), np.nan)
-    ses = np.full((k, k), np.nan)
-    for (i, j), s in scores.items():
-        values[i, j] = values[j, i] = s.value
-        ses[i, j] = ses[j, i] = s.std_error
-    return InteractionMatrix(params, values, ses, scores)
+    return InteractionMatrix(params, scores)
 
 
 # -- bad-level detection -------------------------------------------------------
@@ -305,9 +297,6 @@ class ReductionCurve:
     retained: tuple              # subpopulation sizes
     cutoff: int | None           # smallest c at the noise floor, None if never
     lows: tuple                  # lower bound of the domain at each offset
-
-    def values(self):
-        return np.array([s.value for s in self.scores])
 
 
 def interval_reduction(

@@ -181,7 +181,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _, space, trials = _load(args.trials)
+    manifest, space, trials = _load(args.trials)
+    if args.objective != manifest.objective:
+        raise TrialFileError(f"{args.trials}: objective mismatch: searched with "
+                             f"{manifest.objective!r}, not {args.objective!r}")
     objective = build_objective(args.objective)
     directions = {}
     for item in args.speed:

@@ -186,10 +186,6 @@ class GpModel:
     chol: np.ndarray
     alpha: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.X)
-
 
 def _build_cov(M, signal, noise):
     K = signal * M

@@ -57,12 +57,10 @@ __all__ = [
     "EstimationError",
     "Kernel",
     "HsicScore",
-    "rbf_kernel",
     "mmd2",
     "select_bandwidth",
     "hsic_goal",
     "hsic_pair",
-    "bootstrap_se",
     "bandwidth_grid",
 ]
 
@@ -113,18 +111,6 @@ class HsicScore:
             raise EstimationError("score and std_error must be nonnegative")
         if not (0 < self.n_goal <= self.n_total):
             raise EstimationError("need 0 < n_goal <= n_total")
-
-
-def rbf_kernel(u, v, kernel: Kernel) -> float:
-    """Product Gaussian kernel between two points of kernel.dim dimensions."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if u.shape != v.shape or u.shape[-1] != kernel.dim:
-        raise EstimationError(
-            f"dimension mismatch: {u.shape} vs {v.shape} vs kernel dim {kernel.dim}"
-        )
-    h = np.asarray(kernel.bandwidths)
-    return float(np.exp(-np.sum((u - v) ** 2 / (2.0 * h * h), axis=-1)))
 
 
 # -- the two-set representation -----------------------------------------------
@@ -468,14 +454,11 @@ def select_bandwidth(xs, ys, grid=None) -> Kernel:
     return Kernel((h,) * a.shape[1], degenerate=degenerate)
 
 
-def _prepare_labeled(u, z, active=None):
+def _prepare_labeled(u, z):
     pts = _as_points(u)
     flags = np.asarray(z, dtype=bool)
     if len(flags) != len(pts):
         raise EstimationError("rank column and goal flags differ in length")
-    if active is not None:
-        keep = np.asarray(active, dtype=bool)
-        pts, flags = pts[keep], flags[keep]
     if len(pts) < 2:
         raise EstimationError("need at least 2 samples")
     if int(flags.sum()) < 2:
@@ -499,7 +482,7 @@ def _score_labeled(pts, flags, n_boot, seed):
     return HsicScore(value, se, n, m, kernel)
 
 
-def hsic_goal(u, z, *, active=None, n_boot=100, seed=0) -> HsicScore:
+def hsic_goal(u, z, *, n_boot=100, seed=0) -> HsicScore:
     """Goal-oriented dependence score of one rank column.
 
     The bandwidth is selected by maximizing mmd2 between the full column and
@@ -507,7 +490,7 @@ def hsic_goal(u, z, *, active=None, n_boot=100, seed=0) -> HsicScore:
     The bootstrap standard error resamples (rank, flag) pairs with
     replacement, bandwidth held fixed at the full-sample choice.
     """
-    pts, flags = _prepare_labeled(u, z, active)
+    pts, flags = _prepare_labeled(u, z)
     if pts.shape[1] != 1:
         raise EstimationError("hsic_goal expects a single rank column")
     return _score_labeled(pts, flags, n_boot, seed)
@@ -522,14 +505,3 @@ def hsic_pair(u_i, u_j, z, *, n_boot=100, seed=0) -> HsicScore:
     pts, flags = _prepare_labeled(np.column_stack([ui, uj]), z)
     return _score_labeled(pts, flags, n_boot, seed)
 
-
-def bootstrap_se(u, z, n_boot: int = 100, seed: int = 0) -> float:
-    """Percentile-bootstrap standard deviation of the score estimate.
-
-    Resample b draws from the stream keyed (seed, b), so extending n_boot
-    keeps earlier resamples unchanged.
-    """
-    if n_boot < 2:
-        raise EstimationError("n_boot must be at least 2")
-    score = hsic_goal(u, z, n_boot=n_boot, seed=seed)
-    return score.std_error

@@ -34,7 +34,6 @@ from .mlp import (
     MlpConfig,
     MlpNet,
     RungeMlpObjective,
-    mlp_forward_backward,
     mlp_train_eval,
     runge_space,
 )
@@ -47,7 +46,7 @@ __all__ = [
     "bateman_rhs", "bateman_solve", "bateman_dataset", "dataset_to_csv",
     "rate_matrix",
     "MlpConfig", "MlpNet", "RungeMlpObjective",
-    "mlp_forward_backward", "mlp_train_eval", "runge_space",
+    "mlp_train_eval", "runge_space",
     "build_objective", "OBJECTIVE_NAMES",
 ]
 

@@ -29,7 +29,6 @@ __all__ = [
     "MlpNet",
     "SgdOptimizer",
     "AdamOptimizer",
-    "mlp_forward_backward",
     "mlp_train_eval",
     "runge_space",
     "RungeMlpObjective",
@@ -190,18 +189,9 @@ class AdamOptimizer:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
-def mlp_forward_backward(config: MlpConfig, X, y, net: MlpNet | None = None):
-    """Loss and gradients for one batch on a freshly initialized net."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if net is None:
-        net = MlpNet(config, np.random.default_rng(config.seed), n_inputs=X.shape[1])
-    return net.loss_and_grads(X, y)
-
-
-def _train_once(config: MlpConfig, X, y, seed: int) -> MlpNet | None:
-    """One seeded training run; None signals divergence."""
-    rng = np.random.default_rng(seed)
+def _train_once(config: MlpConfig, X, y) -> MlpNet | None:
+    """One training run seeded by config.seed; None signals divergence."""
+    rng = np.random.default_rng(config.seed)
     net = MlpNet(config, rng, n_inputs=X.shape[1])
     if config.optimizer == "adam":
         opt = AdamOptimizer(config.learning_rate, config.beta_2)
@@ -223,12 +213,11 @@ def _train_once(config: MlpConfig, X, y, seed: int) -> MlpNet | None:
     return net
 
 
-def mlp_train_eval(config: MlpConfig, train, test, n_seeds: int = 1) -> Trial:
+def mlp_train_eval(config: MlpConfig, train, test) -> Trial:
     """Train for n_epochs and report test mean squared error.
 
-    With n_seeds > 1 the test error averages over seeded repetitions.  Any
-    non-finite loss or parameter marks the trial diverged; that is a status,
-    not a failure.
+    Any non-finite loss or parameter marks the trial diverged; that is a
+    status, not a failure.
     """
     def _as_xy(data):
         X = np.asarray(data[0], dtype=float)
@@ -237,16 +226,12 @@ def mlp_train_eval(config: MlpConfig, train, test, n_seeds: int = 1) -> Trial:
 
     X_train, y_train = _as_xy(train)
     X_test, y_test = _as_xy(test)
-    errors = []
-    for rep in range(n_seeds):
-        net = _train_once(config, X_train, y_train, config.seed + rep)
-        if net is None:
-            return Trial(vars(config).copy(), None, STATUS_DIVERGED, config.seed)
-        pred = net.predict(X_test)
-        if not np.all(np.isfinite(pred)):
-            return Trial(vars(config).copy(), None, STATUS_DIVERGED, config.seed)
-        errors.append(float(np.mean((pred - y_test) ** 2)))
-    return Trial(vars(config).copy(), float(np.mean(errors)), STATUS_OK, config.seed)
+    net = _train_once(config, X_train, y_train)
+    pred = None if net is None else net.predict(X_test)
+    if pred is None or not np.all(np.isfinite(pred)):
+        return Trial(vars(config).copy(), None, STATUS_DIVERGED, config.seed)
+    error = float(np.mean((pred - y_test) ** 2))
+    return Trial(vars(config).copy(), error, STATUS_OK, config.seed)
 
 
 def runge_space() -> SearchSpace:

@@ -362,8 +362,11 @@ def space_from_dict(doc) -> SearchSpace:
             raise SpaceError(f"param {name!r}: unknown keys {sorted(unknown)}")
         fields = {k: entry[k] for k in _KIND_KEYS[kind] if k in entry}
         params.append(ParameterSpec(name, kind, **fields))
+    raw_rules = doc.get("rules", [])
+    if not isinstance(raw_rules, list):
+        raise SpaceError('"rules" must be an array')
     rules = []
-    for entry in doc.get("rules", []):
+    for entry in raw_rules:
         if not isinstance(entry, dict):
             raise SpaceError("each rule entry must be an object")
         unknown = set(entry) - _RULE_KEYS

@@ -51,7 +51,6 @@ class FixingPolicy:
 
     mode: str = "accuracy_and_speed"
     speed_directions: dict = field(default_factory=dict)
-    interaction_pairs: tuple | None = None   # None: take them from the report
 
     def __post_init__(self):
         if self.mode not in ("accuracy_and_speed", "accuracy_only"):
@@ -146,9 +145,7 @@ def select_fixed_values(report: SensitivityReport, trials, policy: FixingPolicy,
         raise EstimationError("no ok trials to copy values from")
     curves = curves or {}
     impactful = set(report.impactful())
-    pairs = policy.interaction_pairs
-    if pairs is None:
-        pairs = report.interacting_pairs()
+    pairs = report.interacting_pairs()
     fixed, provenance = {}, {}
     speed_fixed = {}
     for p in space.params:

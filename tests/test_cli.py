@@ -7,7 +7,7 @@ import pytest
 from hsictune import analysis, cli as cli_module, space, twostep
 from hsictune.analysis import interval_reduction, run_algorithm1, threshold
 from hsictune.cli import cli
-from hsictune.harness import load_trials
+from hsictune.harness import load_trials, space_hash
 from hsictune.reports import save_reduction_curve
 
 
@@ -459,3 +459,41 @@ def test_non_integer_manifest_n_s_is_runtime_error(tmp_path, capsys, n_s):
     open(trials, "w").write("".join(lines))
     assert cli(["analyze", trials]) == 2
     assert "n_s is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rules", ["null", "5", "{}"])
+def test_non_array_space_rules_is_runtime_error(tmp_path, capsys, rules):
+    doc = tmp_path / "space.json"
+    doc.write_text(f'{{"params": [{_X}], "rules": {rules}}}')
+    trials = tmp_path / "trials.jsonl"
+    assert cli(["search", "--objective", "quadratic1d", "--space", str(doc), "--n", "12",
+                "--out", str(trials)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and '"rules" must be an array' in err
+    assert not trials.exists()
+    # a trial file whose manifest space holds such rules is refused the same way
+    assert cli(["search", "--objective", "quadratic1d", "--n", "12",
+                "--out", str(trials)]) == 0
+    lines = trials.read_text().splitlines(keepends=True)
+    manifest = json.loads(lines[0])["manifest"]
+    manifest["space"]["rules"] = json.loads(rules)
+    manifest["space_hash"] = space_hash(manifest["space"])
+    lines[0] = json.dumps({"manifest": manifest}) + "\n"
+    trials.write_text("".join(lines))
+    capsys.readouterr()
+    assert cli(["analyze", str(trials)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and '"rules" must be an array' in err
+
+
+def test_optimize_refuses_a_trial_file_of_another_objective(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "example2", "--n", "150", "--seed", "1",
+                "--out", trials]) == 0
+    capsys.readouterr()
+    assert cli(["optimize", trials, "--objective", "example1", "--init", "2",
+                "--budget-step1", "2", "--budget-step2", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "objective mismatch" in captured.err
+    assert "'example2'" in captured.err and "'example1'" in captured.err
+    assert captured.out == ""

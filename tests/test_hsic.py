@@ -10,11 +10,9 @@ from hsictune.hsic import (
     EstimationError,
     Kernel,
     bandwidth_grid,
-    bootstrap_se,
     hsic_goal,
     hsic_pair,
     mmd2,
-    rbf_kernel,
     select_bandwidth,
 )
 
@@ -36,32 +34,6 @@ def example1_sample(n, seed, normalized=True, x1_truncnorm=True):
     else:
         u1, u2 = x1 / 2, x2 / 2
     return u1, u2, z
-
-
-# -- rbf kernel ----------------------------------------------------------------
-
-
-def test_rbf_identity_is_one():
-    k = Kernel((0.3,))
-    assert rbf_kernel([0.4], [0.4], k) == 1.0
-
-
-def test_rbf_unit_gap_unit_bandwidth():
-    k = Kernel((1.0,))
-    assert abs(rbf_kernel([0.0], [1.0], k) - np.exp(-0.5)) < 1e-12
-
-
-def test_rbf_symmetry():
-    rng = np.random.default_rng(0)
-    k = Kernel((0.7, 1.3))
-    for _ in range(100):
-        u, v = rng.random(2), rng.random(2)
-        assert rbf_kernel(u, v, k) == rbf_kernel(v, u, k)
-
-
-def test_rbf_dimension_mismatch():
-    with pytest.raises(EstimationError):
-        rbf_kernel([0.1, 0.2], [0.1], Kernel((1.0, 1.0)))
 
 
 def test_kernel_requires_positive_bandwidth():
@@ -230,14 +202,14 @@ def test_bootstrap_constant_column_zero_se():
     z = np.zeros(100, dtype=bool)
     z[:30] = True
     with pytest.warns(UserWarning):
-        se = bootstrap_se(np.full(100, 0.7), z, n_boot=30, seed=0)
+        se = hsic_goal(np.full(100, 0.7), z, n_boot=30, seed=0).std_error
     assert se == 0.0
 
 
 def test_bootstrap_se_stable_under_doubling():
     u1, _, z = example1_sample(4000, seed=2)
-    a = bootstrap_se(u1, z, n_boot=50, seed=3)
-    b = bootstrap_se(u1, z, n_boot=100, seed=3)
+    a = hsic_goal(u1, z, n_boot=50, seed=3).std_error
+    b = hsic_goal(u1, z, n_boot=100, seed=3).std_error
     assert a > 0 and b > 0
     assert abs(a - b) / b < 0.2
 
@@ -246,7 +218,7 @@ def test_bootstrap_se_nonnegative():
     rng = np.random.default_rng(1)
     u = rng.random(200)
     z = rng.random(200) < 0.5
-    assert bootstrap_se(u, z, n_boot=20, seed=0) >= 0.0
+    assert hsic_goal(u, z, n_boot=20, seed=0).std_error >= 0.0
 
 
 # -- estimator invariants ---------------------------------------------------------
@@ -303,17 +275,6 @@ def test_hsic_equals_scaled_mmd2():
         s = hsic_goal(u, z, n_boot=0)
         v = mmd2(u[z], u, s.bandwidth)
         assert abs(s.value - (m / n) ** 2 * v) <= 1e-10
-
-
-def test_masked_entries_are_ignored():
-    rng = np.random.default_rng(15)
-    u = rng.random(400)
-    z = rng.random(400) < 0.4
-    active = rng.random(400) < 0.7
-    direct = hsic_goal(u[active], z[active], n_boot=0)
-    masked = hsic_goal(u, z, active=active, n_boot=0)
-    assert masked.value == direct.value
-    assert masked.n_total == int(active.sum())
 
 
 # -- dense and binned paths --------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,11 +76,10 @@ def test_interaction_partner_matching_region():
         # best errors when b is large, but for small b the good a is 0.9
         err = 0.5 - 0.004 * bv + (0.2 if (bv <= 20 and abs(av - 0.9) > 0.2) else 0.0)
         trials.append(Trial({"a": av, "b": bv}, err + rng.uniform(0, 0.001), "ok", 0))
-    report = run_algorithm1(space, trials, best_percentile(0.2), seed=3, n_boot=20)
-    policy = FixingPolicy(
-        speed_directions={"b": "minimize"},
-        interaction_pairs=(("a", "b"),),
-    )
+    real = run_algorithm1(space, trials, best_percentile(0.2), seed=3, n_boot=20)
+    report = SimpleNamespace(impactful=real.impactful,
+                             interacting_pairs=lambda: (("a", "b"),))
+    policy = FixingPolicy(speed_directions={"b": "minimize"})
     fixed, provenance, _ = select_fixed_values(report, trials, policy, space=space)
     assert fixed["b"] == 1
     assert provenance["a"] == "interaction"
