@@ -26,10 +26,23 @@ trials cheap.  One fold serves every binned dimension: along each axis in
 turn it adds the correlation at lag -d onto lag d.  Only the dimensions in
 _BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
 pooled points are rejected.  Each backend gives the pooled median distance
-that centers the bandwidth grid, the sums over the grid, the sums at one
-bandwidth, and its own bootstrap draw; one bootstrap loop scores the
-replicates at the selected bandwidth.  Both backends are deterministic and
-permutation invariant: the support is sorted and counts are order-free.
+that centers the bandwidth grid (the median of the nonzero distances when
+most pooled pairs tie), the sums over the grid, the sums at one bandwidth,
+and its own bootstrap draw; one bootstrap loop scores the replicates at the
+selected bandwidth.  Both backends are deterministic and permutation
+invariant: the support is sorted and counts are order-free.
+
+The bootstrap loop hands each replicate's counts to its backend.  The dense
+backend keeps them as the columns of one block and sums the whole block
+with one product K X, which reads the s x s kernel matrix once instead of
+twice per replicate.  The binned backend sums each replicate as it comes:
+in 1-D by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
+F_d F_d' = K_d factors each axis's Toeplitz kernel.  F_d keeps the
+eigenvectors of K_d whose eigenvalues exceed B eps lambda_max, the level of
+eigh's own error, so the factored sums match K1 C K2 to 1e-12 relative.  A
+kernel 20-55 bins wide keeps a rank of 18-35 of 256, and a replicate's
+products then run 3 to 18 times faster than K1 C K2; a kernel a few bins
+wide keeps nearly all 256 and costs what K1 C K2 does.
 
 The dense backend's bandwidth search runs coarse to fine.  When the padded
 FFT grid of B bins per dimension has fewer cells than the dense kernel
@@ -72,6 +85,11 @@ _BINS = {1: 4096, 2: 256}   # bins per axis of the binned backend's grid, by dim
 # tied ranks) the exact argmax's binned value sat at most 2.9e-3 below the
 # binned maximum, relative.
 _SCREEN_SLACK = {1: 1e-2, 2: 5e-2}
+# The dense replicate block's width is a multiple of this many columns.  At
+# such widths OpenBLAS gave every column of a product K X the same bits
+# whatever X's width (Haswell kernels, one and two threads, s 3-1999), so a
+# replicate's sums do not depend on n_boot; at other widths they moved.
+_BLOCK_COLUMNS = 8
 N_GRID = 40
 GRID_SPAN = (1e-2, 1e1)  # multiples of the median pairwise distance
 
@@ -170,10 +188,17 @@ def _mmd_from_sums(sums, n, m):
 # Each backend holds counts c and g on its support points and provides, with
 # gamma = 1 / (2 h^2):
 #   median_distance()  median distance between two points of the pooled
-#                      sample (set a plus set b again), centering the grid;
+#                      sample (set a plus set b again), or the median of the
+#                      nonzero ones when most pairs tie; it centers the grid,
+#                      and it is 0 only when the pooled sample is one point;
 #   sweep(gammas)      (c'Kc, c'Kg, g'Kg) at each gamma;
-#   sums_at(gamma)     a map from replicate counts (c, g) to (c'Kc, g'Kc, g'Kg);
-#   draw(rng)          one bootstrap replicate's counts (c, g) of a goal score.
+#   sums_at(gamma)     a map from replicate counts (c, g) to (c'Kc, g'Kc, g'Kg):
+#                      one replicate's (binned) or a block of them (dense);
+#   draw(rng)          one bootstrap replicate's counts (c, g) of a goal score;
+#   replicate_sums(gamma, n_boot)
+#                      (put, sums): put(b, c, g) hands over replicate b's
+#                      counts, and sums() returns the three sums of every
+#                      replicate, each as an array over b.
 
 
 class _DenseBackend:
@@ -193,10 +218,13 @@ class _DenseBackend:
         # a pair of support points stands for the product of their pooled
         # counts, and a point's own pooled pairs are all at distance 0
         w = (self.c + self.g).astype(np.int64)
-        iu = np.triu_indices(len(w), k=1)
-        pairs = np.repeat(self.d2[iu], w[iu[0]] * w[iu[1]])
+        upper = np.triu(np.ones(self.d2.shape, dtype=bool), k=1)   # no index arrays
+        pairs = np.repeat(self.d2[upper], np.outer(w, w)[upper])
         ties = np.zeros(int(np.sum(w * (w - 1) // 2)))
-        return float(np.sqrt(np.median(np.concatenate([ties, pairs]))))
+        med = np.median(np.concatenate([ties, pairs]))
+        if med == 0.0 and np.any(pairs > 0):      # most pooled pairs tie
+            med = np.median(pairs[pairs > 0])
+        return float(np.sqrt(med))
 
     def sweep(self, gammas):
         out = np.empty((len(gammas), 3))
@@ -213,14 +241,37 @@ class _DenseBackend:
         return out
 
     def sums_at(self, gamma):
-        K = np.exp(self.d2 * (-gamma))
+        """Map blocks (C, G) of replicate counts, one replicate per column,
+        to the arrays of their (c'Kc, g'Kc, g'Kg).
+
+        One product K X reads K once for the whole block: replicate b's c
+        and g are columns 2b and 2b + 1 of X, which zero columns pad to a
+        multiple of _BLOCK_COLUMNS wide.
+        """
+        K = np.empty_like(self.d2)
+        np.multiply(self.d2, -gamma, out=K)
+        np.exp(K, out=K)
 
         def sums(c, g):
-            kc = K @ c
-            kg = K @ g
-            return float(c @ kc), float(g @ kc), float(g @ kg)
+            k = c.shape[1]
+            x = np.zeros((len(K), -(-2 * k // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
+            x[:, 0 : 2 * k : 2] = c
+            x[:, 1 : 2 * k : 2] = g
+            kx = K @ x
+            kc, kg = kx[:, 0 : 2 * k : 2], kx[:, 1 : 2 * k : 2]
+            return (np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
+                    np.einsum("ij,ij->j", g, kg))
 
         return sums
+
+    def replicate_sums(self, gamma, n_boot):
+        sums = self.sums_at(gamma)
+        c, g = np.empty((len(self.c), n_boot)), np.empty((len(self.c), n_boot))
+
+        def put(b, cb, gb):
+            c[:, b], g[:, b] = cb, gb
+
+        return put, lambda: sums(c, g)
 
     def draw(self, rng):
         """n rows of set a drawn with replacement, counted per support point."""
@@ -277,13 +328,25 @@ class _BinnedBackend:
         w.flat[0] -= self.n + self.m            # drop self-pairs
         dists = np.sqrt(functools.reduce(np.add.outer, self.lag2)).ravel()
         w = np.maximum(w.ravel(), 0.0)
-        total = w.sum()
-        if total <= 0:
-            return 0.0
         order = np.argsort(dists)
-        cum = np.cumsum(w[order])
-        med_idx = np.searchsorted(cum, 0.5 * total)
-        return float(dists[order][min(med_idx, len(order) - 1)])
+
+        def median():
+            total = w.sum()
+            if total <= 0:
+                return 0.0
+            cum = np.cumsum(w[order])
+            med_idx = np.searchsorted(cum, 0.5 * total)
+            return float(dists[order][min(med_idx, len(order) - 1)])
+
+        med = median()
+        if med == 0.0:
+            # most pooled pairs share a bin (lag 0 is the only distance 0):
+            # take the median of the other lags, whose weights count pairs,
+            # so what lies under half a pair is FFT rounding
+            w[w < 0.5] = 0.0
+            w[0] = 0.0
+            med = median()
+        return med
 
     def sweep(self, gammas):
         fc, fg = self._spectrum(self.c), self._spectrum(self.g)
@@ -305,7 +368,10 @@ class _BinnedBackend:
         is diagonal in Fourier space, so by Parseval each triple costs two
         forward FFTs and three weighted spectrum sums.  2-D: the product
         kernel is K1 (x) K2 with Toeplitz factors K_d[i, j] =
-        exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.
+        exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.  With K_d = F_d F_d'
+        (see _factors) that is |P_c|^2 for P_c = F1' C F2, and g'Kc is
+        <P_g, P_c>; a replicate's products cost r1 B^2 + r1 r2 B for ranks
+        r_d <= B, against 2 B^3 for K1 C K2.
         """
         B = self.B
         if self.dim == 1:
@@ -325,17 +391,39 @@ class _BinnedBackend:
                         w @ (fg.real**2 + fg.imag**2))
 
             return sums
-        lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
-        K1, K2 = (np.exp(e * (-gamma))[lag] for e in self.lag2)
+        F1, F2 = self._factors(gamma)
 
         def sums(c, g):
-            C = c.reshape(B, B)
-            G = g.reshape(B, B)
-            kc = K1 @ C @ K2
-            kg = K1 @ G @ K2
-            return np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, kg)
+            pc = F1.T @ c.reshape(B, B) @ F2
+            pg = F1.T @ g.reshape(B, B) @ F2
+            return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
 
         return sums
+
+    def _factors(self, gamma):
+        """Per axis, F_d with F_d F_d' = K_d to eigh's accuracy.
+
+        F_d holds the eigenvectors of the Toeplitz factor K_d scaled by the
+        square roots of their eigenvalues, keeping only the eigenvalues above
+        B eps lambda_max, the level of eigh's own error.  A wide kernel keeps
+        few of the B.
+        """
+        B = self.B
+        lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
+        factors = []
+        for e in self.lag2:
+            lam, v = np.linalg.eigh(np.exp(e * (-gamma))[lag])
+            keep = lam > B * np.finfo(float).eps * lam[-1]
+            factors.append(v[:, keep] * np.sqrt(lam[keep]))
+        return factors
+
+    def replicate_sums(self, gamma, n_boot):
+        sums, out = self.sums_at(gamma), np.empty((3, n_boot))
+
+        def put(b, c, g):
+            out[:, b] = sums(c, g)
+
+        return put, lambda: out
 
     def draw(self, rng):
         """Multinomial(n) counts over the cells; only cells of nonzero
@@ -351,17 +439,18 @@ def _bootstrap(backend, gamma, n_boot, seed):
     """Replicate scores at a fixed gamma; replicate b draws from the stream
     keyed (seed, b), so extending n_boot keeps earlier replicates."""
     n = backend.n
-    sums = backend.sums_at(gamma)
-    vals = np.empty(n_boot)
+    put, sums = backend.replicate_sums(gamma, n_boot)
+    mb = np.empty(n_boot)
     for b in range(n_boot):
         cb, gb = backend.draw(np.random.default_rng(_seed_sequence(seed, b)))
-        mb = gb.sum()
-        if mb < 1:
-            vals[b] = 0.0
-            continue
-        s_all, s_cross, s_goal = sums(cb, gb)
-        mm = s_goal / mb**2 + s_all / n**2 - 2.0 * s_cross / (n * mb)
-        vals[b] = max((mb / n) ** 2 * mm, 0.0)
+        mb[b] = gb.sum()
+        put(b, cb, gb)
+    s_all, s_cross, s_goal = sums()
+    vals = np.zeros(n_boot)
+    ok = mb >= 1                 # a replicate with an empty goal set scores 0
+    m = mb[ok]
+    mm = s_goal[ok] / m**2 + s_all[ok] / n**2 - 2.0 * s_cross[ok] / (n * m)
+    vals[ok] = np.maximum((m / n) ** 2 * mm, 0.0)
     return vals
 
 

@@ -116,6 +116,26 @@ def test_select_bandwidth_degenerate_flagged():
     assert k.degenerate
 
 
+@pytest.mark.parametrize("n, m", [(300, 40), (3000, 400)], ids=["dense", "binned"])
+def test_select_bandwidth_tied_median_is_not_degenerate(n, m):
+    # most pooled pairs tie, so the pooled median distance is 0, but the two
+    # sets differ: the grid centers on the median nonzero distance instead
+    xs, ys = np.full(n, 0.2), np.full(m, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = select_bandwidth(xs, ys)
+    assert not k.degenerate
+    assert k.bandwidths[0] == pytest.approx(bandwidth_grid(0.5)[0], rel=1e-2)
+    assert mmd2(xs, ys, k) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_select_bandwidth_one_binned_point_is_degenerate():
+    xs = np.full(3000, 0.3)
+    with pytest.warns(UserWarning, match="degenerate"):
+        k = select_bandwidth(xs, np.full(500, 0.3))
+    assert k.degenerate
+
+
 def test_selected_bandwidth_maximizes_mmd2_on_example1():
     u1, _, z = example1_sample(10_000, seed=3)
     goal = u1[z]
@@ -340,6 +360,70 @@ def test_support_multinomial_matches_full_draw():
                 assert np.array_equal(counts, full_rng.multinomial(eng.n, p))
 
 
+def toeplitz_kernels(eng, gamma):
+    lag = np.abs(np.subtract.outer(np.arange(eng.B), np.arange(eng.B)))
+    return [np.exp(e * (-gamma))[lag] for e in eng.lag2]
+
+
+def test_factored_2d_sums_match_the_toeplitz_products():
+    # every grid point, from a kernel a bin wide (full rank) to the widest
+    rng = np.random.default_rng(24)
+    pts, z = labeled_points(rng, 5000, 2)
+    eng = backend(hsic._BinnedBackend, pts, z)
+    B = eng.B
+    grid = bandwidth_grid(eng.median_distance())
+    assert len(grid) == 40
+    for i, h in enumerate(grid):
+        gamma = 1.0 / (2.0 * h * h)
+        ranks = [f.shape[1] for f in eng._factors(gamma)]
+        if i == 0:
+            assert ranks == [B, B]
+        if i == len(grid) - 1:
+            assert max(ranks) < B // 4            # the replicate products shrink
+        K1, K2 = toeplitz_kernels(eng, gamma)
+        sums = eng.sums_at(gamma)
+        for seed in range(2):
+            cb, gb = eng.draw(np.random.default_rng(seed))
+            C, G = cb.reshape(B, B), gb.reshape(B, B)
+            kc = K1 @ C @ K2
+            want = np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, K1 @ G @ K2)
+            np.testing.assert_allclose(sums(cb, gb), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dense_block_sums_match_per_replicate_products(dim):
+    rng = np.random.default_rng(26 + dim)
+    pts, z = labeled_points(rng, 600, dim)
+    eng = backend(hsic._DenseBackend, pts, z)
+    draws = [eng.draw(np.random.default_rng(b)) for b in range(13)]
+    c = np.column_stack([cb for cb, _ in draws])
+    g = np.column_stack([gb for _, gb in draws])
+    for h in bandwidth_grid(eng.median_distance())[::13]:
+        gamma = 1.0 / (2.0 * h * h)
+        K = np.exp(eng.d2 * (-gamma))
+        want = [(cb @ (K @ cb), gb @ (K @ cb), gb @ (K @ gb)) for cb, gb in draws]
+        np.testing.assert_allclose(np.column_stack(eng.sums_at(gamma)(c, g)), want,
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cls, n, dim", [
+    (hsic._DenseBackend, 30, 1),
+    (hsic._DenseBackend, 400, 1),
+    (hsic._DenseBackend, 900, 2),
+    (hsic._BinnedBackend, 5000, 2),
+], ids=["dense-1d-small", "dense-1d", "dense-2d", "binned-2d"])
+def test_bootstrap_extended_keeps_earlier_replicates(cls, n, dim):
+    # a dense block 74 columns wide rounds a small kernel's products unlike
+    # one 200 wide, unless both widths are padded alike (_BLOCK_COLUMNS)
+    rng = np.random.default_rng(28 + n)
+    pts, z = labeled_points(rng, n, dim)
+    eng = backend(cls, pts, z)
+    gamma = hsic._select(eng, None)[1]
+    for seed in (0, 5):
+        short = hsic._bootstrap(eng, gamma, 37, seed)
+        assert np.array_equal(short, hsic._bootstrap(eng, gamma, 100, seed)[:37])
+
+
 def selected_score(eng):
     grid = bandwidth_grid(eng.median_distance())
     mmds = hsic._mmd_from_sums(eng.sweep(1.0 / (2.0 * grid**2)), eng.n, eng.m)
@@ -539,8 +623,8 @@ def test_screened_selection_of_equal_sets_matches_exhaustive(dim):
 def test_screened_selection_with_point_masses_matches_exhaustive():
     rng = np.random.default_rng(80)
     assert_selects_as_exhaustive(np.full(20, 0.2), np.full(20, 0.7))
-    with pytest.warns(UserWarning, match="degenerate"):     # median distance 0
-        assert_selects_as_exhaustive(np.full(300, 0.2), np.full(40, 0.7))
+    # most pooled pairs tie: the grid centers on the median nonzero distance
+    assert_selects_as_exhaustive(np.full(300, 0.2), np.full(40, 0.7))
     # atoms holding most rows, plus a continuous part wide enough to screen
     a = np.concatenate([np.repeat([0.1, 0.5, 0.9], 300), rng.random(400)])
     assert_selects_as_exhaustive(a, a[(a < 0.3) | (a == 0.5)])
