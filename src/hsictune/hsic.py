@@ -27,12 +27,14 @@ turn it adds the correlation at lag -d onto lag d.  Only the dimensions in
 _BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
 pooled points are rejected.  Each backend gives the pooled median distance
 that centers the bandwidth grid (the median of the nonzero distances when
-most pooled pairs tie), the sums over the grid, the sums at one bandwidth,
-and its own bootstrap draw; one bootstrap loop scores the replicates at the
-selected bandwidth.  Both backends are deterministic and permutation
-invariant: the support is sorted and counts are order-free.
+most pooled pairs tie), the sums over the grid and the sums at one
+bandwidth.  Both backends are deterministic and permutation invariant: the
+support is sorted and counts are order-free.
 
-The bootstrap loop hands each replicate's counts to its backend.  The dense
+One bootstrap draw serves both backends: a replicate resamples the n rows
+of set a and counts them per support point (dense) or grid cell (binned),
+and a draw without a flagged row is drawn again.  One bootstrap loop hands
+each replicate's counts to its backend, at the selected bandwidth.  The dense
 backend keeps them as the columns of one block and sums the whole block
 with one product K X, which reads the s x s kernel matrix once instead of
 twice per replicate.  The binned backend sums each replicate as it comes:
@@ -169,6 +171,15 @@ def _support(points_a, points_b):
     return ordered[new], c, g
 
 
+def _rows(c, g):
+    """The n rows of set a in support order, each point's flagged rows last:
+    per row, its support index and whether it is flagged."""
+    reps = c.astype(np.int64)
+    point = np.repeat(np.arange(len(c)), reps)
+    flagged = np.arange(len(point)) >= np.repeat(np.cumsum(reps) - g.astype(np.int64), reps)
+    return point, flagged
+
+
 def _backend(points_a, points_b):
     dense = len(points_a) + len(points_b) <= _DENSE_LIMIT
     dim = points_a.shape[1]
@@ -194,7 +205,7 @@ def _mmd_from_sums(sums, n, m):
 #   sweep(gammas)      (c'Kc, c'Kg, g'Kg) at each gamma;
 #   sums_at(gamma)     a map from replicate counts (c, g) to (c'Kc, g'Kc, g'Kg):
 #                      one replicate's (binned) or a block of them (dense);
-#   draw(rng)          one bootstrap replicate's counts (c, g) of a goal score;
+#   owner, flagged     per row of set a (_rows), its counting unit and flag;
 #   replicate_sums(gamma, n_boot)
 #                      (put, sums): put(b, c, g) hands over replicate b's
 #                      counts, and sums() returns the three sums of every
@@ -208,11 +219,7 @@ class _DenseBackend:
         self.support, self.c, self.g = support, c, g
         self.n, self.m = int(c.sum()), int(g.sum())
         self.d2 = _sq_dists(support, support)
-        # the n rows of set a, a point's flagged rows last: what a draw picks
-        reps = c.astype(np.int64)
-        self.owner = np.repeat(np.arange(len(c)), reps)
-        self.flagged = np.arange(self.n) >= np.repeat(np.cumsum(reps) - g.astype(np.int64),
-                                                      reps)
+        self.owner, self.flagged = _rows(c, g)
 
     def median_distance(self) -> float:
         # a pair of support points stands for the product of their pooled
@@ -273,13 +280,6 @@ class _DenseBackend:
 
         return put, lambda: sums(c, g)
 
-    def draw(self, rng):
-        """n rows of set a drawn with replacement, counted per support point."""
-        idx = rng.integers(0, self.n, self.n)
-        s = len(self.c)
-        return (np.bincount(self.owner[idx], minlength=s).astype(float),
-                np.bincount(self.owner[idx[self.flagged[idx]]], minlength=s).astype(float))
-
 
 class _BinnedBackend:
     """Sums over the support snapped onto a grid of B bins per dimension."""
@@ -296,12 +296,8 @@ class _BinnedBackend:
         self.c = np.bincount(flat, weights=c, minlength=B**self.dim).reshape(shape)
         self.g = np.bincount(flat, weights=g, minlength=B**self.dim).reshape(shape)
         self.lag2 = [(np.arange(B) * float(w)) ** 2 for w in width]   # per axis
-        # a draw is multinomial over (flagged, unflagged) cells
-        flat_c, flat_g = self.c.ravel(), self.g.ravel()
-        p = np.concatenate([flat_g, flat_c - flat_g]) / self.n
-        p /= p.sum()     # guard multinomial against float drift
-        self.cells = np.flatnonzero(p)
-        self.p = p
+        point, self.flagged = _rows(c, g)
+        self.owner = flat[point]
 
     def _spectrum(self, counts):
         return np.fft.rfftn(counts, (2 * self.B,) * self.dim, tuple(range(self.dim)))
@@ -425,14 +421,19 @@ class _BinnedBackend:
 
         return put, lambda: out
 
-    def draw(self, rng):
-        """Multinomial(n) counts over the cells; only cells of nonzero
-        probability are drawn, which consumes the same random numbers."""
-        counts = np.zeros(len(self.p))
-        counts[self.cells] = rng.multinomial(self.n, self.p[self.cells])
-        half = len(counts) // 2
-        g = counts[:half]
-        return g + counts[half:], g
+
+def _resample(backend, rng):
+    """One bootstrap replicate's counts (c, g): n rows of set a drawn with
+    replacement, counted per unit, the flagged ones again into g.  A draw
+    without a flagged row is drawn again from the same stream; with m >= 2
+    flagged rows that happens with probability (1 - m/n)^n < e^-2."""
+    n, units = backend.n, backend.c.size
+    idx = rng.integers(0, n, n)
+    while not backend.flagged[idx].any():
+        idx = rng.integers(0, n, n)
+    hit = backend.flagged[idx]
+    return (np.bincount(backend.owner[idx], minlength=units).astype(float),
+            np.bincount(backend.owner[idx[hit]], minlength=units).astype(float))
 
 
 def _bootstrap(backend, gamma, n_boot, seed):
@@ -440,18 +441,12 @@ def _bootstrap(backend, gamma, n_boot, seed):
     keyed (seed, b), so extending n_boot keeps earlier replicates."""
     n = backend.n
     put, sums = backend.replicate_sums(gamma, n_boot)
-    mb = np.empty(n_boot)
+    m = np.empty(n_boot)
     for b in range(n_boot):
-        cb, gb = backend.draw(np.random.default_rng(_seed_sequence(seed, b)))
-        mb[b] = gb.sum()
+        cb, gb = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
+        m[b] = gb.sum()
         put(b, cb, gb)
-    s_all, s_cross, s_goal = sums()
-    vals = np.zeros(n_boot)
-    ok = mb >= 1                 # a replicate with an empty goal set scores 0
-    m = mb[ok]
-    mm = s_goal[ok] / m**2 + s_all[ok] / n**2 - 2.0 * s_cross[ok] / (n * m)
-    vals[ok] = np.maximum((m / n) ** 2 * mm, 0.0)
-    return vals
+    return np.maximum((m / n) ** 2 * _mmd_from_sums(np.column_stack(sums()), n, m), 0.0)
 
 
 def _candidates(backend, gammas):

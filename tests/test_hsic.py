@@ -267,6 +267,22 @@ def test_permutation_invariance_exact():
         assert s.bandwidth == base.bandwidth
 
 
+@pytest.mark.parametrize("n", [500, 3000], ids=["dense", "binned"])
+def test_permutation_invariance_with_bootstrap(n):
+    # the standard error too: replicates resample rows in support order,
+    # never in the input's row order
+    rng = np.random.default_rng(15)
+    u1, u2 = rng.random(n), rng.random(n)
+    z = np.abs(u1 - u2) < 0.2
+    goal = hsic_goal(u1, z, n_boot=20, seed=3)
+    pair = hsic_pair(u1, u2, z, n_boot=20, seed=3)
+    assert goal.std_error > 0 and pair.std_error > 0
+    for _ in range(2):
+        perm = rng.permutation(n)
+        assert hsic_goal(u1[perm], z[perm], n_boot=20, seed=3) == goal
+        assert hsic_pair(u1[perm], u2[perm], z[perm], n_boot=20, seed=3) == pair
+
+
 def test_independence_null_stays_small():
     # n=2000 with a 10 percent goal: the value must sit below 1e-4 in at
     # least 95 of 100 seeded repetitions
@@ -315,49 +331,45 @@ def backend(cls, pts, z):
     return cls(*hsic._support(pts, pts[z]))
 
 
-def resample_probabilities(eng):
-    c = eng.c.ravel()
-    g = eng.g.ravel()
-    p = np.concatenate([g, c - g]) / eng.n
-    return p / p.sum()
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_binned_replicate_sums_match_fft_correlations(dim):
     # per-replicate kernel products against the folded FFT correlations on the
-    # same multinomial-resampled histograms, across the bandwidth grid
+    # same resampled histograms, across the bandwidth grid
     rng = np.random.default_rng(20 + dim)
     pts, z = labeled_points(rng, 5000, dim)
     eng = backend(hsic._BinnedBackend, pts, z)
-    p = resample_probabilities(eng)
-    half = len(p) // 2
     shape = eng.c.shape
     grid = bandwidth_grid(eng.median_distance())
     for h in grid[::6]:
         gamma = 1.0 / (2.0 * h * h)
         sums = eng.sums_at(gamma)
         for seed in range(3):
-            counts = np.random.default_rng(seed).multinomial(eng.n, p).astype(float)
-            gb = counts[:half]
-            cb = gb + counts[half:]
+            cb, gb = hsic._resample(eng, np.random.default_rng(seed))
             replicate = copy.copy(eng)
             replicate.c, replicate.g = cb.reshape(shape), gb.reshape(shape)
             want = replicate.sweep([gamma])[0]
             np.testing.assert_allclose(sums(cb, gb), want, rtol=1e-12, atol=0)
 
 
-def test_support_multinomial_matches_full_draw():
-    rng = np.random.default_rng(30)
-    for dim in (1, 2):
-        pts, z = labeled_points(rng, 3000, dim)
-        eng = backend(hsic._BinnedBackend, pts, z)
-        p = resample_probabilities(eng)
-        for s in (0, 1, 7):
-            for b in range(100):
-                cb, gb = eng.draw(np.random.default_rng(np.random.SeedSequence((s, b))))
-                counts = np.concatenate([gb, cb - gb])
-                full_rng = np.random.default_rng(np.random.SeedSequence((s, b)))
-                assert np.array_equal(counts, full_rng.multinomial(eng.n, p))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_binned_draw_is_the_dense_draw_summed_onto_cells(dim):
+    # both backends resample the same rows from one stream; the binned
+    # replicate counts them per grid cell, the dense one per support point
+    rng = np.random.default_rng(30 + dim)
+    pts, z = labeled_points(rng, 1200, dim)
+    dense = backend(hsic._DenseBackend, pts, z)
+    binned = backend(hsic._BinnedBackend, pts, z)
+    cell = np.empty(len(dense.c), dtype=np.int64)
+    cell[dense.owner] = binned.owner
+    assert np.array_equal(binned.owner, cell[dense.owner])   # one cell per point
+    np.testing.assert_array_equal(np.bincount(cell, dense.c, binned.c.size), binned.c.ravel())
+    np.testing.assert_array_equal(np.bincount(cell, dense.g, binned.c.size), binned.g.ravel())
+    for s in (0, 1, 7):
+        for b in range(100):
+            cd, gd = hsic._resample(dense, np.random.default_rng(np.random.SeedSequence((s, b))))
+            cb, gb = hsic._resample(binned, np.random.default_rng(np.random.SeedSequence((s, b))))
+            assert np.array_equal(cb, np.bincount(cell, cd, binned.c.size))
+            assert np.array_equal(gb, np.bincount(cell, gd, binned.c.size))
 
 
 def toeplitz_kernels(eng, gamma):
@@ -383,7 +395,7 @@ def test_factored_2d_sums_match_the_toeplitz_products():
         K1, K2 = toeplitz_kernels(eng, gamma)
         sums = eng.sums_at(gamma)
         for seed in range(2):
-            cb, gb = eng.draw(np.random.default_rng(seed))
+            cb, gb = hsic._resample(eng, np.random.default_rng(seed))
             C, G = cb.reshape(B, B), gb.reshape(B, B)
             kc = K1 @ C @ K2
             want = np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, K1 @ G @ K2)
@@ -395,7 +407,7 @@ def test_dense_block_sums_match_per_replicate_products(dim):
     rng = np.random.default_rng(26 + dim)
     pts, z = labeled_points(rng, 600, dim)
     eng = backend(hsic._DenseBackend, pts, z)
-    draws = [eng.draw(np.random.default_rng(b)) for b in range(13)]
+    draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(13)]
     c = np.column_stack([cb for cb, _ in draws])
     g = np.column_stack([gb for _, gb in draws])
     for h in bandwidth_grid(eng.median_distance())[::13]:
@@ -422,6 +434,22 @@ def test_bootstrap_extended_keeps_earlier_replicates(cls, n, dim):
     for seed in (0, 5):
         short = hsic._bootstrap(eng, gamma, 37, seed)
         assert np.array_equal(short, hsic._bootstrap(eng, gamma, 100, seed)[:37])
+
+
+@pytest.mark.parametrize("cls, n", [(hsic._DenseBackend, 30), (hsic._BinnedBackend, 2100)],
+                         ids=["dense", "binned"])
+def test_bootstrap_replicates_keep_a_nonempty_goal_set(cls, n):
+    # with two flagged rows of n, about e^-2 of all row draws miss both; such
+    # a draw is redrawn, so no replicate scores an empty goal set as 0
+    rng = np.random.default_rng(60)
+    pts = rng.random((n, 1))
+    z = np.zeros(n, dtype=bool)
+    z[:2] = True
+    eng = backend(cls, pts, z)
+    for b in range(200):
+        assert hsic._resample(eng, np.random.default_rng(b))[1].sum() >= 1
+    gamma = hsic._select(eng, None)[1]
+    assert np.all(hsic._bootstrap(eng, gamma, 200, 0) > 0)
 
 
 def selected_score(eng):
