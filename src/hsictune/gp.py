@@ -7,8 +7,14 @@ and _rows encodes them (CDF midpoints for integers, one-hot blocks for
 categoricals, 0/1 for booleans; inactive conditional blocks are zeroed);
 encode and decode are its one-row case.  The surrogate is a Matern-5/2 ARD
 process fit by maximum marginal likelihood from eight starts, with a jitter
-ladder guarding the Cholesky; _build_cov assembles its covariance from the
-per-dimension distances of _scaled_sq, which the likelihood gradient reuses.
+ladder guarding the Cholesky.  The likelihood, evaluated some 400 times per
+fit on at most a few dozen rows, costs per call, not per flop, so it makes
+one pass over one stacked (d, n, n) array of per-dimension distance terms
+for the distances and every lengthscale gradient, and calls LAPACK's potrf
+and potrs directly rather than through scipy's checked wrappers; its bits
+are those of the per-dimension loop.  A prediction, over thousands of
+candidates, builds the same terms lazily through _scaled_sq, one dimension
+at a time.
 The optimizer alternates fit, EI maximization over scrambled Sobol
 candidates with a local polish of the best few, and evaluation; failed
 evaluations are penalized, never fatal.  Candidates, polished points and
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import cho_solve, cholesky, LinAlgError
+from scipy.linalg import get_lapack_funcs
 from scipy.stats import norm, qmc
 
 from .harness import _best_trial, _evaluate_trial, trial_seed
@@ -46,6 +52,9 @@ _JITTERS = tuple(1e-10 * 10**k for k in range(7))   # 1e-10 .. 1e-4
 _SQRT5 = math.sqrt(5.0)
 _N_CANDIDATES = 2048    # Sobol candidates per acquisition step
 _N_POLISH = 5           # best candidates given a local EI polish
+# the LAPACK routines that scipy.linalg's cholesky and cho_solve wrap, called
+# without those wrappers' per-call input checks and copies
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 
 class FitError(RuntimeError):
@@ -165,7 +174,9 @@ def _scaled_sq(X1, X2, ls):
 
 
 def _scaled_r(terms):
-    """Distances from the terms, added in dimension order: .sum(axis=0) rounds differently."""
+    """Distances from the terms, added in dimension order, as .sum(axis=0) of
+    their C-contiguous stack also adds them; a stack in another memory order
+    rounds differently."""
     return np.sqrt(np.maximum(sum(terms), 0.0))
 
 
@@ -189,42 +200,56 @@ class GpModel:
 
 def _build_cov(M, signal, noise):
     K = signal * M
-    K[np.diag_indices_from(K)] += noise
+    K.flat[:: len(K) + 1] += noise
     return K
 
 
 def _chol_with_jitter(K):
+    """The lower Cholesky factor of K plus the first jitter of the ladder
+    (times K's mean diagonal) at which potrf succeeds, and that jitter."""
+    n = len(K)
     scale = float(np.mean(np.diag(K)))
     for jit in (0.0,) + _JITTERS:
-        try:
-            L = cholesky(K + jit * scale * np.eye(len(K)), lower=True)
+        A = np.array(K, order="F")      # the layout potrf factors in place
+        A.flat[:: n + 1] += jit * scale
+        L, info = _POTRF(A, lower=True, overwrite_a=True)
+        if info == 0:
             return L, jit * scale
-        except LinAlgError:
-            continue
     raise FitError("kernel matrix singular even at maximum jitter")
 
 
 def _nll_and_grad(theta, X, y):
+    """Negative log marginal likelihood and its gradient in log parameters.
+
+    The per-dimension terms form one (d, n, n) stack built from a
+    C-contiguous X.T; summed over its first axis they add in dimension
+    order, as _scaled_r does, and each lengthscale's gradient reduces its
+    contiguous n x n slab, as a per-dimension np.sum does.
+    """
     d = X.shape[1]
     ls = np.exp(theta[:d])
     signal = math.exp(theta[d])
     noise = math.exp(theta[d + 1])
-    S = list(_scaled_sq(X, X, ls))
-    r = _scaled_r(S)
+    Xt = np.ascontiguousarray(X.T)
+    S = Xt[:, :, None] - Xt[:, None, :]
+    S /= ls[:, None, None]
+    S *= S
+    r = np.sqrt(np.maximum(S.sum(axis=0), 0.0))
     M = _matern52(r)
     try:
         L, _ = _chol_with_jitter(_build_cov(M, signal, noise))
     except FitError:
         return 1e25, np.zeros_like(theta)
     n = len(y)
-    alpha = cho_solve((L, True), y)
+    alpha, _ = _POTRS(L, y, lower=True)
     nll = 0.5 * float(y @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * n * math.log(2 * math.pi)
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv, _ = _POTRS(L, np.eye(n), lower=True)
     W = np.outer(alpha, alpha) - Kinv
     grad = np.empty_like(theta)
     base = signal * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
-    for k in range(d):
-        grad[k] = -0.5 * float(np.sum(W * (base * S[k])))
+    S *= base
+    S *= W
+    grad[:d] = -0.5 * S.sum(axis=(1, 2))
     grad[d] = -0.5 * float(np.sum(W * (signal * M)))
     grad[d + 1] = -0.5 * float(np.trace(W)) * noise
     return nll, grad
@@ -270,7 +295,7 @@ def gp_fit(X, y) -> GpModel:
     noise = math.exp(theta[d + 1])
     M = _matern52(_scaled_r(_scaled_sq(X, X, ls)))
     L, jit = _chol_with_jitter(_build_cov(M, signal, noise))
-    alpha = cho_solve((L, True), ys)
+    alpha, _ = _POTRS(L, ys, lower=True)
     return GpModel(X, y, y_mean, y_std, ls, signal, noise, jit, L, alpha)
 
 
@@ -282,7 +307,7 @@ def gp_predict(model: GpModel, x) -> tuple:
     r = _scaled_r(_scaled_sq(model.X, x, model.lengthscales))
     ks = model.signal_var * _matern52(r)
     mean_s = ks.T @ model.alpha
-    v = cho_solve((model.chol, True), ks)
+    v, _ = _POTRS(model.chol, ks, lower=True)
     var_s = model.signal_var - np.einsum("ij,ij->j", ks, v)
     var_s = np.maximum(var_s, 0.0)
     mean = mean_s * model.y_std + model.y_mean

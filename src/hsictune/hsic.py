@@ -426,14 +426,15 @@ def _resample(backend, rng):
     """One bootstrap replicate's counts (c, g): n rows of set a drawn with
     replacement, counted per unit, the flagged ones again into g.  A draw
     without a flagged row is drawn again from the same stream; with m >= 2
-    flagged rows that happens with probability (1 - m/n)^n < e^-2."""
+    flagged rows that happens with probability (1 - m/n)^n < e^-2.  Both
+    are counted straight into float arrays, as sums of exact 1.0 weights."""
     n, units = backend.n, backend.c.size
     idx = rng.integers(0, n, n)
     while not backend.flagged[idx].any():
         idx = rng.integers(0, n, n)
-    hit = backend.flagged[idx]
-    return (np.bincount(backend.owner[idx], minlength=units).astype(float),
-            np.bincount(backend.owner[idx[hit]], minlength=units).astype(float))
+    rows = backend.owner[idx]
+    return (np.bincount(rows, weights=np.ones(n), minlength=units),
+            np.bincount(rows, weights=backend.flagged[idx], minlength=units))
 
 
 def _bootstrap(backend, gamma, n_boot, seed):

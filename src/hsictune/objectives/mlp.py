@@ -6,6 +6,13 @@ activations, L2/L1 training losses, plain SGD or Adam, seeded scaled-uniform
 fan-in init.  Test error is always mean squared error so configurations
 trained with different losses stay comparable.  Any non-finite
 intermediate marks the trial diverged instead of raising.
+
+A net holds its parameters in one flat vector, of which its per-layer
+weights and biases are views.  Training writes each batch's gradient into
+one buffer of the same layout and steps the whole vector at once; Adam
+updates in place through preallocated scratch arrays, with each element's
+operations in the textbook order, so the trained bits are those of a
+per-layer step.
 """
 
 from __future__ import annotations
@@ -103,17 +110,32 @@ class MlpConfig:
 
 
 class MlpNet:
-    """Dense layers of uniform width with a scalar output head."""
+    """Dense layers of uniform width with a scalar output head.
+
+    Every parameter lives in one flat vector, weights first, then biases;
+    weights and biases are per-layer views of it.
+    """
 
     def __init__(self, config: MlpConfig, rng: np.random.Generator, n_inputs: int = 1):
         self.config = config
         sizes = [n_inputs] + [config.n_units] * config.n_layers + [1]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self._shapes = list(zip(sizes[:-1], sizes[1:])) + [(s,) for s in sizes[1:]]
+        self._flat = np.zeros(sum(int(np.prod(s)) for s in self._shapes))
+        self.weights, self.biases = self._layers(self._flat)
+        for W in self.weights:
+            bound = 1.0 / np.sqrt(W.shape[0])
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+
+    def _layers(self, flat):
+        """Per-layer views of a vector laid out like the parameters:
+        ([weight matrices], [bias vectors])."""
+        views, start = [], 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
+        half = len(views) // 2
+        return views[:half], views[half:]
 
     @property
     def params(self):
@@ -134,8 +156,9 @@ class MlpNet:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[1][-1][:, 0]
 
-    def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
-        """Mean loss over the batch plus gradients for every weight/bias."""
+    def _backward(self, X: np.ndarray, y: np.ndarray, grads_w, grads_b) -> float:
+        """Mean loss over the batch; its gradient is written into the
+        per-layer arrays grads_w and grads_b."""
         _, act_grad = ACTIVATIONS[self.config.activation]
         pre, post = self.forward(X)
         pred = post[-1][:, 0]
@@ -147,14 +170,18 @@ class MlpNet:
         else:
             loss = float(np.mean(np.abs(resid)))
             dl = (np.sign(resid) / n)[:, None]
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
         delta = dl
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = post[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            np.matmul(post[i].T, delta, out=grads_w[i])
+            np.sum(delta, axis=0, out=grads_b[i])
             if i > 0:
                 delta = (delta @ self.weights[i].T) * act_grad(pre[i - 1])
+        return loss
+
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
+        """Mean loss over the batch plus gradients for every weight/bias."""
+        grads_w, grads_b = self._layers(np.empty_like(self._flat))
+        loss = self._backward(X, y, grads_w, grads_b)
         return loss, grads_w + grads_b
 
 
@@ -168,6 +195,10 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
+    """Adam, updating each parameter array in place through two scratch
+    arrays of its size; each element sees the same operations, in the same
+    order, as the textbook expression."""
+
     def __init__(self, lr: float, beta_2=0.999):
         self.lr, self.b2 = lr, beta_2
         self.t = 0
@@ -178,25 +209,43 @@ class AdamOptimizer:
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t += 1
         c1 = 1.0 - _ADAM_BETA_1**self.t
         c2 = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
             m *= _ADAM_BETA_1
-            m += (1.0 - _ADAM_BETA_1) * g
+            np.multiply(g, 1.0 - _ADAM_BETA_1, out=a)
+            m += a
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+            np.multiply(g, 1.0 - self.b2, out=a)
+            a *= g
+            v += a
+            # p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += _ADAM_EPS
+            a /= b
+            p -= a
 
 
 def _train_once(config: MlpConfig, X, y) -> MlpNet | None:
-    """One training run seeded by config.seed; None signals divergence."""
+    """One training run seeded by config.seed; None signals divergence.
+
+    Each batch's gradient lands in one buffer laid out like the flat
+    parameter vector, and the optimizer steps that vector as one array.
+    """
     rng = np.random.default_rng(config.seed)
     net = MlpNet(config, rng, n_inputs=X.shape[1])
     if config.optimizer == "adam":
         opt = AdamOptimizer(config.learning_rate, config.beta_2)
     else:
         opt = SgdOptimizer(config.learning_rate)
+    params, grad = [net._flat], np.empty_like(net._flat)
+    grads_w, grads_b = net._layers(grad)
     n = len(y)
     bs = max(1, min(config.batch_size, n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,11 +253,11 @@ def _train_once(config: MlpConfig, X, y) -> MlpNet | None:
             order = rng.permutation(n)
             for start in range(0, n, bs):
                 idx = order[start : start + bs]
-                loss, grads = net.loss_and_grads(X[idx], y[idx])
+                loss = net._backward(X[idx], y[idx], grads_w, grads_b)
                 if not np.isfinite(loss):
                     return None
-                opt.step(net.params, grads)
-            if not all(np.all(np.isfinite(p)) for p in net.params):
+                opt.step(params, [grad])
+            if not np.isfinite(net._flat).all():
                 return None
     return net
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 from hsictune import gp
 from hsictune.gp import (
@@ -254,6 +257,84 @@ def test_nll_gradient_matches_finite_differences():
         fm, _ = _nll_and_grad(tm, X, ys)
         fd = (fp - fm) / (2 * eps)
         assert abs(grad[k] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+# The likelihood as it was computed one dimension at a time, through scipy's
+# checked cholesky and cho_solve: the stacked pass must keep its bits.
+
+
+def _reference_build_cov(M, signal, noise):
+    K = signal * M
+    K[np.diag_indices_from(K)] += noise
+    return K
+
+
+def _reference_chol_with_jitter(K):
+    scale = float(np.mean(np.diag(K)))
+    for jit in (0.0,) + gp._JITTERS:
+        try:
+            L = cholesky(K + jit * scale * np.eye(len(K)), lower=True)
+            return L, jit * scale
+        except LinAlgError:
+            continue
+    raise FitError("kernel matrix singular even at maximum jitter")
+
+
+def _reference_nll_and_grad(theta, X, y):
+    d = X.shape[1]
+    ls = np.exp(theta[:d])
+    signal = math.exp(theta[d])
+    noise = math.exp(theta[d + 1])
+    S = list(gp._scaled_sq(X, X, ls))
+    r = gp._scaled_r(S)
+    M = gp._matern52(r)
+    try:
+        L, _ = _reference_chol_with_jitter(_reference_build_cov(M, signal, noise))
+    except FitError:
+        return 1e25, np.zeros_like(theta)
+    n = len(y)
+    alpha = cho_solve((L, True), y)
+    nll = 0.5 * float(y @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * n * math.log(2 * math.pi)
+    Kinv = cho_solve((L, True), np.eye(n))
+    W = np.outer(alpha, alpha) - Kinv
+    grad = np.empty_like(theta)
+    base = signal * (5.0 / 3.0) * (1.0 + gp._SQRT5 * r) * np.exp(-gp._SQRT5 * r)
+    for k in range(d):
+        grad[k] = -0.5 * float(np.sum(W * (base * S[k])))
+    grad[d] = -0.5 * float(np.sum(W * (signal * M)))
+    grad[d + 1] = -0.5 * float(np.trace(W)) * noise
+    return nll, grad
+
+
+def test_nll_and_grad_matches_the_per_dimension_reference():
+    rng = np.random.default_rng(17)
+    jittered = 0
+    for case in range(240):
+        n, d = int(rng.integers(2, 33)), int(rng.integers(1, 21))
+        if case % 3 == 0:       # duplicate rows: only the jitter ladder factors K
+            X = rng.random((max(1, n // 3), d))[rng.integers(0, max(1, n // 3), n)]
+        else:
+            X = rng.random((n, d))
+        y = rng.standard_normal(n)
+        theta = np.concatenate([rng.uniform(math.log(3e-2), math.log(3e1), d),
+                                [rng.uniform(math.log(1e-3), math.log(1e3)),
+                                 rng.uniform(math.log(1e-10), 0.0)]])
+        if case % 3 == 0:
+            # below the noise bound, duplicates leave K singular to rounding
+            theta[d + 1] = -60.0
+        nll, grad = _nll_and_grad(theta, X, y)
+        ref_nll, ref_grad = _reference_nll_and_grad(theta, X, y)
+        assert nll == ref_nll and np.array_equal(grad, ref_grad), (case, n, d)
+        M = gp._matern52(gp._scaled_r(gp._scaled_sq(X, X, np.exp(theta[:d]))))
+        K = _reference_build_cov(M, math.exp(theta[d]), math.exp(theta[d + 1]))
+        jittered += _reference_chol_with_jitter(K)[1] > 0
+    assert jittered >= 10
+    # a signal and noise that underflow to 0 leave K = 0, which no jitter rescues
+    X, y = rng.random((6, 3)), rng.standard_normal(6)
+    theta = np.array([0.0, 0.0, 0.0, -800.0, -800.0])
+    nll, grad = _nll_and_grad(theta, X, y)
+    assert nll == _reference_nll_and_grad(theta, X, y)[0] == 1e25
+    assert np.array_equal(grad, np.zeros(5))
 
 
 # -- expected improvement -----------------------------------------------------------

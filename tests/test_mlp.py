@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hsictune.objectives import mlp
 from hsictune.objectives.mlp import (
     ACTIVATIONS,
     AdamOptimizer,
@@ -151,3 +152,135 @@ def test_runge_objective_conditional_config():
     t2 = obj.evaluate(cfg_adam, 0)
     assert t2.status in ("ok", "diverged")
     assert t2.config["adam_beta2"] == 0.95
+
+
+# The trainer as it was, one array per layer: the flat parameter vector and
+# the in-place Adam step must keep every bit of its trials.
+
+
+class _LayerNet:
+    def __init__(self, config, rng, n_inputs=1):
+        self.config = config
+        sizes = [n_inputs] + [config.n_units] * config.n_layers + [1]
+        self.weights = []
+        self.biases = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            self.biases.append(np.zeros(fan_out))
+
+    @property
+    def params(self):
+        return self.weights + self.biases
+
+    def forward(self, X):
+        act, _ = ACTIVATIONS[self.config.activation]
+        pre, post = [], [X]
+        h = X
+        last = len(self.weights) - 1
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ W + b
+            pre.append(z)
+            h = z if i == last else act(z)   # linear output head
+            post.append(h)
+        return pre, post
+
+    def predict(self, X):
+        return self.forward(X)[1][-1][:, 0]
+
+    def loss_and_grads(self, X, y):
+        _, act_grad = ACTIVATIONS[self.config.activation]
+        pre, post = self.forward(X)
+        pred = post[-1][:, 0]
+        resid = pred - y
+        n = len(y)
+        if self.config.loss == "l2":
+            loss = float(np.mean(resid**2))
+            dl = (2.0 * resid / n)[:, None]
+        else:
+            loss = float(np.mean(np.abs(resid)))
+            dl = (np.sign(resid) / n)[:, None]
+        grads_w = [None] * len(self.weights)
+        grads_b = [None] * len(self.biases)
+        delta = dl
+        for i in range(len(self.weights) - 1, -1, -1):
+            grads_w[i] = post[i].T @ delta
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * act_grad(pre[i - 1])
+        return loss, grads_w + grads_b
+
+
+class _LayerSgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for p, g in zip(params, grads):
+            p -= self.lr * g
+
+
+class _LayerAdam:
+    def __init__(self, lr, beta_2=0.999):
+        self.lr, self.b2 = lr, beta_2
+        self.t = 0
+        self.m = None
+        self.v = None
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        c1 = 1.0 - mlp._ADAM_BETA_1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= mlp._ADAM_BETA_1
+            m += (1.0 - mlp._ADAM_BETA_1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + mlp._ADAM_EPS)
+
+
+def _layer_train_once(config, X, y):
+    rng = np.random.default_rng(config.seed)
+    net = _LayerNet(config, rng, n_inputs=X.shape[1])
+    if config.optimizer == "adam":
+        opt = _LayerAdam(config.learning_rate, config.beta_2)
+    else:
+        opt = _LayerSgd(config.learning_rate)
+    n = len(y)
+    bs = max(1, min(config.batch_size, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.n_epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, bs):
+                idx = order[start : start + bs]
+                loss, grads = net.loss_and_grads(X[idx], y[idx])
+                if not np.isfinite(loss):
+                    return None
+                opt.step(net.params, grads)
+            if not all(np.all(np.isfinite(p)) for p in net.params):
+                return None
+    return net
+
+
+def test_flat_trainer_matches_the_per_layer_reference(monkeypatch):
+    x_train, x_test = np.linspace(-1, 1, 11), np.linspace(-1, 1, 200)
+    train = (x_train[:, None], 1.0 / (1.0 + 25.0 * x_train**2))
+    test = (x_test[:, None], 1.0 / (1.0 + 25.0 * x_test**2))
+    configs = [
+        MlpConfig(n_layers=1 + k % 3, n_units=5 + 7 * (k % 4), activation=activation,
+                  loss=loss, optimizer=optimizer, learning_rate=10.0 ** (-1 - k % 3),
+                  batch_size=batch_size, n_epochs=12, seed=k, beta_2=0.9 + 0.05 * (k % 2))
+        for k, (optimizer, activation, loss, batch_size) in enumerate(
+            (o, a, l, b) for o in ("adam", "sgd") for a in sorted(ACTIVATIONS)
+            for l in ("l1", "l2") for b in (1, 11))
+    ]
+    configs.append(MlpConfig(n_layers=3, n_units=32, activation="relu", optimizer="sgd",
+                             learning_rate=10.0, batch_size=4, n_epochs=50, seed=2))
+    got = [mlp_train_eval(c, train, test) for c in configs]
+    monkeypatch.setattr(mlp, "_train_once", _layer_train_once)
+    want = [mlp_train_eval(c, train, test) for c in configs]
+    assert got == want
+    assert got[-1].status == "diverged" and sum(t.ok for t in got) >= 24
