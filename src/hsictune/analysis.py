@@ -12,6 +12,7 @@ treated as non-impactful.
 
 from __future__ import annotations
 
+import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -426,7 +427,9 @@ def run_algorithm1(
     Interactions are scanned among main parameters; by default only pairs
     where both single scores sit below the impact bar are computed, since a
     pair containing an impactful parameter is always large.  Pass
-    full_interactions=True for the complete matrix.
+    full_interactions=True for the complete matrix.  A conditional group
+    with fewer than 2 goal rows cannot be scored: it is left out of the
+    report with a warning.
     """
     if not trials:
         raise EstimationError("no trials")
@@ -436,10 +439,15 @@ def run_algorithm1(
     rankings = []
     for g in groups:
         rows = matrix.rows_where_active(g.members)
+        n_goal = int(z[rows].sum())
+        if g.id != MAIN_GROUP and n_goal < 2:
+            # too few goal rows to score; the main group's own check raises
+            warnings.warn(f"conditional group {g.id!r} has only {n_goal} goal rows; "
+                          "left out of the report")
+            continue
         entries = rank_group(g, matrix, z, seed=seed, n_boot=n_boot)
         floor = dummy_floor(rows, z, seed, label=g.id, n_boot=n_boot)
-        rankings.append(GroupRanking(g, tuple(entries), floor,
-                                     int(rows.sum()), int(z[rows].sum())))
+        rankings.append(GroupRanking(g, tuple(entries), floor, int(rows.sum()), n_goal))
     main_ranking = rankings[0]
     main_params = main_ranking.group.members
     interactions = None

@@ -14,11 +14,12 @@ times the call and turns an objective fault into a failed trial.
 _best_trial picks the best ok trial for both optimizers.  A resume leaves
 line one alone, so load_trials reports n_s as at least the highest index + 1.
 
-Each worker of a parallel search pins every loaded OpenBLAS to its share
-of the cores (cores // jobs, at least 1), so jobs workers do not each
-start a pool of threads as large as the machine.  The pin goes through
-ctypes on the libraries the process has mapped; without an OpenBLAS it
-does nothing, and the parent's own thread count is left alone.
+A parallel search starts min(jobs, trials to run) workers.  Each pins
+every loaded OpenBLAS to its share of the cores (cores // workers, at
+least 1), so the workers do not each start a pool of threads as large as
+the machine.  The pin goes through ctypes on the libraries the process has
+mapped; without an OpenBLAS it does nothing, and the parent's own thread
+count is left alone.
 """
 
 from __future__ import annotations
@@ -331,14 +332,16 @@ def run_random_search(
                 fh.flush()
         todo = [i for i in range(n_s) if i not in trials]
         work = ((objective, parsed, i, master_seed) for i in todo)
-        if jobs <= 1 or len(todo) <= 1:
+        # the pool starts every worker at its first submit, needed or not
+        workers = min(jobs, len(todo))
+        if workers <= 1:
             finished = map(_evaluate_one, work)
         else:
             # the default start method (fork on Linux): a spawned worker
             # would import the package, scipy.stats with it, afresh
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, initializer=_pin_blas_threads,
-                initargs=(max(1, _cores() // jobs),)))
+                max_workers=workers, initializer=_pin_blas_threads,
+                initargs=(max(1, _cores() // workers),)))
             futures = [pool.submit(_evaluate_one, args) for args in work]
             finished = (fut.result() for fut in as_completed(futures))
         for idx, trial in finished:

@@ -27,18 +27,20 @@ turn it adds the correlation at lag -d onto lag d.  Only the dimensions in
 _BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
 pooled points are rejected.  Each backend gives the pooled median distance
 that centers the bandwidth grid (the median of the nonzero distances when
-most pooled pairs tie), the sums over the grid and the sums at one
-bandwidth.  Both backends are deterministic and permutation invariant: the
+most pooled pairs tie), the sums over the grid and the bootstrap
+replicates' sums at one bandwidth.  Both backends are deterministic and permutation invariant: the
 support is sorted and counts are order-free.
 
 One bootstrap draw serves both backends: a replicate resamples the n rows
 of set a and counts them per support point (dense) or grid cell (binned),
 and a draw without a flagged row is drawn again.  One bootstrap loop hands
-each replicate's counts to its backend, at the selected bandwidth.  The dense
-backend keeps them as the columns of one block and sums the whole block
+the draws, in order, to one call of the backend's replicate_sums at the
+selected bandwidth, which returns each replicate's three sums.  The dense
+backend lays them out as the columns of one block and sums the whole block
 with one product K X, which reads the s x s kernel matrix once instead of
-twice per replicate.  The binned backend sums each replicate as it comes:
-in 1-D by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
+twice per replicate.  The binned backend sums each replicate as it arrives
+and keeps none of them (100 2-D count grids would take ~105 MB): in 1-D
+by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
 F_d F_d' = K_d factors each axis's Toeplitz kernel.  F_d keeps the
 eigenvectors of K_d whose eigenvalues exceed B eps lambda_max, the level of
 eigh's own error, so the factored sums match K1 C K2 to 1e-12 relative.  A
@@ -203,13 +205,11 @@ def _mmd_from_sums(sums, n, m):
 #                      nonzero ones when most pairs tie; it centers the grid,
 #                      and it is 0 only when the pooled sample is one point;
 #   sweep(gammas)      (c'Kc, c'Kg, g'Kg) at each gamma;
-#   sums_at(gamma)     a map from replicate counts (c, g) to (c'Kc, g'Kc, g'Kg):
-#                      one replicate's (binned) or a block of them (dense);
 #   owner, flagged     per row of set a (_rows), its counting unit and flag;
-#   replicate_sums(gamma, n_boot)
-#                      (put, sums): put(b, c, g) hands over replicate b's
-#                      counts, and sums() returns the three sums of every
-#                      replicate, each as an array over b.
+#   replicate_sums(gamma, replicates)
+#                      the (c'Kc, g'Kc, g'Kg) of each replicate's counts
+#                      (c, g), taken from an iterable in draw order, one
+#                      row per replicate.
 
 
 class _DenseBackend:
@@ -243,42 +243,30 @@ class _DenseBackend:
             kg = K @ g
             kc = K @ c
             # the cross term's contraction order sets its rounding; changing
-            # c'(Kg) here or g'(Kc) in sums_at moves the scores' last bits
+            # c'(Kg) here or g'(Kc) in replicate_sums moves the scores' last bits
             out[i] = c @ kc, c @ kg, g @ kg
         return out
 
-    def sums_at(self, gamma):
-        """Map blocks (C, G) of replicate counts, one replicate per column,
-        to the arrays of their (c'Kc, g'Kc, g'Kg).
+    def replicate_sums(self, gamma, replicates):
+        """(c'Kc, g'Kc, g'Kg) of each replicate (c, g), one row per replicate.
 
-        One product K X reads K once for the whole block: replicate b's c
+        One product K X reads K once for every replicate: replicate b's c
         and g are columns 2b and 2b + 1 of X, which zero columns pad to a
         multiple of _BLOCK_COLUMNS wide.
         """
+        cols = [v for pair in replicates for v in pair]     # c, g, c, g, ...
+        x = np.zeros((len(self.c), -(-len(cols) // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
+        for j, v in enumerate(cols):
+            x[:, j] = v
         K = np.empty_like(self.d2)
         np.multiply(self.d2, -gamma, out=K)
         np.exp(K, out=K)
-
-        def sums(c, g):
-            k = c.shape[1]
-            x = np.zeros((len(K), -(-2 * k // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
-            x[:, 0 : 2 * k : 2] = c
-            x[:, 1 : 2 * k : 2] = g
-            kx = K @ x
-            kc, kg = kx[:, 0 : 2 * k : 2], kx[:, 1 : 2 * k : 2]
-            return (np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
-                    np.einsum("ij,ij->j", g, kg))
-
-        return sums
-
-    def replicate_sums(self, gamma, n_boot):
-        sums = self.sums_at(gamma)
-        c, g = np.empty((len(self.c), n_boot)), np.empty((len(self.c), n_boot))
-
-        def put(b, cb, gb):
-            c[:, b], g[:, b] = cb, gb
-
-        return put, lambda: sums(c, g)
+        kx = K @ x
+        width = len(cols)
+        c, g = x[:, 0:width:2], x[:, 1:width:2]
+        kc, kg = kx[:, 0:width:2], kx[:, 1:width:2]
+        return np.column_stack([np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
+                                np.einsum("ij,ij->j", g, kg)])
 
 
 class _BinnedBackend:
@@ -357,8 +345,9 @@ class _BinnedBackend:
                 out[i, j] = w
         return out
 
-    def sums_at(self, gamma):
-        """Map flat count grids (c, g) to (c'Kc, g'Kc, g'Kg) at one gamma.
+    def replicate_sums(self, gamma, replicates):
+        """(c'Kc, g'Kc, g'Kg) of each replicate's flat count grids (c, g),
+        one row per replicate, each summed as it arrives.
 
         1-D: the Toeplitz kernel matrix, embedded in a circulant of length 2B,
         is diagonal in Fourier space, so by Parseval each triple costs two
@@ -369,32 +358,28 @@ class _BinnedBackend:
         <P_g, P_c>; a replicate's products cost r1 B^2 + r1 r2 B for ranks
         r_d <= B, against 2 B^3 for K1 C K2.
         """
-        B = self.B
+        B, M = self.B, 2 * self.B
         if self.dim == 1:
-            M = 2 * B
             k = np.exp(self.lag2[0] * (-gamma))
             ring = np.zeros(M)          # lag B never occurs between two bins
             ring[:B] = k
             ring[B + 1 :] = k[:0:-1]
             w = np.fft.rfft(ring).real / M
             w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
-
-            def sums(c, g):
-                fc = np.fft.rfft(c, M)
-                fg = np.fft.rfft(g, M)
-                return (w @ (fc.real**2 + fc.imag**2),
-                        w @ (fg.real * fc.real + fg.imag * fc.imag),
-                        w @ (fg.real**2 + fg.imag**2))
-
-            return sums
-        F1, F2 = self._factors(gamma)
-
-        def sums(c, g):
-            pc = F1.T @ c.reshape(B, B) @ F2
-            pg = F1.T @ g.reshape(B, B) @ F2
-            return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
-
-        return sums
+        else:
+            F1, F2 = self._factors(gamma)
+        out = []
+        for c, g in replicates:
+            if self.dim == 1:
+                fc, fg = np.fft.rfft(c, M), np.fft.rfft(g, M)
+                out.append((w @ (fc.real**2 + fc.imag**2),
+                            w @ (fg.real * fc.real + fg.imag * fc.imag),
+                            w @ (fg.real**2 + fg.imag**2)))
+            else:
+                pc = F1.T @ c.reshape(B, B) @ F2
+                pg = F1.T @ g.reshape(B, B) @ F2
+                out.append((np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)))
+        return np.array(out)
 
     def _factors(self, gamma):
         """Per axis, F_d with F_d F_d' = K_d to eigh's accuracy.
@@ -412,14 +397,6 @@ class _BinnedBackend:
             keep = lam > B * np.finfo(float).eps * lam[-1]
             factors.append(v[:, keep] * np.sqrt(lam[keep]))
         return factors
-
-    def replicate_sums(self, gamma, n_boot):
-        sums, out = self.sums_at(gamma), np.empty((3, n_boot))
-
-        def put(b, c, g):
-            out[:, b] = sums(c, g)
-
-        return put, lambda: out
 
 
 def _resample(backend, rng):
@@ -440,14 +417,16 @@ def _resample(backend, rng):
 def _bootstrap(backend, gamma, n_boot, seed):
     """Replicate scores at a fixed gamma; replicate b draws from the stream
     keyed (seed, b), so extending n_boot keeps earlier replicates."""
-    n = backend.n
-    put, sums = backend.replicate_sums(gamma, n_boot)
-    m = np.empty(n_boot)
-    for b in range(n_boot):
-        cb, gb = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
-        m[b] = gb.sum()
-        put(b, cb, gb)
-    return np.maximum((m / n) ** 2 * _mmd_from_sums(np.column_stack(sums()), n, m), 0.0)
+    n, m = backend.n, np.empty(n_boot)
+
+    def draws():
+        for b in range(n_boot):
+            c, g = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
+            m[b] = g.sum()
+            yield c, g
+
+    sums = backend.replicate_sums(gamma, draws())
+    return np.maximum((m / n) ** 2 * _mmd_from_sums(sums, n, m), 0.0)
 
 
 def _candidates(backend, gammas):

@@ -9,10 +9,10 @@ intermediate marks the trial diverged instead of raising.
 
 A net holds its parameters in one flat vector, of which its per-layer
 weights and biases are views.  Training writes each batch's gradient into
-one buffer of the same layout and steps the whole vector at once; Adam
-updates in place through preallocated scratch arrays, with each element's
-operations in the textbook order, so the trained bits are those of a
-per-layer step.
+one buffer of the same layout and steps the vector as one array; Adam keeps
+its moments and two scratch arrays of that size and updates in place, with
+each element's operations in the textbook order, so the trained bits are
+those of a per-layer step.
 """
 
 from __future__ import annotations
@@ -189,13 +189,12 @@ class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def step(self, p, g):
+        p -= self.lr * g
 
 
 class AdamOptimizer:
-    """Adam, updating each parameter array in place through two scratch
+    """Adam, updating one parameter array in place through two scratch
     arrays of its size; each element sees the same operations, in the same
     order, as the textbook expression."""
 
@@ -205,31 +204,30 @@ class AdamOptimizer:
         self.m = None
         self.v = None
 
-    def step(self, params, grads):
+    def step(self, p, g):
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+            self._a, self._b = np.empty_like(p), np.empty_like(p)
         self.t += 1
         c1 = 1.0 - _ADAM_BETA_1**self.t
         c2 = 1.0 - self.b2**self.t
-        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
-            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-            m *= _ADAM_BETA_1
-            np.multiply(g, 1.0 - _ADAM_BETA_1, out=a)
-            m += a
-            v *= self.b2
-            np.multiply(g, 1.0 - self.b2, out=a)
-            a *= g
-            v += a
-            # p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += _ADAM_EPS
-            a /= b
-            p -= a
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        m *= _ADAM_BETA_1
+        np.multiply(g, 1.0 - _ADAM_BETA_1, out=a)
+        m += a
+        v *= self.b2
+        np.multiply(g, 1.0 - self.b2, out=a)
+        a *= g
+        v += a
+        # p -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        p -= a
 
 
 def _train_once(config: MlpConfig, X, y) -> MlpNet | None:
@@ -244,7 +242,7 @@ def _train_once(config: MlpConfig, X, y) -> MlpNet | None:
         opt = AdamOptimizer(config.learning_rate, config.beta_2)
     else:
         opt = SgdOptimizer(config.learning_rate)
-    params, grad = [net._flat], np.empty_like(net._flat)
+    grad = np.empty_like(net._flat)
     grads_w, grads_b = net._layers(grad)
     n = len(y)
     bs = max(1, min(config.batch_size, n))
@@ -256,7 +254,7 @@ def _train_once(config: MlpConfig, X, y) -> MlpNet | None:
                 loss = net._backward(X[idx], y[idx], grads_w, grads_b)
                 if not np.isfinite(loss):
                     return None
-                opt.step(params, [grad])
+                opt.step(net._flat, grad)
             if not np.isfinite(net._flat).all():
                 return None
     return net

@@ -497,3 +497,21 @@ def test_optimize_refuses_a_trial_file_of_another_objective(tmp_path, capsys):
     assert "objective mismatch" in captured.err
     assert "'example2'" in captured.err and "'example1'" in captured.err
     assert captured.out == ""
+
+
+def test_sparse_conditional_group_is_left_out_with_a_warning(tmp_path, capsys):
+    # at seed 3 the 20 trials hold 2 goal rows, one of them in adam_beta2's group
+    trials = str(tmp_path / "trials.jsonl")
+    out = str(tmp_path / "bundle")
+    assert cli(["search", "--objective", "runge_mlp", "--n", "20", "--seed", "3",
+                "--out", trials]) == 0
+    with pytest.warns(UserWarning, match="group 'adam_beta2' has only 1 goal rows"):
+        assert cli(["analyze", trials, "--seed", "3", "--out", out]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert [(g["id"], g["n_goal"]) for g in summary["groups"]] == [("main", 2)]
+    assert not os.path.exists(os.path.join(out, "ranking_adam_beta2.csv"))
+    # a main group that small is still a runtime error
+    capsys.readouterr()
+    assert cli(["analyze", trials, "--percentile", "0.05", "--seed", "3"]) == 2
+    assert "goal set too small" in capsys.readouterr().err

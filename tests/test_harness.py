@@ -1,5 +1,6 @@
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -95,6 +96,45 @@ def test_search_workers_pin_blas_to_their_share(tmp_path, monkeypatch):
     _, bare = _read_records(unpinned)
     assert _without_tags(bare) == _without_tags(records)
     assert all(r["tags"]["blas_threads"] == parent for r in bare)
+
+
+class _RecordingPool:
+    """A stand-in for the process pool: records how it was built and runs
+    each submitted call inline, so no process starts."""
+
+    def __init__(self, built, max_workers, initializer, initargs):
+        built.append((max_workers, initializer, initargs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, n, workers, share", [
+    (8, 3, 3, 2),      # fewer trials than jobs: one worker per trial
+    (2, 40, 2, 4),
+    (8, 1, None, None),   # a single trial runs in this process
+], ids=["few-trials", "many-trials", "one-trial"])
+def test_search_starts_no_more_workers_than_trials(tmp_path, monkeypatch, jobs, n, workers,
+                                                   share):
+    built = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda **kw: _RecordingPool(built, **kw))
+    monkeypatch.setattr(harness, "_cores", lambda: 8)
+    obj = Example2Objective()
+    got = run_random_search(obj.space, obj, n, jobs=jobs, master_seed=5,
+                            out_path=str(tmp_path / "a.jsonl"))
+    want = [] if workers is None else [(workers, harness._pin_blas_threads, (share,))]
+    assert built == want
+    serial = run_random_search(obj.space, obj, n, jobs=1, master_seed=5)
+    assert [(t.config, t.score) for t in got] == [(t.config, t.score) for t in serial]
 
 
 def test_resume_evaluates_only_missing_indices(tmp_path):

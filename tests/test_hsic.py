@@ -7,6 +7,7 @@ from scipy.stats import rankdata, truncnorm
 
 from hsictune import hsic
 from hsictune.hsic import (
+    _BLOCK_COLUMNS,
     EstimationError,
     Kernel,
     bandwidth_grid,
@@ -14,7 +15,10 @@ from hsictune.hsic import (
     hsic_pair,
     mmd2,
     select_bandwidth,
+    _mmd_from_sums,
+    _resample,
 )
+from hsictune.space import _seed_sequence
 
 
 def example1_sample(n, seed, normalized=True, x1_truncnorm=True):
@@ -342,13 +346,13 @@ def test_binned_replicate_sums_match_fft_correlations(dim):
     grid = bandwidth_grid(eng.median_distance())
     for h in grid[::6]:
         gamma = 1.0 / (2.0 * h * h)
-        sums = eng.sums_at(gamma)
         for seed in range(3):
             cb, gb = hsic._resample(eng, np.random.default_rng(seed))
             replicate = copy.copy(eng)
             replicate.c, replicate.g = cb.reshape(shape), gb.reshape(shape)
             want = replicate.sweep([gamma])[0]
-            np.testing.assert_allclose(sums(cb, gb), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(eng.replicate_sums(gamma, [(cb, gb)])[0], want,
+                                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -393,13 +397,13 @@ def test_factored_2d_sums_match_the_toeplitz_products():
         if i == len(grid) - 1:
             assert max(ranks) < B // 4            # the replicate products shrink
         K1, K2 = toeplitz_kernels(eng, gamma)
-        sums = eng.sums_at(gamma)
         for seed in range(2):
             cb, gb = hsic._resample(eng, np.random.default_rng(seed))
             C, G = cb.reshape(B, B), gb.reshape(B, B)
             kc = K1 @ C @ K2
             want = np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, K1 @ G @ K2)
-            np.testing.assert_allclose(sums(cb, gb), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(eng.replicate_sums(gamma, [(cb, gb)])[0], want,
+                                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -408,13 +412,11 @@ def test_dense_block_sums_match_per_replicate_products(dim):
     pts, z = labeled_points(rng, 600, dim)
     eng = backend(hsic._DenseBackend, pts, z)
     draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(13)]
-    c = np.column_stack([cb for cb, _ in draws])
-    g = np.column_stack([gb for _, gb in draws])
     for h in bandwidth_grid(eng.median_distance())[::13]:
         gamma = 1.0 / (2.0 * h * h)
         K = np.exp(eng.d2 * (-gamma))
         want = [(cb @ (K @ cb), gb @ (K @ cb), gb @ (K @ gb)) for cb, gb in draws]
-        np.testing.assert_allclose(np.column_stack(eng.sums_at(gamma)(c, g)), want,
+        np.testing.assert_allclose(eng.replicate_sums(gamma, iter(draws)), want,
                                    rtol=1e-12, atol=0)
 
 
@@ -450,6 +452,131 @@ def test_bootstrap_replicates_keep_a_nonempty_goal_set(cls, n):
         assert hsic._resample(eng, np.random.default_rng(b))[1].sum() >= 1
     gamma = hsic._select(eng, None)[1]
     assert np.all(hsic._bootstrap(eng, gamma, 200, 0) > 0)
+
+
+# -- the replicate interface, against the per-backend maps it replaced ---------------
+
+
+class ReferenceDense(hsic._DenseBackend):
+    """The dense backend's replicate sums as they stood with sums_at and a
+    (put, sums) pair of closures."""
+
+    def sums_at(self, gamma):
+        """Map blocks (C, G) of replicate counts, one replicate per column,
+        to the arrays of their (c'Kc, g'Kc, g'Kg).
+
+        One product K X reads K once for the whole block: replicate b's c
+        and g are columns 2b and 2b + 1 of X, which zero columns pad to a
+        multiple of _BLOCK_COLUMNS wide.
+        """
+        K = np.empty_like(self.d2)
+        np.multiply(self.d2, -gamma, out=K)
+        np.exp(K, out=K)
+
+        def sums(c, g):
+            k = c.shape[1]
+            x = np.zeros((len(K), -(-2 * k // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
+            x[:, 0 : 2 * k : 2] = c
+            x[:, 1 : 2 * k : 2] = g
+            kx = K @ x
+            kc, kg = kx[:, 0 : 2 * k : 2], kx[:, 1 : 2 * k : 2]
+            return (np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
+                    np.einsum("ij,ij->j", g, kg))
+
+        return sums
+
+    def replicate_sums(self, gamma, n_boot):
+        sums = self.sums_at(gamma)
+        c, g = np.empty((len(self.c), n_boot)), np.empty((len(self.c), n_boot))
+
+        def put(b, cb, gb):
+            c[:, b], g[:, b] = cb, gb
+
+        return put, lambda: sums(c, g)
+
+
+class ReferenceBinnedReplicates(hsic._BinnedBackend):
+    """The binned backend's replicate sums as they stood with sums_at and a
+    (put, sums) pair of closures."""
+
+    def sums_at(self, gamma):
+        """Map flat count grids (c, g) to (c'Kc, g'Kc, g'Kg) at one gamma.
+
+        1-D: the Toeplitz kernel matrix, embedded in a circulant of length 2B,
+        is diagonal in Fourier space, so by Parseval each triple costs two
+        forward FFTs and three weighted spectrum sums.  2-D: the product
+        kernel is K1 (x) K2 with Toeplitz factors K_d[i, j] =
+        exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.  With K_d = F_d F_d'
+        (see _factors) that is |P_c|^2 for P_c = F1' C F2, and g'Kc is
+        <P_g, P_c>; a replicate's products cost r1 B^2 + r1 r2 B for ranks
+        r_d <= B, against 2 B^3 for K1 C K2.
+        """
+        B = self.B
+        if self.dim == 1:
+            M = 2 * B
+            k = np.exp(self.lag2[0] * (-gamma))
+            ring = np.zeros(M)          # lag B never occurs between two bins
+            ring[:B] = k
+            ring[B + 1 :] = k[:0:-1]
+            w = np.fft.rfft(ring).real / M
+            w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
+
+            def sums(c, g):
+                fc = np.fft.rfft(c, M)
+                fg = np.fft.rfft(g, M)
+                return (w @ (fc.real**2 + fc.imag**2),
+                        w @ (fg.real * fc.real + fg.imag * fc.imag),
+                        w @ (fg.real**2 + fg.imag**2))
+
+            return sums
+        F1, F2 = self._factors(gamma)
+
+        def sums(c, g):
+            pc = F1.T @ c.reshape(B, B) @ F2
+            pg = F1.T @ g.reshape(B, B) @ F2
+            return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
+
+        return sums
+
+    def replicate_sums(self, gamma, n_boot):
+        sums, out = self.sums_at(gamma), np.empty((3, n_boot))
+
+        def put(b, c, g):
+            out[:, b] = sums(c, g)
+
+        return put, lambda: out
+
+
+def reference_bootstrap(backend, gamma, n_boot, seed):
+    """Replicate scores at a fixed gamma; replicate b draws from the stream
+    keyed (seed, b), so extending n_boot keeps earlier replicates."""
+    n = backend.n
+    put, sums = backend.replicate_sums(gamma, n_boot)
+    m = np.empty(n_boot)
+    for b in range(n_boot):
+        cb, gb = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
+        m[b] = gb.sum()
+        put(b, cb, gb)
+    return np.maximum((m / n) ** 2 * _mmd_from_sums(np.column_stack(sums()), n, m), 0.0)
+
+
+@pytest.mark.parametrize("cls, ref, n, dim", [
+    (hsic._DenseBackend, ReferenceDense, 400, 1),
+    (hsic._DenseBackend, ReferenceDense, 900, 2),
+    (hsic._BinnedBackend, ReferenceBinnedReplicates, 3000, 1),
+    (hsic._BinnedBackend, ReferenceBinnedReplicates, 5000, 2),
+], ids=["dense-1d", "dense-2d", "binned-1d", "binned-2d"])
+def test_bootstrap_matches_the_per_backend_replicate_maps(cls, ref, n, dim):
+    # one replicate_sums call over the draws gives the bits of the sums_at
+    # map fed through (put, sums), whatever n_boot pads the dense block to
+    rng = np.random.default_rng(70 + n)
+    pts, z = labeled_points(rng, n, dim)
+    eng, old = backend(cls, pts, z), backend(ref, pts, z)
+    gamma = hsic._select(eng, None)[1]
+    for n_boot in (2, 7, 8, 9, 37, 100):
+        got = hsic._bootstrap(eng, gamma, n_boot, 3)
+        assert np.array_equal(got, reference_bootstrap(old, gamma, n_boot, 3)), n_boot
+        assert got.shape == (n_boot,) and np.all(got > 0)
 
 
 def selected_score(eng):

@@ -80,7 +80,8 @@ def test_relu_dead_units_have_zero_gradient():
 def test_sgd_step_is_exactly_minus_lr_grad():
     params = [np.array([1.0, 2.0]), np.array([[3.0]])]
     grads = [np.array([0.5, -1.0]), np.array([[2.0]])]
-    SgdOptimizer(0.1).step(params, grads)
+    for p, g in zip(params, grads):
+        SgdOptimizer(0.1).step(p, g)
     assert np.allclose(params[0], [1.0 - 0.05, 2.0 + 0.1])
     assert np.allclose(params[1], [[3.0 - 0.2]])
 
@@ -89,7 +90,7 @@ def test_adam_zero_gradient_no_move():
     params = [np.array([1.0, -2.0])]
     before = params[0].copy()
     opt = AdamOptimizer(0.1)
-    opt.step(params, [np.zeros(2)])
+    opt.step(params[0], np.zeros(2))
     assert np.array_equal(params[0], before)
 
 
