@@ -1,7 +1,8 @@
 """Command line entry point tying search, analysis, reduction, and
 optimization together.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error.
+Exit codes: 0 success, 1 usage error, 2 runtime error.  A warning prints
+as one "warning: <message>" line on stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import analysis as an
 from . import reports
@@ -259,7 +261,9 @@ def cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -198,34 +198,13 @@ class GpModel:
     alpha: np.ndarray
 
 
-def _build_cov(M, signal, noise):
-    K = signal * M
-    K.flat[:: len(K) + 1] += noise
-    return K
-
-
-def _chol_with_jitter(K):
-    """The lower Cholesky factor of K plus the first jitter of the ladder
-    (times K's mean diagonal) at which potrf succeeds, and that jitter."""
-    n = len(K)
-    scale = float(np.mean(np.diag(K)))
-    for jit in (0.0,) + _JITTERS:
-        A = np.array(K, order="F")      # the layout potrf factors in place
-        A.flat[:: n + 1] += jit * scale
-        L, info = _POTRF(A, lower=True, overwrite_a=True)
-        if info == 0:
-            return L, jit * scale
-    raise FitError("kernel matrix singular even at maximum jitter")
-
-
-def _nll_and_grad(theta, X, y):
-    """Negative log marginal likelihood and its gradient in log parameters.
-
-    The per-dimension terms form one (d, n, n) stack built from a
-    C-contiguous X.T; summed over its first axis they add in dimension
-    order, as _scaled_r does, and each lengthscale's gradient reduces its
-    contiguous n x n slab, as a per-dimension np.sum does.
-    """
+def _factor(theta, X):
+    """(ls, signal, noise, S, r, M, L, jitter) at log parameters theta: S
+    the (d, n, n) stack of per-dimension terms, r the distances, M the
+    Matern correlation, L the lower Cholesky factor of K = signal M +
+    noise I plus jitter, the first of the ladder (times K's mean diagonal)
+    at which potrf succeeds.  S is built from a C-contiguous X.T, so its
+    slabs add in dimension order, as _scaled_r adds the lazy terms."""
     d = X.shape[1]
     ls = np.exp(theta[:d])
     signal = math.exp(theta[d])
@@ -236,8 +215,28 @@ def _nll_and_grad(theta, X, y):
     S *= S
     r = np.sqrt(np.maximum(S.sum(axis=0), 0.0))
     M = _matern52(r)
+    K = signal * M
+    n = len(K)
+    K.flat[:: n + 1] += noise
+    scale = float(np.mean(np.diag(K)))
+    for jit in (0.0,) + _JITTERS:
+        A = np.array(K, order="F")      # the layout potrf factors in place
+        A.flat[:: n + 1] += jit * scale
+        L, info = _POTRF(A, lower=True, overwrite_a=True)
+        if info == 0:
+            return ls, signal, noise, S, r, M, L, jit * scale
+    raise FitError("kernel matrix singular even at maximum jitter")
+
+
+def _nll_and_grad(theta, X, y):
+    """Negative log marginal likelihood and its gradient in log parameters.
+
+    Each lengthscale's gradient reduces its contiguous n x n slab of
+    _factor's stack, as a per-dimension np.sum does.
+    """
+    d = X.shape[1]
     try:
-        L, _ = _chol_with_jitter(_build_cov(M, signal, noise))
+        _, signal, noise, S, r, M, L, _ = _factor(theta, X)
     except FitError:
         return 1e25, np.zeros_like(theta)
     n = len(y)
@@ -289,12 +288,7 @@ def gp_fit(X, y) -> GpModel:
         )
         if best is None or res.fun < best.fun:
             best = res
-    theta = best.x
-    ls = np.exp(theta[:d])
-    signal = math.exp(theta[d])
-    noise = math.exp(theta[d + 1])
-    M = _matern52(_scaled_r(_scaled_sq(X, X, ls)))
-    L, jit = _chol_with_jitter(_build_cov(M, signal, noise))
+    ls, signal, noise, _, _, _, L, jit = _factor(best.x, X)
     alpha, _ = _POTRS(L, ys, lower=True)
     return GpModel(X, y, y_mean, y_std, ls, signal, noise, jit, L, alpha)
 

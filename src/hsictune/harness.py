@@ -163,10 +163,13 @@ def _parse_manifest(path, rec) -> RunManifest:
 
 
 def _check_trial_record(path, lineno, rec) -> None:
-    """Reject a trial record whose index, score or config has the wrong type."""
+    """Reject a trial record that lacks a field or has a mistyped index, score or config."""
     def number(x, kinds):
         return isinstance(x, kinds) and not isinstance(x, bool)
 
+    for key in ("score", "status", "seed", "wall_time_s"):
+        if key not in rec:
+            raise TrialFileError(f"{path}: line {lineno}: trial record has no {key!r} field")
     if not number(rec.get("i"), int):
         raise TrialFileError(f"{path}: line {lineno}: trial index is not an integer")
     if rec.get("score") is not None and not number(rec["score"], (int, float)):

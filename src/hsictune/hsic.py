@@ -28,8 +28,11 @@ _BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
 pooled points are rejected.  Each backend gives the pooled median distance
 that centers the bandwidth grid (the median of the nonzero distances when
 most pooled pairs tie), the sums over the grid and the bootstrap
-replicates' sums at one bandwidth.  Both backends are deterministic and permutation invariant: the
-support is sorted and counts are order-free.
+replicates' sums at one bandwidth.  The dense backend's distances come
+from scipy: cdist of the support for the kernel matrix, pdist of the pooled
+sample (the support repeated by its pooled counts) for the median.  Both
+backends are deterministic and permutation invariant: the support is
+sorted and counts are order-free.
 
 One bootstrap draw serves both backends: a replicate resamples the n rows
 of set a and counts them per support point (dense) or grid cell (binned),
@@ -67,6 +70,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from .space import _seed_sequence
 
@@ -147,13 +151,6 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(a), len(b)))
-    for d in range(a.shape[1]):
-        out += (a[:, d, None] - b[None, :, d]) ** 2
-    return out
-
-
 def _support(points_a, points_b):
     """Distinct points of both sets, sorted, with counts c (set a), g (set b).
 
@@ -218,17 +215,13 @@ class _DenseBackend:
     def __init__(self, support, c, g):
         self.support, self.c, self.g = support, c, g
         self.n, self.m = int(c.sum()), int(g.sum())
-        self.d2 = _sq_dists(support, support)
+        self.d2 = cdist(support, support, "sqeuclidean")
         self.owner, self.flagged = _rows(c, g)
 
     def median_distance(self) -> float:
-        # a pair of support points stands for the product of their pooled
-        # counts, and a point's own pooled pairs are all at distance 0
-        w = (self.c + self.g).astype(np.int64)
-        upper = np.triu(np.ones(self.d2.shape, dtype=bool), k=1)   # no index arrays
-        pairs = np.repeat(self.d2[upper], np.outer(w, w)[upper])
-        ties = np.zeros(int(np.sum(w * (w - 1) // 2)))
-        med = np.median(np.concatenate([ties, pairs]))
+        pooled = np.repeat(self.support, (self.c + self.g).astype(np.int64), axis=0)
+        pairs = pdist(pooled, "sqeuclidean")
+        med = np.median(pairs, overwrite_input=True)     # reorders pairs only
         if med == 0.0 and np.any(pairs > 0):      # most pooled pairs tie
             med = np.median(pairs[pairs > 0])
         return float(np.sqrt(med))

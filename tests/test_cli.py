@@ -8,6 +8,7 @@ from hsictune import analysis, cli as cli_module, space, twostep
 from hsictune.analysis import interval_reduction, run_algorithm1, threshold
 from hsictune.cli import cli
 from hsictune.harness import load_trials, space_hash
+from hsictune.hsic import select_bandwidth
 from hsictune.reports import save_reduction_curve
 
 
@@ -245,6 +246,25 @@ def test_mistyped_trial_field_is_runtime_error(tmp_path, capsys, field, value, m
     assert cli(["search", "--objective", "example2", "--n", "25", "--seed", "1",
                 "--out", trials]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["score", "status", "seed", "wall_time_s"])
+def test_trial_record_without_a_field_is_runtime_error(tmp_path, capsys, field):
+    trials = str(tmp_path / "trials.jsonl")
+    cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
+         "--out", trials])
+    capsys.readouterr()
+    lines = open(trials).read().splitlines(keepends=True)
+    rec = json.loads(lines[3])
+    del rec[field]
+    lines[3] = json.dumps(rec) + "\n"
+    open(trials, "w").write("".join(lines))
+    message = f"error: {trials}: line 4: trial record has no {field!r} field\n"
+    assert cli(["analyze", trials]) == 2
+    assert capsys.readouterr().err == message
+    assert cli(["search", "--objective", "example2", "--n", "25", "--seed", "1",
+                "--out", trials]) == 2
+    assert capsys.readouterr().err == message
 
 
 def _break_unknown_status(lines):
@@ -505,8 +525,10 @@ def test_sparse_conditional_group_is_left_out_with_a_warning(tmp_path, capsys):
     out = str(tmp_path / "bundle")
     assert cli(["search", "--objective", "runge_mlp", "--n", "20", "--seed", "3",
                 "--out", trials]) == 0
-    with pytest.warns(UserWarning, match="group 'adam_beta2' has only 1 goal rows"):
-        assert cli(["analyze", trials, "--seed", "3", "--out", out]) == 0
+    capsys.readouterr()
+    assert cli(["analyze", trials, "--seed", "3", "--out", out]) == 0
+    assert capsys.readouterr().err == ("warning: conditional group 'adam_beta2' has only 1 "
+                                       "goal rows; left out of the report\n")
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert [(g["id"], g["n_goal"]) for g in summary["groups"]] == [("main", 2)]
@@ -515,3 +537,17 @@ def test_sparse_conditional_group_is_left_out_with_a_warning(tmp_path, capsys):
     capsys.readouterr()
     assert cli(["analyze", trials, "--percentile", "0.05", "--seed", "3"]) == 2
     assert "goal set too small" in capsys.readouterr().err
+
+
+def test_a_warning_prints_as_one_line(monkeypatch, capsys):
+    # hsic's degenerate-bandwidth warning, raised inside a command; a second
+    # call prints it again
+    def analyze(args):
+        select_bandwidth([0.5, 0.5], [0.5])
+        return 0
+
+    monkeypatch.setitem(cli_module._COMMANDS, "analyze", analyze)
+    for _ in range(2):
+        assert cli(["analyze", "trials.jsonl"]) == 0
+        assert capsys.readouterr().err == ("warning: all samples identical; "
+                                           "bandwidth selection is degenerate\n")

@@ -337,6 +337,87 @@ def test_nll_and_grad_matches_the_per_dimension_reference():
     assert np.array_equal(grad, np.zeros(5))
 
 
+# The refit as gp_fit made it before it shared the likelihood's factorization:
+# theta decoded again, the lazy per-dimension terms and the covariance built
+# on its own.
+
+
+def _parent_build_cov(M, signal, noise):
+    K = signal * M
+    K.flat[:: len(K) + 1] += noise
+    return K
+
+
+def _parent_chol_with_jitter(K):
+    """The lower Cholesky factor of K plus the first jitter of the ladder
+    (times K's mean diagonal) at which potrf succeeds, and that jitter."""
+    n = len(K)
+    scale = float(np.mean(np.diag(K)))
+    for jit in (0.0,) + gp._JITTERS:
+        A = np.array(K, order="F")      # the layout potrf factors in place
+        A.flat[:: n + 1] += jit * scale
+        L, info = gp._POTRF(A, lower=True, overwrite_a=True)
+        if info == 0:
+            return L, jit * scale
+    raise FitError("kernel matrix singular even at maximum jitter")
+
+
+def _reference_refit(theta, X, ys):
+    d = X.shape[1]
+    ls = np.exp(theta[:d])
+    signal = math.exp(theta[d])
+    noise = math.exp(theta[d + 1])
+    M = gp._matern52(gp._scaled_r(gp._scaled_sq(X, X, ls)))
+    L, jit = _parent_chol_with_jitter(_parent_build_cov(M, signal, noise))
+    alpha, _ = gp._POTRS(L, ys, lower=True)
+    return L, alpha, jit
+
+
+def test_refit_matches_the_reference_refit(monkeypatch):
+    rng = np.random.default_rng(19)
+    # at random parameters, duplicate rows and a vanishing noise included, so
+    # that the jitter ladder takes part
+    jittered = 0
+    for case in range(60):
+        n, d = int(rng.integers(2, 25)), int(rng.integers(1, 8))
+        X = rng.random((n, d))
+        if case % 2 == 0:
+            X = X[rng.integers(0, max(1, n // 2), n)]
+        ys = rng.standard_normal(n)
+        theta = np.concatenate([rng.uniform(-3.5, 3.4, d), [rng.uniform(-6.9, 6.9),
+                                rng.uniform(-23.0, 0.0) if case % 2 else -60.0]])
+        ls, signal, noise, _, _, _, L, jit = gp._factor(theta, X)
+        alpha, _ = gp._POTRS(L, ys, lower=True)
+        ref_L, ref_alpha, ref_jit = _reference_refit(theta, X, ys)
+        assert np.array_equal(L, ref_L) and np.array_equal(alpha, ref_alpha), case
+        assert jit == ref_jit
+        assert np.array_equal(ls, np.exp(theta[:d]))
+        assert (signal, noise) == (math.exp(theta[d]), math.exp(theta[d + 1]))
+        jittered += jit > 0
+    assert jittered >= 5
+    # through gp_fit, at the optimum its eight starts reach
+    results = []
+    minimize = gp.optimize.minimize
+
+    def recording_minimize(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(gp.optimize, "minimize", recording_minimize)
+    for n, d in ((4, 1), (12, 2), (20, 5)):
+        results.clear()
+        X, y = rng.random((n, d)), rng.standard_normal(n)
+        model = gp_fit(X, y)
+        best = None
+        for res in results:
+            if best is None or res.fun < best.fun:
+                best = res
+        ys = (y - model.y_mean) / model.y_std
+        L, alpha, jit = _reference_refit(best.x, X, ys)
+        assert np.array_equal(model.chol, L) and np.array_equal(model.alpha, alpha)
+        assert model.jitter == jit
+
+
 # -- expected improvement -----------------------------------------------------------
 
 

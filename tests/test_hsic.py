@@ -815,3 +815,67 @@ def test_screen_sums_the_dense_kernel_at_few_grid_points(monkeypatch):
     assert len(eng.c) == 1500
     hsic._select(eng, None)
     assert len(swept) == 1 and 1 <= swept[0] <= 4
+
+
+# -- the dense distances, against the numpy tables they replaced -------------------
+
+
+def _reference_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(a), len(b)))
+    for d in range(a.shape[1]):
+        out += (a[:, d, None] - b[None, :, d]) ** 2
+    return out
+
+
+def _reference_median_distance(self) -> float:
+    # a pair of support points stands for the product of their pooled
+    # counts, and a point's own pooled pairs are all at distance 0
+    w = (self.c + self.g).astype(np.int64)
+    upper = np.triu(np.ones(self.d2.shape, dtype=bool), k=1)   # no index arrays
+    pairs = np.repeat(self.d2[upper], np.outer(w, w)[upper])
+    ties = np.zeros(int(np.sum(w * (w - 1) // 2)))
+    med = np.median(np.concatenate([ties, pairs]))
+    if med == 0.0 and np.any(pairs > 0):      # most pooled pairs tie
+        med = np.median(pairs[pairs > 0])
+    return float(np.sqrt(med))
+
+
+def dense_case(kind, dim, rng):
+    """Points and goal flags for one kind of dense support of dim columns."""
+    if kind == "ranks":
+        n = 700
+        pts = (np.argsort(rng.random((n, dim)), axis=0) + 0.5) / n
+    elif kind == "ties":
+        # each column holds its first level 97% of the time, so more than
+        # half of all pooled pairs sit at distance 0
+        n = 600
+        pts = np.where(rng.random((n, dim)) < 0.97, 0.25, rng.integers(1, 4, (n, dim)) / 4)
+    elif kind == "one-point":
+        n = 50
+        pts = np.full((n, dim), 0.5)
+    else:   # "pooled-2000": n + m sits on the dense limit
+        n = 1800
+        pts = rng.integers(0, 600, (n, dim)) / 600
+    z = np.zeros(n, dtype=bool)
+    z[rng.permutation(n)[: 200 if kind == "pooled-2000" else n // 7]] = True
+    return pts, z
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ranks", "ties", "one-point", "pooled-2000"])
+def test_dense_distances_match_the_numpy_tables(kind, dim):
+    # cdist and pdist add the same squares in the same column order, so the
+    # kernel table and the pooled median keep every bit
+    pts, z = dense_case(kind, dim, np.random.default_rng(120 + dim))
+    eng = backend(hsic._DenseBackend, pts, z)
+    assert np.array_equal(eng.d2, _reference_sq_dists(eng.support, eng.support))
+    med = eng.median_distance()
+    assert med == _reference_median_distance(eng)
+    if kind == "pooled-2000":
+        assert eng.n + eng.m == hsic._DENSE_LIMIT
+    if kind == "one-point":
+        assert med == 0.0
+    if kind == "ties":      # only the nonzero distances give the median
+        w = (eng.c + eng.g).astype(np.int64)
+        assert np.sum(w * (w - 1) // 2) > (eng.n + eng.m) * (eng.n + eng.m - 1) // 4
+        assert med > 0.0
