@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .space import (
     _seed_sequence,
     build_groups,
     normalize_trials,
-    restrict,
 )
 
 __all__ = [
@@ -325,7 +324,6 @@ def interval_reduction(
     """
     if not param.is_ordered:
         raise EstimationError(f"{param.name}: interval reduction needs an ordered domain")
-    space_one = SearchSpace((param,))
     active = matrix.mask(param.name)
     raw = np.array([t.config.get(param.name, np.nan) for t in trials], dtype=float)
     n_steps = int(param.hi - param.lo) if param.kind == "integer" else _CONTINUOUS_STEPS
@@ -333,7 +331,8 @@ def interval_reduction(
     step = (f(param.hi) - f(param.lo)) / n_steps
     kept_offsets, scores, retained, lows = [], [], [], []
     for c in range(n_steps):
-        # exp(log(lo)) can miss lo by an ulp, and restrict rejects a bound below it
+        # offset 0 ranks on the unrestricted domain, so a curve starts at the
+        # analyze score of its knob; exp(log(lo)) can miss lo by an ulp
         lo_c = float(param.lo) if c == 0 else f_inv(f(param.lo) + c * step)
         rows = np.flatnonzero(active & (raw >= lo_c))
         if len(rows) < _MIN_TRIALS:
@@ -344,8 +343,7 @@ def interval_reduction(
             break
         if int(z_sub.sum()) < _MIN_GOAL:
             break
-        restricted = restrict(space_one, param.name, (lo_c, param.hi))
-        u = matrix.rerank(restricted.param(param.name), rows, raw[rows])
+        u = matrix.rerank(replace(param, lo=lo_c), rows, raw[rows])
         score = hsic_goal(u, z_sub, n_boot=n_boot, seed=seed)
         kept_offsets.append(c)
         scores.append(score)

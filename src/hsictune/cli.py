@@ -42,12 +42,6 @@ def _check_ranges(args) -> None:
         raise _UsageError("--percentile must lie in (0, 1)")
 
 
-def _goal_from_args(args) -> an.GoalSet:
-    if getattr(args, "goal", "best") == "best":
-        return an.best_percentile(args.percentile)
-    return an.worst_percentile(args.percentile)
-
-
 def _jobs(args) -> int:
     try:
         return jobs_from_env(args.jobs)
@@ -144,13 +138,14 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _goal_for_trials(trials, args):
-    scores = [t.score for t in trials if t.ok]
-    binary = scores and set(scores) <= {0.0, 1.0}
-    if binary and getattr(args, "goal", "best") == "best":
+def _goal_for_trials(trials, args) -> an.GoalSet:
+    if getattr(args, "goal", "best") == "worst":
+        return an.worst_percentile(args.percentile)
+    scores = {t.score for t in trials if t.ok}
+    if scores and scores <= {0.0, 1.0}:
         # indicator objectives: the goal is exactly the success set
         return an.threshold(0.5, "le")
-    return _goal_from_args(args)
+    return an.best_percentile(args.percentile)
 
 
 def _cmd_analyze(args) -> int:

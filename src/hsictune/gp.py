@@ -368,7 +368,6 @@ def _transform_targets(trials):
     """Minimization targets: log of positive errors, penalized failures."""
     ok_scores = np.array([t.score for t in trials if t.ok], dtype=float)
     use_log = len(ok_scores) > 0 and np.all(ok_scores > 0)
-    vals = []
     finite = [math.log(s) if use_log else float(s) for s in ok_scores]
     if finite:
         worst = max(finite)
@@ -376,12 +375,8 @@ def _transform_targets(trials):
         penalty = worst + 3.0 * max(spread, 1e-6)
     else:
         penalty = 0.0
-    for t in trials:
-        if t.ok:
-            vals.append(math.log(t.score) if use_log else float(t.score))
-        else:
-            vals.append(penalty)
-    return np.array(vals)
+    targets = iter(finite)
+    return np.array([next(targets) if t.ok else penalty for t in trials])
 
 
 def gpbo(

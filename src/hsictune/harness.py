@@ -5,9 +5,12 @@ A run file is append-only JSON lines: the first line holds the manifest
 one trial keyed by its index.  Per-trial seeds derive purely from
 (master_seed, index), so the same file contents come out whatever the
 worker count, and interrupted runs resume by skipping already-present
-indices.  Loading and resuming share one reader, so a resume checks every
-existing record the way loading does before it evaluates anything; it also
-drops an unterminated last line as an interrupted write.
+indices.  _RECORD owns a trial record's layout: _trial_record writes it and
+_trial_from_record reads it back.  Loading and resuming share one reader,
+so a resume checks every existing record the way loading does before it
+evaluates anything; a record with a missing or mistyped field, or an
+unknown status, raises naming its file and line.  A resume also drops an
+unterminated last line as an interrupted write.
 
 _evaluate_trial evaluates every trial, here and in the GP optimizer: it
 times the call and turns an objective fault into a failed trial.
@@ -113,17 +116,44 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
+# A trial record: "i" and the fields of Trial, each with the exact JSON
+# types it may decode to and the message for any other value ({!r} is the
+# value); a record may lack "tags".
+_RECORD = {
+    "i": ((int,), "trial index is not an integer"),
+    "config": ((dict,), "config is not a JSON object"),
+    "score": ((int, float, type(None)), "score is not a number or null"),
+    "status": ((str,), "unknown status {!r}"),
+    "seed": ((int,), "seed is not an integer"),
+    "wall_time_s": ((int, float), "wall_time_s is not a number"),
+    "tags": ((dict,), "tags is not a JSON object"),
+}
+_ABSENT = object()
+
+
 def _trial_record(index: int, trial: Trial) -> str:
-    rec = {
-        "i": index,
-        "config": trial.config,
-        "score": trial.score,
-        "status": trial.status,
-        "seed": trial.seed,
-        "wall_time_s": trial.wall_time_s,
-        "tags": trial.tags,
-    }
+    rec = {key: index if key == "i" else getattr(trial, key) for key in _RECORD}
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def _trial_from_record(path, lineno, rec) -> Trial:
+    """The Trial of a decoded trial record; checks every field, and a bad
+    one raises TrialFileError naming the file and line."""
+    fields = {}
+    for key, (types, message) in _RECORD.items():
+        value = rec.get(key, _ABSENT)
+        if type(value) not in types:     # exact: a JSON true is not an integer
+            if value is not _ABSENT:
+                raise TrialFileError(f"{path}: line {lineno}: " + message.format(value))
+            if key != "tags":
+                raise TrialFileError(f"{path}: line {lineno}: trial record has no {key!r} field")
+            continue
+        fields[key] = value
+    del fields["i"]
+    try:
+        return Trial(**fields)
+    except TrialFileError as e:     # an unknown status, or a score that breaks its rule
+        raise TrialFileError(f"{path}: line {lineno}: {e}") from None
 
 
 def _evaluate_trial(objective, config: dict, seed: int) -> Trial:
@@ -162,22 +192,6 @@ def _parse_manifest(path, rec) -> RunManifest:
     return manifest
 
 
-def _check_trial_record(path, lineno, rec) -> None:
-    """Reject a trial record that lacks a field or has a mistyped index, score or config."""
-    def number(x, kinds):
-        return isinstance(x, kinds) and not isinstance(x, bool)
-
-    for key in ("score", "status", "seed", "wall_time_s"):
-        if key not in rec:
-            raise TrialFileError(f"{path}: line {lineno}: trial record has no {key!r} field")
-    if not number(rec.get("i"), int):
-        raise TrialFileError(f"{path}: line {lineno}: trial index is not an integer")
-    if rec.get("score") is not None and not number(rec["score"], (int, float)):
-        raise TrialFileError(f"{path}: line {lineno}: score is not a number or null")
-    if not isinstance(rec.get("config"), dict):
-        raise TrialFileError(f"{path}: line {lineno}: config is not a JSON object")
-
-
 def _read_run(path, fh, resume=False):
     """Read a run file from the binary stream fh, checking every record.
 
@@ -208,18 +222,11 @@ def _read_run(path, fh, resume=False):
             continue
         if manifest is None:
             raise TrialFileError(f"{path}: missing manifest line")
-        _check_trial_record(path, lineno, rec)
+        trial = _trial_from_record(path, lineno, rec)
         idx = rec["i"]
         if idx in trials:
             raise TrialFileError(f"{path}: duplicate trial index {idx} (mixed runs?)")
-        trials[idx] = Trial(
-            config=rec["config"],
-            score=rec["score"],
-            status=rec["status"],
-            seed=rec["seed"],
-            wall_time_s=rec["wall_time_s"],
-            tags=rec.get("tags", {}),
-        )
+        trials[idx] = trial
     if manifest is None:
         raise TrialFileError(f"{path}: no complete manifest line")
     return manifest, trials, good_bytes

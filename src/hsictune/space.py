@@ -260,17 +260,17 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise SpaceError("duplicate parameter names")
         by_name = {p.name: p for p in self.params}
-        children = set()
+        rule_of = {}
         for r in self.rules:
             if r.child not in by_name:
                 raise SpaceError(f"rule references unknown child {r.child!r}")
             if r.parent not in by_name:
                 raise SpaceError(f"rule for {r.child}: unknown parent {r.parent!r}")
-            if r.child in children:
+            if r.child in rule_of:
                 raise SpaceError(f"{r.child}: conditioned by two rules")
-            children.add(r.child)
+            rule_of[r.child] = r
         for r in self.rules:
-            if r.parent in children:
+            if r.parent in rule_of:
                 raise SpaceError(
                     f"rule for {r.child}: two-level conditioning "
                     f"(parent {r.parent!r} is itself conditional)"
@@ -283,23 +283,22 @@ class SearchSpace:
                     raise SpaceError(
                         f"rule for {r.child}: {v!r} not a level of {r.parent}"
                     )
+        # lookups by name; not fields, so equality and hashing ignore them
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_rule_of", rule_of)
 
     def param(self, name: str) -> ParameterSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise SpaceError(f"unknown parameter {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SpaceError(f"unknown parameter {name!r}") from None
 
     def rule_for(self, name: str) -> ConditionalRule | None:
-        for r in self.rules:
-            if r.child == name:
-                return r
-        return None
+        return self._rule_of.get(name)
 
     @property
     def main_params(self):
-        children = {r.child for r in self.rules}
-        return tuple(p for p in self.params if p.name not in children)
+        return tuple(p for p in self.params if p.name not in self._rule_of)
 
     def is_active(self, config: dict, name: str) -> bool:
         rule = self.rule_for(name)
@@ -416,9 +415,8 @@ def _resolve_children(space: SearchSpace, config: dict, rng) -> dict:
     Children are visited in declaration order.  rng may be None when no
     active child can be missing.
     """
-    children = {r.child: r for r in space.rules}
     for p in space.params:
-        rule = children.get(p.name)
+        rule = space.rule_for(p.name)
         if rule is None:
             continue
         if config.get(rule.parent) not in rule.activating_values:

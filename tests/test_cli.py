@@ -233,22 +233,37 @@ def test_non_object_manifest_space_is_runtime_error(tmp_path, capsys):
     ("score", "bad", "score is not a number"),
     ("i", [1], "trial index is not an integer"),
     ("config", 5, "config is not a JSON object"),
+    ("status", 5, "unknown status 5"),
+    ("status", "lost", "unknown status 'lost'"),
+    ("score", None, "score must be finite exactly when status is ok"),
+    ("seed", "abc", "seed is not an integer"),
+    ("seed", True, "seed is not an integer"),
+    ("wall_time_s", "x", "wall_time_s is not a number"),
+    ("tags", 3, "tags is not a JSON object"),
 ])
 def test_mistyped_trial_field_is_runtime_error(tmp_path, capsys, field, value, message):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
          "--out", trials])
+    capsys.readouterr()
     lines = open(trials).read().splitlines(keepends=True)
+    assert json.loads(lines[3])["status"] == "ok"     # a null score then breaks the rule
     lines[3] = json.dumps(dict(json.loads(lines[3]), **{field: value})) + "\n"
     open(trials, "w").write("".join(lines))
+    before = open(trials, "rb").read()
     assert cli(["analyze", trials]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith(f"error: {trials}: line 4: ")
     assert cli(["search", "--objective", "example2", "--n", "25", "--seed", "1",
                 "--out", trials]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith(f"error: {trials}: line 4: ")
+    assert open(trials, "rb").read() == before
 
 
-@pytest.mark.parametrize("field", ["score", "status", "seed", "wall_time_s"])
+@pytest.mark.parametrize("field", ["score", "status", "seed", "wall_time_s", "i", "config"])
 def test_trial_record_without_a_field_is_runtime_error(tmp_path, capsys, field):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from concurrent.futures import Future
@@ -199,6 +200,13 @@ def test_load_round_trip(tmp_path):
     assert len(loaded) == 25
     for a, b in zip(written, loaded):
         assert a.config == b.config and a.score == b.score and a.seed == b.seed
+
+
+def test_trial_record_holds_the_index_and_every_trial_field():
+    # one table writes and reads a record: a new Trial field cannot go
+    # unwritten or unread
+    fields = {f.name for f in dataclasses.fields(Trial)}
+    assert set(harness._RECORD) == {"i"} | fields
 
 
 def test_load_corrupt_line_names_lineno(tmp_path):
