@@ -39,7 +39,6 @@ from .space import (
     integer_param,
     normalize_trials,
     parse_space,
-    restrict,
     sample_configuration,
     space_from_dict,
 )

@@ -80,40 +80,37 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("analyze", help="rank hyperparameters from a trial file")
-    p.add_argument("trials")
-    p.add_argument("--percentile", type=float, default=0.1)
-    p.add_argument("--goal", choices=("best", "worst"), default="best")
-    p.add_argument("--seed", type=int, default=0)
+    # the options shared by the commands that read a trial file
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("trials")
+    common.add_argument("--percentile", type=float, default=0.1)
+    common.add_argument("--seed", type=int, default=0)
+    goal = argparse.ArgumentParser(add_help=False)
+    goal.add_argument("--goal", choices=("best", "worst"), default="best")
+
+    p = sub.add_parser("analyze", parents=[common, goal],
+                       help="rank hyperparameters from a trial file")
     p.add_argument("--out", help="write the report bundle here")
     p.add_argument("--full-interactions", action="store_true")
 
-    p = sub.add_parser("reduce", help="interval-reduction curves for parameters")
-    p.add_argument("trials")
+    p = sub.add_parser("reduce", parents=[common, goal],
+                       help="interval-reduction curves for parameters")
     p.add_argument("--param", action="append", required=True)
-    p.add_argument("--percentile", type=float, default=0.1)
-    p.add_argument("--goal", choices=("best", "worst"), default="best")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("optimize", help="two-step optimization from a trial file")
-    p.add_argument("trials")
+    p = sub.add_parser("optimize", parents=[common],
+                       help="two-step optimization from a trial file")
     p.add_argument("--objective", required=True, choices=OBJECTIVE_NAMES)
     p.add_argument("--mode", choices=("acc", "acc+speed"), default="acc+speed")
     p.add_argument("--budget-step1", type=int, default=25)
     p.add_argument("--budget-step2", type=int, default=25)
     p.add_argument("--init", type=int, default=10)
-    p.add_argument("--percentile", type=float, default=0.1)
     p.add_argument("--speed", action="append", default=[],
                    help="name=minimize|maximize, repeatable")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the result JSON here")
 
-    p = sub.add_parser("report", help="emit CSV/JSON plot data from a trial file")
-    p.add_argument("trials")
-    p.add_argument("--percentile", type=float, default=0.1)
-    p.add_argument("--goal", choices=("best", "worst"), default="best")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("report", parents=[common, goal],
+                       help="emit CSV/JSON plot data from a trial file")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("demo", help="run a built-in objective end to end")

@@ -8,9 +8,10 @@ worker count, and interrupted runs resume by skipping already-present
 indices.  _RECORD owns a trial record's layout: _trial_record writes it and
 _trial_from_record reads it back.  Loading and resuming share one reader,
 so a resume checks every existing record the way loading does before it
-evaluates anything; a record with a missing or mistyped field, or an
-unknown status, raises naming its file and line.  A resume also drops an
-unterminated last line as an interrupted write.
+evaluates anything; a record with a missing or mistyped field, an unknown
+status, or a config outside the manifest's space raises naming its file
+and line.  A resume also drops an unterminated last line as an interrupted
+write.
 
 _evaluate_trial evaluates every trial, here and in the GP optimizer: it
 times the call and turns an objective fault into a failed trial.
@@ -38,8 +39,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .space import (SearchSpace, _seed_sequence, sample_configuration, space_from_dict,
-                    space_to_dict)
+from .space import (SearchSpace, SpaceError, _seed_sequence, sample_configuration,
+                    space_from_dict, space_to_dict)
 
 __all__ = [
     "Trial",
@@ -77,11 +78,13 @@ class Trial:
     def __post_init__(self):
         if self.status not in (STATUS_OK, STATUS_DIVERGED, STATUS_FAILED):
             raise TrialFileError(f"unknown status {self.status!r}")
-        finite = self.score is not None and np.isfinite(self.score)
-        if (self.status == STATUS_OK) != finite:
+        try:
+            score = None if self.score is None else float(self.score)
+        except OverflowError:   # an int past the float range
+            raise TrialFileError("score is beyond the float range") from None
+        if (self.status == STATUS_OK) != (score is not None and np.isfinite(score)):
             raise TrialFileError("score must be finite exactly when status is ok")
-        if self.score is not None:
-            self.score = float(self.score)
+        self.score = score
 
     @property
     def ok(self) -> bool:
@@ -136,9 +139,10 @@ def _trial_record(index: int, trial: Trial) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def _trial_from_record(path, lineno, rec) -> Trial:
-    """The Trial of a decoded trial record; checks every field, and a bad
-    one raises TrialFileError naming the file and line."""
+def _trial_from_record(path, lineno, rec, space) -> Trial:
+    """The Trial of a decoded trial record; checks every field, the config
+    against space, and a bad one raises TrialFileError naming the file and
+    line."""
     fields = {}
     for key, (types, message) in _RECORD.items():
         value = rec.get(key, _ABSENT)
@@ -150,10 +154,12 @@ def _trial_from_record(path, lineno, rec) -> Trial:
             continue
         fields[key] = value
     del fields["i"]
-    try:
-        return Trial(**fields)
-    except TrialFileError as e:     # an unknown status, or a score that breaks its rule
+    try:    # an unknown status, a score that breaks its rule, a config outside space
+        trial = Trial(**fields)
+        space.validate_config(trial.config)
+    except (TrialFileError, SpaceError) as e:
         raise TrialFileError(f"{path}: line {lineno}: {e}") from None
+    return trial
 
 
 def _evaluate_trial(objective, config: dict, seed: int) -> Trial:
@@ -219,10 +225,11 @@ def _read_run(path, fh, resume=False):
             manifest = _parse_manifest(path, rec)
             if space_hash(manifest.space) != manifest.space_hash:
                 raise TrialFileError(f"{path}: space hash mismatch")
+            space = space_from_dict(manifest.space)
             continue
         if manifest is None:
             raise TrialFileError(f"{path}: missing manifest line")
-        trial = _trial_from_record(path, lineno, rec)
+        trial = _trial_from_record(path, lineno, rec, space)
         idx = rec["i"]
         if idx in trials:
             raise TrialFileError(f"{path}: duplicate trial index {idx} (mixed runs?)")

@@ -527,10 +527,7 @@ def _score_labeled(pts, flags, n_boot, seed):
     backend = _backend(pts, pts[flags])
     n, m = backend.n, backend.m
     h, gamma, mmd, degenerate = _select(backend, None)
-    if m == n:
-        value = 0.0   # goal set equals the full sample: embeddings coincide
-    else:
-        value = max((m / n) ** 2 * mmd, 0.0)
+    value = max((m / n) ** 2 * mmd, 0.0)
     if n_boot >= 2:
         se = float(np.std(_bootstrap(backend, gamma, n_boot, seed), ddof=1))
     else:

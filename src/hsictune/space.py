@@ -9,7 +9,8 @@ Continuous ranks draw nothing.  A discrete value gets a uniform inside its
 level's probability band, so the rank is marginally uniform, drawn once per
 active cell from a stream keyed by (seed, parameter, trial).  The rank
 matrix keeps those draws, and interval reduction reuses them to re-rank a
-knob on each shrunken domain.
+knob on each shrunken domain.  An inactive cell's rank is NaN, and that NaN
+is the matrix's only inactive mark.
 
 Owners: _KIND_KEYS holds each kind's document keys for space_from_dict and
 its inverse space_to_dict; ParameterSpec and ConditionalRule validate, then
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "cdf_transform",
     "normalize_trials",
     "build_groups",
-    "restrict",
 ]
 
 # The document keys of each kind besides "name" and "kind", in document order.
@@ -499,11 +499,13 @@ def _substream(seed: int, name: str, index: int) -> np.random.Generator:
 
 @dataclass
 class NormalizedMatrix:
-    """Per-parameter unit-interval ranks with activity masks."""
+    """Per-parameter unit-interval ranks; a NaN rank marks an inactive cell.
+
+    An active cell's value passed validate_config, so its rank is finite.
+    """
 
     names: tuple
     columns: dict            # name -> float64 array, nan where inactive
-    active: dict             # name -> bool array
     draws: dict              # name -> band draw, nan where inactive or continuous
 
     def __len__(self):
@@ -513,13 +515,13 @@ class NormalizedMatrix:
         return self.columns[name]
 
     def mask(self, name: str) -> np.ndarray:
-        return self.active[name]
+        return ~np.isnan(self.columns[name])
 
     def rows_where_active(self, names) -> np.ndarray:
         """Boolean row mask: every named parameter active."""
         out = np.ones(len(self), dtype=bool)
         for n in names:
-            out &= self.active[n]
+            out &= self.mask(n)
         return out
 
     def rerank(self, spec: ParameterSpec, rows, values) -> np.ndarray:
@@ -530,26 +532,25 @@ class NormalizedMatrix:
 def normalize_trials(space: SearchSpace, trials, seed: int) -> NormalizedMatrix:
     """Build the rank matrix for a list of trials.
 
-    Inactive entries are nan and flagged in the mask; estimators must never
-    read them.  Each active discrete cell draws once from its keyed stream,
-    so the result is bit-reproducible.
+    An inactive cell's rank is nan, the only inactive mark; estimators must
+    never read it.  Each active discrete cell draws once from its keyed
+    stream, so the result is bit-reproducible.
     """
     configs = [t.config if hasattr(t, "config") else t for t in trials]
     for config in configs:
         space.validate_config(config)
     n = len(configs)
     names = tuple(p.name for p in space.params)
-    columns, active, draws = {}, {}, {}
+    columns, draws = {}, {}
     for p in space.params:
-        active[p.name] = np.array([p.name in c for c in configs], dtype=bool)
-        rows = np.flatnonzero(active[p.name])
+        rows = np.flatnonzero([p.name in c for c in configs])
         values = [configs[i][p.name] for i in rows]
         draws[p.name] = np.full(n, np.nan)
         if p.is_discrete:
             draws[p.name][rows] = [_substream(seed, p.name, i).random() for i in rows]
         columns[p.name] = np.full(n, np.nan)
         columns[p.name][rows] = _column_ranks(p, values, draws[p.name][rows])
-    return NormalizedMatrix(names, columns, active, draws)
+    return NormalizedMatrix(names, columns, draws)
 
 
 # -- conditional groups ------------------------------------------------------
@@ -599,42 +600,3 @@ def build_groups(space: SearchSpace):
         gid = "+".join(sorted(exact))
         groups.append(GroupSpec(gid, main + tuple(sorted(implied))))
     return groups
-
-
-# -- domain restriction ------------------------------------------------------
-
-
-def restrict(space: SearchSpace, param: str, new_domain) -> SearchSpace:
-    """Shrink one parameter's domain; categorical weights renormalize.
-
-    new_domain is (lo, hi) for ordered kinds and an iterable of retained
-    levels for categorical/boolean kinds.
-    """
-    spec = space.param(param)
-    if spec.kind in ("continuous", "integer"):
-        lo, hi = new_domain
-        if lo < spec.lo or hi > spec.hi or not (lo < hi):
-            raise SpaceError(f"{param}: restriction [{lo}, {hi}] not a sub-range")
-        new_spec = replace(spec, lo=lo, hi=hi)
-    elif spec.kind == "categorical":
-        kept = tuple(new_domain)
-        if not kept or any(v not in spec.levels for v in kept):
-            raise SpaceError(f"{param}: restriction is empty or out of range")
-        kept = tuple(v for v in spec.levels if v in kept)
-        w = [spec.weights[j] for j in _level_index(spec, kept)]
-        total = sum(w)
-        if total <= 0:
-            raise SpaceError(f"{param}: restriction has zero total weight")
-        if len(kept) == 1:
-            raise SpaceError(f"{param}: restriction must keep at least two levels")
-        new_spec = replace(spec, levels=kept, weights=tuple(x / total for x in w))
-    else:
-        kept = {bool(v) for v in new_domain}
-        if not kept:
-            raise SpaceError(f"{param}: empty restriction")
-        if kept == {True, False}:
-            new_spec = spec
-        else:
-            new_spec = replace(spec, weight_true=1.0 if kept == {True} else 0.0)
-    params = tuple(new_spec if p.name == param else p for p in space.params)
-    return SearchSpace(params, space.rules)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import zlib
 
@@ -28,7 +29,6 @@ from hsictune.space import (
     continuous_param,
     integer_param,
     normalize_trials,
-    restrict,
 )
 
 
@@ -351,7 +351,7 @@ def test_interval_reduction_matches_per_row_reference_ranks():
     values = np.array([t.config["n_layers"] for t in trials])
     for c, score in zip(curve.offsets, curve.scores):
         rows = np.flatnonzero(values >= 1 + c)
-        spec = restrict(space, "n_layers", (1 + c, 10)).param("n_layers")
+        spec = dataclasses.replace(space.param("n_layers"), lo=1 + c)
         levels, weights = spec.level_weights()
         u = []
         for i in rows:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -45,9 +46,9 @@ def test_search_then_analyze_then_report(tmp_path, capsys):
     assert rows[0] == ["param", "hsic", "se", "n", "m"]
     assert rows[1][0] == "x1"      # dominant input ranks first
 
-    before = open(trials).read()
+    before = Path(trials).read_text()
     assert cli(["report", trials, "--seed", "7", "--out", out]) == 0
-    assert open(trials).read() == before     # report never mutates trials
+    assert Path(trials).read_text() == before     # report never mutates trials
     assert os.path.exists(os.path.join(out, "hist_x1.csv"))
 
 
@@ -68,8 +69,8 @@ def test_analyze_outputs_are_byte_identical(tmp_path):
     assert cli(["analyze", trials, "--seed", "5", "--out", out1]) == 0
     assert cli(["analyze", trials, "--seed", "5", "--out", out2]) == 0
     for name in ("summary.json", "ranking_main.csv", "interactions.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(os.path.join(out1, name)).read_bytes()
+        b = Path(os.path.join(out2, name)).read_bytes()
         assert a == b, name
 
 
@@ -99,7 +100,7 @@ def test_optimize_two_step(tmp_path, capsys):
                 "--seed", "2", "--out", result]) == 0
     text = capsys.readouterr().out
     assert "best error" in text
-    payload = json.load(open(result))
+    payload = json.loads(Path(result).read_text())
     assert payload["n_evaluations"] == 200 + (6 + 8) + (6 + 8)
     assert payload["fixed"]["x3"] == 1
 
@@ -146,11 +147,11 @@ def test_malformed_manifest_is_runtime_error(tmp_path, capsys, manifest):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
          "--out", trials])
-    lines = open(trials).read().splitlines(keepends=True)
+    lines = Path(trials).read_text().splitlines(keepends=True)
     if manifest == "extra-field":
         manifest = dict(json.loads(lines[0])["manifest"], colour="blue")
     lines[0] = json.dumps({"manifest": manifest}) + "\n"
-    open(trials, "w").write("".join(lines))
+    Path(trials).write_text("".join(lines))
     assert cli(["analyze", trials]) == 2
     assert "manifest" in capsys.readouterr().err
 
@@ -180,8 +181,8 @@ def test_reduce_curve_uses_the_analysis_noise_floor(tmp_path):
                                report.noise_floor, seed=4)
     save_reduction_curve(curve, str(tmp_path / "lib"))
     name = "reduction_x1.csv"
-    assert (open(tmp_path / "cli" / name, "rb").read()
-            == open(tmp_path / "lib" / name, "rb").read())
+    assert ((tmp_path / "cli" / name).read_bytes()
+            == (tmp_path / "lib" / name).read_bytes())
 
 
 def test_each_command_normalizes_the_trials_once(tmp_path, monkeypatch):
@@ -217,10 +218,10 @@ def test_non_object_manifest_space_is_runtime_error(tmp_path, capsys):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
          "--out", trials])
-    lines = open(trials).read().splitlines(keepends=True)
+    lines = Path(trials).read_text().splitlines(keepends=True)
     manifest = dict(json.loads(lines[0])["manifest"], space=[1, 2])
     lines[0] = json.dumps({"manifest": manifest}) + "\n"
-    open(trials, "w").write("".join(lines))
+    Path(trials).write_text("".join(lines))
     assert cli(["analyze", trials]) == 2
     assert "manifest space" in capsys.readouterr().err
     # the resume path of search reads the same manifest
@@ -240,17 +241,19 @@ def test_non_object_manifest_space_is_runtime_error(tmp_path, capsys):
     ("seed", True, "seed is not an integer"),
     ("wall_time_s", "x", "wall_time_s is not a number"),
     ("tags", 3, "tags is not a JSON object"),
+    pytest.param("score", 10**400, "score is beyond the float range",
+                 id="score-10**400"),
 ])
 def test_mistyped_trial_field_is_runtime_error(tmp_path, capsys, field, value, message):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
          "--out", trials])
     capsys.readouterr()
-    lines = open(trials).read().splitlines(keepends=True)
+    lines = Path(trials).read_text().splitlines(keepends=True)
     assert json.loads(lines[3])["status"] == "ok"     # a null score then breaks the rule
     lines[3] = json.dumps(dict(json.loads(lines[3]), **{field: value})) + "\n"
-    open(trials, "w").write("".join(lines))
-    before = open(trials, "rb").read()
+    Path(trials).write_text("".join(lines))
+    before = Path(trials).read_bytes()
     assert cli(["analyze", trials]) == 2
     err = capsys.readouterr().err
     assert message in err
@@ -260,7 +263,27 @@ def test_mistyped_trial_field_is_runtime_error(tmp_path, capsys, field, value, m
     err = capsys.readouterr().err
     assert message in err
     assert err.startswith(f"error: {trials}: line 4: ")
-    assert open(trials, "rb").read() == before
+    assert Path(trials).read_bytes() == before
+
+
+def test_config_outside_the_space_is_runtime_error(tmp_path, capsys):
+    trials = str(tmp_path / "trials.jsonl")
+    assert cli(["search", "--objective", "example2", "--n", "30", "--seed", "1",
+                "--out", trials]) == 0
+    capsys.readouterr()
+    lines = Path(trials).read_text().splitlines(keepends=True)
+    rec = json.loads(lines[3])
+    rec["config"]["x1"] = "abc"
+    lines[3] = json.dumps(rec) + "\n"
+    Path(trials).write_text("".join(lines))
+    before = Path(trials).read_bytes()
+    message = f"error: {trials}: line 4: x1: value 'abc' out of domain\n"
+    assert cli(["search", "--objective", "example2", "--n", "35", "--seed", "1",
+                "--out", trials]) == 2
+    assert capsys.readouterr().err == message
+    assert Path(trials).read_bytes() == before
+    assert cli(["analyze", trials]) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("field", ["score", "status", "seed", "wall_time_s", "i", "config"])
@@ -269,11 +292,11 @@ def test_trial_record_without_a_field_is_runtime_error(tmp_path, capsys, field):
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
          "--out", trials])
     capsys.readouterr()
-    lines = open(trials).read().splitlines(keepends=True)
+    lines = Path(trials).read_text().splitlines(keepends=True)
     rec = json.loads(lines[3])
     del rec[field]
     lines[3] = json.dumps(rec) + "\n"
-    open(trials, "w").write("".join(lines))
+    Path(trials).write_text("".join(lines))
     message = f"error: {trials}: line 4: trial record has no {field!r} field\n"
     assert cli(["analyze", trials]) == 2
     assert capsys.readouterr().err == message
@@ -312,14 +335,14 @@ def test_resume_rejects_a_bad_run_file_before_evaluating(tmp_path, capsys, damag
     trials = str(tmp_path / "trials.jsonl")
     assert cli(["search", "--objective", "example2", "--n", "5", "--seed", "1",
                 "--out", trials]) == 0
-    lines = open(trials).read().splitlines(keepends=True)
+    lines = Path(trials).read_text().splitlines(keepends=True)
     damage(lines)
-    open(trials, "w", errors="surrogateescape").write("".join(lines))
-    before = open(trials, "rb").read()
+    Path(trials).write_text("".join(lines), errors="surrogateescape")
+    before = Path(trials).read_bytes()
     assert cli(["search", "--objective", "example2", "--n", "40", "--seed", "1",
                 "--out", trials]) == 2
     assert "error" in capsys.readouterr().err
-    assert open(trials, "rb").read() == before
+    assert Path(trials).read_bytes() == before
 
 
 def test_failed_gp_optimization_is_runtime_error(tmp_path, capsys):
@@ -372,11 +395,11 @@ def test_search_reports_the_trials_the_file_holds(tmp_path, capsys):
     assert cli(["search", "--objective", "example2", "--n", "12", "--seed", "4",
                 "--out", trials]) == 0
     capsys.readouterr()
-    before = open(trials, "rb").read()
+    before = Path(trials).read_bytes()
     assert cli(["search", "--objective", "example2", "--n", "3", "--seed", "4",
                 "--out", trials]) == 0
     assert "12 trials" in capsys.readouterr().out
-    assert open(trials, "rb").read() == before
+    assert Path(trials).read_bytes() == before
 
 
 _X = '{"name": "x", "kind": "continuous", "lo": 0, "hi": 1}'
@@ -424,7 +447,7 @@ def test_search_onto_another_run_is_runtime_error(tmp_path, capsys, change, mess
     trials = str(tmp_path / "trials.jsonl")
     assert cli(["search", "--objective", "quadratic1d", "--n", "6", "--seed", "1",
                 "--out", trials]) == 0
-    before = open(trials, "rb").read()
+    before = Path(trials).read_bytes()
     other = tmp_path / "space.json"
     other.write_text('{"params": [{"name": "x", "kind": "continuous", "lo": 0, "hi": 2}]}')
     same = tmp_path / "same.json"       # quadratic1d's own space, as a document
@@ -435,7 +458,7 @@ def test_search_onto_another_run_is_runtime_error(tmp_path, capsys, change, mess
     capsys.readouterr()
     assert cli(["search", "--n", "9", *argv[change], "--out", trials]) == 2
     assert message in capsys.readouterr().err
-    assert open(trials, "rb").read() == before
+    assert Path(trials).read_bytes() == before
 
 
 def test_negative_seed_names_the_streams_of_its_32_bit_residue(tmp_path, capsys):
@@ -466,7 +489,7 @@ def test_optimize_with_every_knob_pinned_runs_no_step(tmp_path, capsys):
                 "--init", "2", "--budget-step1", "2", "--budget-step2", "2",
                 "--out", out]) == 0
     assert "no optimization step ran" in capsys.readouterr().out
-    result = json.load(open(out))
+    result = json.loads(Path(out).read_text())
     assert result["step1_dims"] == [] and result["step2_dims"] == []
     assert result["step1_incumbent"] is None and result["step2_incumbent"] is None
     assert result["n_evaluations"] == 40
@@ -476,9 +499,9 @@ def test_resume_that_grows_a_run_reports_its_size(tmp_path):
     trials = str(tmp_path / "trials.jsonl")
     argv = ["search", "--objective", "example2", "--seed", "1", "--out", trials]
     assert cli(argv + ["--n", "5"]) == 0
-    before = open(trials, "rb").read().splitlines(keepends=True)
+    before = Path(trials).read_bytes().splitlines(keepends=True)
     assert cli(argv + ["--n", "12"]) == 0
-    assert open(trials, "rb").read().splitlines(keepends=True)[:6] == before
+    assert Path(trials).read_bytes().splitlines(keepends=True)[:6] == before
     manifest, loaded = load_trials(trials)
     assert manifest.n_s == 12 and len(loaded) == 12
 
@@ -488,10 +511,10 @@ def test_non_integer_manifest_n_s_is_runtime_error(tmp_path, capsys, n_s):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "example2", "--n", "20", "--seed", "1",
          "--out", trials])
-    lines = open(trials).read().splitlines(keepends=True)
+    lines = Path(trials).read_text().splitlines(keepends=True)
     manifest = dict(json.loads(lines[0])["manifest"], n_s=n_s)
     lines[0] = json.dumps({"manifest": manifest}) + "\n"
-    open(trials, "w").write("".join(lines))
+    Path(trials).write_text("".join(lines))
     assert cli(["analyze", trials]) == 2
     assert "n_s is not an integer" in capsys.readouterr().err
 

@@ -160,6 +160,17 @@ def test_all_flagged_collapses_to_zero():
     assert s.value == 0.0
 
 
+@pytest.mark.parametrize("ties", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("n", [300, 2500], ids=["dense", "binned"])
+def test_all_flagged_scores_exactly_zero_on_both_paths(n, ties):
+    # equal sets share their support (c == g), so the three sums cancel to +0.0
+    rng = np.random.default_rng(n)
+    u, v = (rng.integers(0, 9, (2, n)) / 9) if ties else rng.random((2, n))
+    z = np.ones(n, dtype=bool)
+    for s in (hsic_goal(u, z, n_boot=5, seed=1), hsic_pair(u, v, z, n_boot=5, seed=1)):
+        assert (s.value, np.copysign(1.0, s.value), s.std_error) == (0.0, 1.0, 0.0)
+
+
 def test_goal_too_small_raises():
     u = np.random.default_rng(0).random(50)
     z = np.zeros(50, dtype=bool)

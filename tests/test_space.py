@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -20,7 +21,6 @@ from hsictune.space import (
     integer_param,
     normalize_trials,
     parse_space,
-    restrict,
     sample_configuration,
     space_from_dict,
     space_to_dict,
@@ -267,6 +267,9 @@ def test_normalize_is_bit_reproducible():
     b = normalize_trials(space, trials, seed=9)
     for name in a.names:
         assert np.array_equal(a.column(name), b.column(name), equal_nan=True)
+        # a NaN rank is the inactive mark, and exactly the cells the configs lack
+        assert np.array_equal(a.mask(name), ~np.isnan(a.column(name)))
+        assert a.mask(name).tolist() == [name in t for t in trials]
 
 
 def test_normalize_rejects_mismatched_config():
@@ -415,52 +418,6 @@ def test_groups_do_not_depend_on_declaration_order():
         assert set(ga.members) == set(gb.members)
 
 
-# -- restriction -------------------------------------------------------------
-
-
-def test_restrict_integer_range():
-    space = make_space([integer_param("n_layers", 1, 10)])
-    out = restrict(space, "n_layers", (3, 10))
-    spec = out.param("n_layers")
-    assert (spec.lo, spec.hi) == (3, 10)
-
-
-def test_restrict_categorical_renormalizes():
-    space = make_space(
-        [categorical_param("act", ("elu", "relu", "tanh", "sigmoid"))]
-    )
-    out = restrict(space, "act", ("elu", "relu", "tanh"))
-    spec = out.param("act")
-    assert spec.levels == ("elu", "relu", "tanh")
-    assert abs(sum(spec.weights) - 1.0) < 1e-12
-    assert all(abs(w - 1 / 3) < 1e-12 for w in spec.weights)
-
-
-def test_restrict_to_same_domain_is_identity():
-    space = make_space([integer_param("n", 1, 10)])
-    out = restrict(space, "n", (1, 10))
-    assert space_to_dict(out) == space_to_dict(space)
-
-
-def test_restrict_empty_or_oversized_rejected():
-    space = make_space([integer_param("n", 1, 10)])
-    with pytest.raises(SpaceError):
-        restrict(space, "n", (0, 10))
-    with pytest.raises(SpaceError):
-        restrict(space, "n", (7, 7))
-
-
-def test_restrict_then_sample_stays_inside():
-    space = make_space([integer_param("n", 1, 10),
-                        categorical_param("c", ("a", "b", "c"))])
-    out = restrict(restrict(space, "n", (4, 10)), "c", ("b", "c"))
-    rng = np.random.default_rng(8)
-    for _ in range(300):
-        cfg = sample_configuration(out, rng)
-        assert 4 <= cfg["n"] <= 10
-        assert cfg["c"] in ("b", "c")
-
-
 def test_space_from_dict_inverts_space_to_dict():
     space = make_space(
         [
@@ -478,7 +435,7 @@ def test_space_from_dict_inverts_space_to_dict():
     n = space.param("n")
     assert (type(n.lo), type(n.hi)) == (int, int)
     assert space.param("dropout_rate").lo == 0.0 and space.param("dropout").weight_true == 1.0
-    assert restrict(space, "n", (3.0, 10)).param("n").lo == 3
+    assert dataclasses.replace(space.param("n"), lo=3.0).lo == 3
     with pytest.raises(SpaceError, match="integral"):
         integer_param("n", 1.5, 10)
 
