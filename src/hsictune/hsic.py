@@ -30,7 +30,11 @@ that centers the bandwidth grid (the median of the nonzero distances when
 most pooled pairs tie), the sums over the grid and the bootstrap
 replicates' sums at one bandwidth.  The dense backend's distances come
 from scipy: cdist of the support for the kernel matrix, pdist of the pooled
-sample (the support repeated by its pooled counts) for the median.  Both
+sample (the support repeated by its pooled counts) for the median.  Its
+kernel matrix has the bits of np.exp(-gamma d2), entry for entry, but no
+entry takes np.exp's slow path for results that underflow: the arguments
+below -707 are computed apart, the band down to -746 as one short array,
+and the ones below it set to the +0.0 that np.exp gives them.  Both
 backends are deterministic and permutation invariant: the support is
 sorted and counts are order-free.
 
@@ -98,6 +102,11 @@ _SCREEN_SLACK = {1: 1e-2, 2: 5e-2}
 # whatever X's width (Haswell kernels, one and two threads, s 3-1999), so a
 # replicate's sums do not depend on n_boot; at other widths they moved.
 _BLOCK_COLUMNS = 8
+# np.exp of an argument at or above _EXP_NORMAL is a normal double
+# (exp(-707) = 9.0e-308 > 2.2e-308), and below _EXP_ZERO it is +0.0 (the
+# cutoff is ln 2^-1075 = -745.13); see _DenseBackend._kernel.
+_EXP_NORMAL = -707.0
+_EXP_ZERO = -746.0
 N_GRID = 40
 GRID_SPAN = (1e-2, 1e1)  # multiples of the median pairwise distance
 
@@ -216,6 +225,7 @@ class _DenseBackend:
         self.support, self.c, self.g = support, c, g
         self.n, self.m = int(c.sum()), int(g.sum())
         self.d2 = cdist(support, support, "sqeuclidean")
+        self.d2_max = self.d2.max()
         self.owner, self.flagged = _rows(c, g)
 
     def median_distance(self) -> float:
@@ -226,13 +236,40 @@ class _DenseBackend:
             med = np.median(pairs[pairs > 0])
         return float(np.sqrt(med))
 
+    def _kernel(self, gamma, out):
+        """K = exp(-gamma d2) into out, entry for entry the bits of
+        np.exp(-gamma * d2).
+
+        np.exp leaves its vector path for every entry whose result
+        underflows, which costs 15-100 times a normal entry, and a narrow
+        grid bandwidth underflows most of the matrix.  So the arguments
+        below _EXP_NORMAL are taken out.  The band down to _EXP_ZERO goes
+        through np.exp on its own, as a compressed array.  The matrix runs
+        through np.exp with its arguments clamped at _EXP_NORMAL, and the
+        clamped entries are then zeroed: below _EXP_ZERO np.exp gives +0.0.
+        A gamma whose arguments all stay at or above _EXP_NORMAL runs plain
+        np.exp.
+        """
+        K = np.multiply(self.d2, -gamma, out=out)
+        if self.d2_max * -gamma >= _EXP_NORMAL:   # the smallest argument, exactly
+            return np.exp(K, out=K)
+        keep = K >= _EXP_NORMAL
+        in_band = K >= _EXP_ZERO
+        in_band ^= keep                         # _EXP_ZERO <= K < _EXP_NORMAL
+        band = np.flatnonzero(in_band)
+        tail = np.exp(K.ravel()[band])
+        np.maximum(K, _EXP_NORMAL, out=K)
+        np.exp(K, out=K)
+        K *= keep
+        K.ravel()[band] = tail
+        return K
+
     def sweep(self, gammas):
         out = np.empty((len(gammas), 3))
         c, g = self.c, self.g
         K = np.empty_like(self.d2)
         for i, gamma in enumerate(gammas):
-            np.multiply(self.d2, -gamma, out=K)
-            np.exp(K, out=K)
+            self._kernel(gamma, K)
             kg = K @ g
             kc = K @ c
             # the cross term's contraction order sets its rounding; changing
@@ -251,10 +288,7 @@ class _DenseBackend:
         x = np.zeros((len(self.c), -(-len(cols) // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
         for j, v in enumerate(cols):
             x[:, j] = v
-        K = np.empty_like(self.d2)
-        np.multiply(self.d2, -gamma, out=K)
-        np.exp(K, out=K)
-        kx = K @ x
+        kx = self._kernel(gamma, np.empty_like(self.d2)) @ x
         width = len(cols)
         c, g = x[:, 0:width:2], x[:, 1:width:2]
         kc, kg = kx[:, 0:width:2], kx[:, 1:width:2]

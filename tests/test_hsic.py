@@ -431,6 +431,60 @@ def test_dense_block_sums_match_per_replicate_products(dim):
                                    rtol=1e-12, atol=0)
 
 
+def dense_support(rng, s, dim, tied):
+    """A dense backend on s support points.  Tied: the rows are s distinct
+    cells of a coarse level grid, some drawn twice, ranked per column with
+    midranks."""
+    if not tied:
+        pts = rng.random((s, dim))
+    else:
+        levels = int(np.ceil(s ** (1 / dim)))
+        cells = rng.choice(levels**dim, s, replace=False)
+        cells = np.concatenate([cells, rng.choice(cells, 2 * s)])
+        grid = np.column_stack(np.unravel_index(cells, (levels,) * dim))
+        pts = np.column_stack([rankdata(col) / len(col) for col in grid.T])
+    z = rng.random(len(pts)) < 0.3
+    z[0] = True                      # two pooled points even at s = 1
+    eng = backend(hsic._DenseBackend, pts, z)
+    assert len(eng.c) == s
+    return eng
+
+
+# odd sizes leave SIMD tails; the extra gammas put the smallest (and the
+# median) argument at the fast path's edge, in the subnormal range, at
+# exp's zero cutoff and past it
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [1, 7, 300, 1501])
+def test_dense_kernel_has_the_bits_of_np_exp(s, dim, tied):
+    rng = np.random.default_rng(s + 10 * dim + tied)
+    eng = dense_support(rng, s, dim, tied)
+    gammas = list(1.0 / (2.0 * bandwidth_grid(eng.median_distance()) ** 2))
+    if s > 1:
+        scales = eng.d2_max, np.median(eng.d2[eng.d2 > 0])
+        gammas += [arg / d for arg in (707.0, 708.4, 745.13, 746.0) for d in scales]
+    out, subnormal = np.empty_like(eng.d2), False
+    for gamma in gammas:
+        want = np.exp(-gamma * eng.d2)
+        got = eng._kernel(gamma, out)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), gamma
+        subnormal |= bool(np.any((want > 0) & (want < np.finfo(float).smallest_normal)))
+    assert subnormal == (s > 1)
+
+
+def test_np_exp_is_positive_zero_below_the_cutoff():
+    # the dense kernel zeroes every argument below _EXP_ZERO instead of
+    # calling np.exp on it, and clamps the ones below _EXP_NORMAL to a
+    # normal result; this checks that np.exp agrees on this platform
+    below = np.concatenate([np.linspace(hsic._EXP_ZERO - 64.0, hsic._EXP_ZERO, 2**20 + 1),
+                            -np.geomspace(-hsic._EXP_ZERO, 1e300, 4096),
+                            [-np.inf]])
+    zeros = np.exp(below).view(np.int64)
+    assert np.array_equal(zeros, np.zeros_like(zeros))        # +0.0, sign bit clear
+    assert np.exp(hsic._EXP_NORMAL) >= np.finfo(float).smallest_normal
+
+
 @pytest.mark.parametrize("cls, n, dim", [
     (hsic._DenseBackend, 30, 1),
     (hsic._DenseBackend, 400, 1),
