@@ -18,7 +18,7 @@ from .gp import FitError
 from .harness import TrialFileError, jobs_from_env, load_trials, run_random_search
 from .hsic import EstimationError
 from .objectives import OBJECTIVE_NAMES, build_objective
-from .space import SpaceError, build_groups, normalize_trials, parse_space, space_from_dict
+from .space import SpaceError, build_groups, normalize_trials, parse_space
 from .twostep import Budgets, FixingPolicy, two_step_optimize
 
 __all__ = ["cli", "main"]
@@ -47,12 +47,6 @@ def _jobs(args) -> int:
         return jobs_from_env(args.jobs)
     except ValueError as e:
         raise _UsageError(str(e)) from None
-
-
-def _load(path):
-    manifest, trials = load_trials(path)
-    space = space_from_dict(manifest.space)
-    return manifest, space, trials
 
 
 def _print_ranking(report):
@@ -146,7 +140,7 @@ def _goal_for_trials(trials, args) -> an.GoalSet:
 
 
 def _cmd_analyze(args) -> int:
-    _, space, trials = _load(args.trials)
+    _, space, trials = load_trials(args.trials)
     goal = _goal_for_trials(trials, args)
     report = an.run_algorithm1(space, trials, goal, args.seed,
                                full_interactions=args.full_interactions)
@@ -158,7 +152,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    _, space, trials = _load(args.trials)
+    _, space, trials = load_trials(args.trials)
     goal = _goal_for_trials(trials, args)
     # the curves need only the noise floor: the main group's dummy score
     z = an.make_goal_flags(trials, goal)
@@ -175,7 +169,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    manifest, space, trials = _load(args.trials)
+    manifest, space, trials = load_trials(args.trials)
     if args.objective != manifest.objective:
         raise TrialFileError(f"{args.trials}: objective mismatch: searched with "
                              f"{manifest.objective!r}, not {args.objective!r}")
@@ -199,7 +193,10 @@ def _cmd_optimize(args) -> int:
     print(f"fixed: {result.fixed}")
     print(f"step1 dims: {list(result.step1_dims)}  step2 dims: {list(result.step2_dims)}")
     if best is None:
-        print("no optimization step ran: every parameter is pinned")
+        # a step with a free knob was skipped for want of evaluations
+        why = ", ".join(f"step {k}: {'zero budget' if dims else 'every parameter is pinned'}"
+                        for k, dims in ((1, result.step1_dims), (2, result.step2_dims)))
+        print(f"no optimization step ran ({why})")
     else:
         print(f"best error: {best.score:.6g}  config: {best.config}")
     if args.out:
@@ -210,7 +207,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _, space, trials = _load(args.trials)
+    _, space, trials = load_trials(args.trials)
     goal = _goal_for_trials(trials, args)
     report = an.run_algorithm1(space, trials, goal, args.seed)
     reports.save_report_bundle(report, args.out)

@@ -187,7 +187,6 @@ def _matern52(r):
 @dataclass
 class GpModel:
     X: np.ndarray
-    y_raw: np.ndarray
     y_mean: float
     y_std: float
     lengthscales: np.ndarray
@@ -290,7 +289,7 @@ def gp_fit(X, y) -> GpModel:
             best = res
     ls, signal, noise, _, _, _, L, jit = _factor(best.x, X)
     alpha, _ = _POTRS(L, ys, lower=True)
-    return GpModel(X, y, y_mean, y_std, ls, signal, noise, jit, L, alpha)
+    return GpModel(X, y_mean, y_std, ls, signal, noise, jit, L, alpha)
 
 
 def gp_predict(model: GpModel, x) -> tuple:
@@ -340,13 +339,13 @@ def expected_improvement(model: GpModel, x, best_so_far: float):
 def _force(space: SearchSpace, config: dict, fixed: dict, rng) -> dict:
     """Overwrite fixed values and re-resolve child activation."""
     out = dict(config)
-    out.update(fixed or {})
+    out.update(fixed)
     return _resolve_children(space, out, rng)
 
 
 def _finite_configs(space: SearchSpace, fixed: dict, limit: int):
     """Enumerate the whole space when every free parameter is discrete."""
-    free = [p for p in space.params if p.name not in (fixed or {})]
+    free = [p for p in space.params if p.name not in fixed]
     if any(p.kind == "continuous" for p in free):
         return None
     combos = [{}]
@@ -357,7 +356,7 @@ def _finite_configs(space: SearchSpace, fixed: dict, limit: int):
         combos = [dict(c, **{p.name: v}) for c in combos for v in levels]
     out = []
     for c in combos:
-        c.update(fixed or {})
+        c.update(fixed)
         cfg = _resolve_children(space, {p.name: c[p.name] for p in space.params}, None)
         if cfg not in out:
             out.append(cfg)

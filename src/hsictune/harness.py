@@ -9,8 +9,10 @@ indices.  _RECORD owns a trial record's layout: _trial_record writes it and
 _trial_from_record reads it back.  Loading and resuming share one reader,
 so a resume checks every existing record the way loading does before it
 evaluates anything; a record with a missing or mistyped field, an unknown
-status, or a config outside the manifest's space raises naming its file
-and line.  A resume also drops an unterminated last line as an interrupted
+status, a negative index, or a config outside the manifest's space raises
+naming its file and line (the command line exits 2).  Loading hands back
+the manifest's space as parsed for that check, so a caller need not parse
+it again.  A resume also drops an unterminated last line as an interrupted
 write.
 
 _evaluate_trial evaluates every trial, here and in the GP optimizer: it
@@ -107,8 +109,8 @@ class RunManifest:
     created_at: str = ""
 
 
-def space_hash(space: SearchSpace | dict) -> str:
-    doc = space if isinstance(space, dict) else space_to_dict(space)
+def space_hash(doc: dict) -> str:
+    """sha256 of a space document's canonical JSON."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -153,7 +155,9 @@ def _trial_from_record(path, lineno, rec, space) -> Trial:
                 raise TrialFileError(f"{path}: line {lineno}: trial record has no {key!r} field")
             continue
         fields[key] = value
-    del fields["i"]
+    index = fields.pop("i")
+    if index < 0:
+        raise TrialFileError(f"{path}: line {lineno}: trial index {index} is negative")
     try:    # an unknown status, a score that breaks its rule, a config outside space
         trial = Trial(**fields)
         space.validate_config(trial.config)
@@ -201,11 +205,12 @@ def _parse_manifest(path, rec) -> RunManifest:
 def _read_run(path, fh, resume=False):
     """Read a run file from the binary stream fh, checking every record.
 
-    Returns (manifest, {index: Trial}, bytes read).  With resume, an
-    unterminated line (only the last line can lack its newline) is an
-    interrupted write: the read stops before it.
+    Returns (manifest, space, {index: Trial}, bytes read), where space is
+    the manifest's space, parsed once, that every config was checked
+    against.  With resume, an unterminated line (only the last line can
+    lack its newline) is an interrupted write: the read stops before it.
     """
-    manifest = None
+    manifest = space = None
     trials = {}
     good_bytes = 0
     for lineno, line in enumerate(fh, start=1):
@@ -236,14 +241,14 @@ def _read_run(path, fh, resume=False):
         trials[idx] = trial
     if manifest is None:
         raise TrialFileError(f"{path}: no complete manifest line")
-    return manifest, trials, good_bytes
+    return manifest, space, trials, good_bytes
 
 
 def _scan_existing(path, manifest_expected):
     """The trials of a partial run of the expected search, by index; drops
     an interrupted last line.  A bad file raises before anything changes."""
     with open(path, "r+b") as fh:
-        manifest, trials, good_bytes = _read_run(path, fh, resume=True)
+        manifest, _, trials, good_bytes = _read_run(path, fh, resume=True)
         for field in ("space_hash", "master_seed", "objective"):
             if getattr(manifest, field) != getattr(manifest_expected, field):
                 raise TrialFileError(f"{path}: {field.replace('_', ' ')} mismatch")
@@ -370,10 +375,11 @@ def run_random_search(
 
 
 def load_trials(path):
-    """Read (manifest, trials sorted by index); validate hash and integrity."""
+    """Read (manifest, space, trials sorted by index), checking every record:
+    space is the manifest's space, parsed once, that every config passed."""
     if not os.path.exists(path):
         raise TrialFileError(f"{path}: no such file")
     with open(path, "rb") as fh:
-        manifest, trials, _ = _read_run(path, fh)
+        manifest, space, trials, _ = _read_run(path, fh)
     manifest.n_s = max([manifest.n_s, *(i + 1 for i in trials)])
-    return manifest, [trials[i] for i in sorted(trials)]
+    return manifest, space, [trials[i] for i in sorted(trials)]

@@ -63,7 +63,7 @@ _FACTORIES = {
 OBJECTIVE_NAMES = tuple(sorted(_FACTORIES))
 
 
-def build_objective(name: str, **kwargs):
+def build_objective(name: str):
     """Instantiate a built-in objective by name."""
     try:
         factory = _FACTORIES[name]
@@ -71,4 +71,4 @@ def build_objective(name: str, **kwargs):
         raise KeyError(
             f"unknown objective {name!r}; choose from {', '.join(OBJECTIVE_NAMES)}"
         )
-    return factory(**kwargs)
+    return factory()

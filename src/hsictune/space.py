@@ -300,18 +300,13 @@ class SearchSpace:
     def main_params(self):
         return tuple(p for p in self.params if p.name not in self._rule_of)
 
-    def is_active(self, config: dict, name: str) -> bool:
-        rule = self.rule_for(name)
-        if rule is None:
-            return True
-        return config.get(rule.parent) in rule.activating_values
-
     def validate_config(self, config: dict) -> None:
         """Raise SpaceError unless config satisfies activation and domains."""
         for key in config:
             self.param(key)  # raises on unknown names
         for p in self.params:
-            active = self.is_active(config, p.name)
+            rule = self._rule_of.get(p.name)
+            active = rule is None or config.get(rule.parent) in rule.activating_values
             if active and p.name not in config:
                 raise SpaceError(f"missing active parameter {p.name!r}")
             if not active and p.name in config:

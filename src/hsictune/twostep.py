@@ -117,12 +117,12 @@ class TwoStepResult:
 
 
 def _speed_value(spec, direction, curve: ReductionCurve | None):
-    lo, hi = spec.lo, spec.hi
-    if curve is not None and curve.cutoff:
-        lo = curve.lows[curve.cutoff]
     if direction == "maximize":
-        return int(hi) if spec.kind == "integer" else float(hi)
-    return int(lo) if spec.kind == "integer" else float(lo)
+        return spec.hi
+    if curve is None or not curve.cutoff:
+        return spec.lo
+    lo = curve.lows[curve.cutoff]       # a float, also for an integer knob
+    return int(lo) if spec.kind == "integer" else lo
 
 
 def _matching_region(spec, a, b) -> bool:
@@ -147,16 +147,14 @@ def select_fixed_values(report: SensitivityReport, trials, policy: FixingPolicy,
     impactful = set(report.impactful())
     pairs = report.interacting_pairs()
     fixed, provenance = {}, {}
-    speed_fixed = {}
     for p in space.params:
         direction = policy.speed_directions.get(p.name, "neutral")
         if direction != "neutral":
             if not p.is_ordered:
                 raise EstimationError(f"{p.name}: speed direction on unordered parameter")
-            value = _speed_value(p, direction, curves.get(p.name))
-            fixed[p.name] = value
+            fixed[p.name] = _speed_value(p, direction, curves.get(p.name))
             provenance[p.name] = PROVENANCE_SPEED
-            speed_fixed[p.name] = value
+    speed_fixed = dict(fixed)
     for p in space.params:
         if p.name in fixed or p.name in impactful:
             continue
@@ -209,7 +207,8 @@ def two_step_optimize(
     Step 1 optimizes the impactful dimensions with everything else pinned.
     Step 2 re-opens the remaining dimensions (all of them under
     accuracy_only, all but the speed-pinned ones otherwise) and starts from
-    the step-1 incumbent, so the final incumbent can only improve.
+    the step-1 incumbent, so the final incumbent can only improve.  A step
+    with no dimension to optimize or no evaluation to spend is skipped.
     """
     if not trials:
         raise EstimationError("two_step_optimize needs prior random-search trials")
@@ -230,7 +229,7 @@ def two_step_optimize(
         report, trials, policy, curves, space=space
     )
 
-    if step1_dims:
+    if step1_dims and budgets.n_init_step1 + budgets.n_iter_step1:
         step1_incumbent, hist1 = gpbo(
             objective, space, fixed=fixed,
             n_init=budgets.n_init_step1, n_iter=budgets.n_iter_step1,
@@ -251,7 +250,7 @@ def two_step_optimize(
     step2_dims = tuple(
         p.name for p in space.params if p.name not in fixed2
     )
-    if step2_dims:
+    if step2_dims and budgets.n_init_step2 + budgets.n_iter_step2:
         step2_incumbent, hist2 = gpbo(
             objective, space, fixed=fixed2,
             n_init=budgets.n_init_step2, n_iter=budgets.n_iter_step2,

@@ -10,6 +10,7 @@ from hsictune.analysis import interval_reduction, run_algorithm1, threshold
 from hsictune.cli import cli
 from hsictune.harness import load_trials, space_hash
 from hsictune.hsic import select_bandwidth
+from hsictune.objectives import ThreeTermObjective
 from hsictune.reports import save_reduction_curve
 
 
@@ -173,7 +174,7 @@ def test_reduce_curve_uses_the_analysis_noise_floor(tmp_path):
          "--out", trials])
     assert cli(["reduce", trials, "--param", "x1", "--seed", "4",
                 "--out", str(tmp_path / "cli")]) == 0
-    manifest, loaded = load_trials(trials)
+    manifest, _, loaded = load_trials(trials)
     parsed = space.parse_space(json.dumps(manifest.space))
     goal = threshold(0.5, "le")          # example2 scores are 0/1 indicators
     report = run_algorithm1(parsed, loaded, goal, 4)
@@ -241,6 +242,7 @@ def test_non_object_manifest_space_is_runtime_error(tmp_path, capsys):
     ("seed", True, "seed is not an integer"),
     ("wall_time_s", "x", "wall_time_s is not a number"),
     ("tags", 3, "tags is not a JSON object"),
+    ("i", -3, "trial index -3 is negative"),
     pytest.param("score", 10**400, "score is beyond the float range",
                  id="score-10**400"),
 ])
@@ -345,13 +347,43 @@ def test_resume_rejects_a_bad_run_file_before_evaluating(tmp_path, capsys, damag
     assert Path(trials).read_bytes() == before
 
 
-def test_failed_gp_optimization_is_runtime_error(tmp_path, capsys):
+def test_failed_gp_optimization_is_runtime_error(tmp_path, capsys, monkeypatch):
     trials = str(tmp_path / "trials.jsonl")
     cli(["search", "--objective", "three_term", "--n", "100", "--seed", "2",
          "--out", trials])
-    assert cli(["optimize", trials, "--objective", "three_term", "--init", "0",
+
+    def fault(self, config, seed):
+        raise RuntimeError("synthetic fault")
+
+    # every evaluation of the optimizer fails, so no step has an incumbent
+    monkeypatch.setattr(ThreeTermObjective, "evaluate", fault)
+    assert cli(["optimize", trials, "--objective", "three_term", "--init", "1",
                 "--budget-step1", "0", "--budget-step2", "0", "--seed", "2"]) == 2
     assert "no successful evaluations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("init, step1, step2", [("0", "0", "3"), ("0", "3", "0"),
+                                                ("0", "0", "0")])
+def test_optimize_skips_a_step_with_no_evaluations(tmp_path, capsys, init, step1, step2):
+    trials = str(tmp_path / "trials.jsonl")
+    out = tmp_path / "optimize.json"
+    assert cli(["search", "--objective", "three_term", "--n", "300", "--seed", "2",
+                "--out", trials]) == 0
+    capsys.readouterr()
+    assert cli(["optimize", trials, "--objective", "three_term", "--init", init,
+                "--budget-step1", step1, "--budget-step2", step2, "--seed", "2",
+                "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    result = json.loads(out.read_text())
+    h1, h2 = result["history_step1"], result["history_step2"]
+    assert (len(h1), len(h2)) == (int(init) + int(step1), int(init) + int(step2))
+    assert result["n_evaluations"] == 300 + len(h1) + len(h2)
+    assert result["step1_dims"] and result["step2_dims"]
+    if h1 or h2:
+        assert "best error:" in text
+    else:
+        assert result["step1_incumbent"] is None and result["step2_incumbent"] is None
+        assert "no optimization step ran (step 1: zero budget, step 2: zero budget)" in text
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,7 +520,8 @@ def test_optimize_with_every_knob_pinned_runs_no_step(tmp_path, capsys):
     assert cli(["optimize", trials, "--objective", "quadratic1d", "--speed", "x=minimize",
                 "--init", "2", "--budget-step1", "2", "--budget-step2", "2",
                 "--out", out]) == 0
-    assert "no optimization step ran" in capsys.readouterr().out
+    assert ("no optimization step ran (step 1: every parameter is pinned, "
+            "step 2: every parameter is pinned)") in capsys.readouterr().out
     result = json.loads(Path(out).read_text())
     assert result["step1_dims"] == [] and result["step2_dims"] == []
     assert result["step1_incumbent"] is None and result["step2_incumbent"] is None
@@ -502,7 +535,7 @@ def test_resume_that_grows_a_run_reports_its_size(tmp_path):
     before = Path(trials).read_bytes().splitlines(keepends=True)
     assert cli(argv + ["--n", "12"]) == 0
     assert Path(trials).read_bytes().splitlines(keepends=True)[:6] == before
-    manifest, loaded = load_trials(trials)
+    manifest, _, loaded = load_trials(trials)
     assert manifest.n_s == 12 and len(loaded) == 12
 
 

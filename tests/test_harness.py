@@ -16,7 +16,7 @@ from hsictune.harness import (
     trial_seed,
 )
 from hsictune.objectives import Example2Objective
-from hsictune.space import SearchSpace, continuous_param
+from hsictune.space import SearchSpace, continuous_param, space_from_dict, space_to_dict
 
 
 def _strip_times(records):
@@ -194,9 +194,13 @@ def test_load_round_trip(tmp_path):
     obj = Example2Objective()
     path = str(tmp_path / "t.jsonl")
     written = run_random_search(obj.space, obj, 25, master_seed=4, out_path=path)
-    manifest, loaded = load_trials(path)
+    manifest, space, loaded = load_trials(path)
     assert manifest.n_s == 25
-    assert manifest.space_hash == space_hash(obj.space)
+    assert manifest.space_hash == space_hash(space_to_dict(obj.space))
+    # the space the reader checked every config against comes back parsed
+    assert space == space_from_dict(manifest.space) == obj.space
+    for t in loaded:
+        space.validate_config(t.config)
     assert len(loaded) == 25
     for a, b in zip(written, loaded):
         assert a.config == b.config and a.score == b.score and a.seed == b.seed
@@ -247,9 +251,9 @@ def test_returned_trials_are_the_file_trials(tmp_path):
     obj = _FaultyObjective()
     path = str(tmp_path / "t.jsonl")
     fresh = run_random_search(obj.space, obj, 30, master_seed=6, out_path=path)
-    assert fresh == load_trials(path)[1]
+    assert fresh == load_trials(path)[2]
     resumed = run_random_search(obj.space, obj, 50, master_seed=6, out_path=path)
-    assert resumed == load_trials(path)[1]
+    assert resumed == load_trials(path)[2]
     assert resumed[:30] == fresh
     assert any(not t.ok for t in resumed[:30]) and any(not t.ok for t in resumed[30:])
 
