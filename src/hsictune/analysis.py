@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -315,15 +315,21 @@ def interval_reduction(
     for an integer, 1/20 of the range per step for a continuous knob, which
     is a geometric step on a log scale.  For each offset c the trial set
     restricts to values >= the raised bound, the goal percentile is
-    re-taken inside that subpopulation, ranks are recomputed on the
-    restricted domain from the matrix's band draws, and the score is
-    compared to the noise floor.
+    re-taken inside that subpopulation, and the score of the kept rows'
+    analyze ranks is compared to the noise floor.  Those ranks serve every
+    offset: ranking on the shrunken domain would map them by one increasing
+    affine function, and the score cannot see such a map, since its
+    bandwidth grid follows the median distance and its binned grid the
+    support.  Offset 0 is therefore the knob's analyze score, and an offset
+    that keeps the previous offset's rows (the bound passed no trial's
+    value) keeps its score.
     The suggested cutoff is the smallest c whose score does not clear the
     impact bar.  Offsets that retain fewer than 10 goal trials truncate the
     curve.
     """
     if not param.is_ordered:
         raise EstimationError(f"{param.name}: interval reduction needs an ordered domain")
+    ranks = matrix.column(param.name)
     active = matrix.mask(param.name)
     raw = np.array([t.config.get(param.name, np.nan) for t in trials], dtype=float)
     n_steps = int(param.hi - param.lo) if param.kind == "integer" else _CONTINUOUS_STEPS
@@ -331,20 +337,22 @@ def interval_reduction(
     step = (f(param.hi) - f(param.lo)) / n_steps
     kept_offsets, scores, retained, lows = [], [], [], []
     for c in range(n_steps):
-        # offset 0 ranks on the unrestricted domain, so a curve starts at the
-        # analyze score of its knob; exp(log(lo)) can miss lo by an ulp
+        # lo itself: exp(log(lo)) can miss it by an ulp
         lo_c = float(param.lo) if c == 0 else f_inv(f(param.lo) + c * step)
         rows = np.flatnonzero(active & (raw >= lo_c))
         if len(rows) < _MIN_TRIALS:
             break
-        try:
-            z_sub = make_goal_flags([trials[i] for i in rows], goal)
-        except EstimationError:
-            break
-        if int(z_sub.sum()) < _MIN_GOAL:
-            break
-        u = matrix.rerank(replace(param, lo=lo_c), rows, raw[rows])
-        score = hsic_goal(u, z_sub, n_boot=n_boot, seed=seed)
+        if retained and len(rows) == retained[-1]:
+            # the kept rows are nested, so these are the previous offset's
+            score = scores[-1]
+        else:
+            try:
+                z_sub = make_goal_flags([trials[i] for i in rows], goal)
+            except EstimationError:
+                break
+            if int(z_sub.sum()) < _MIN_GOAL:
+                break
+            score = hsic_goal(ranks[rows], z_sub, n_boot=n_boot, seed=seed)
         kept_offsets.append(c)
         scores.append(score)
         retained.append(len(rows))

@@ -34,10 +34,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_ranges(args) -> None:
-    """Counts are non-negative and a percentile lies in (0, 1)."""
+    """Counts are non-negative, a worker count is positive and a percentile
+    lies in (0, 1)."""
     for name in ("n", "init", "budget_step1", "budget_step2"):
         if getattr(args, name, 0) < 0:
             raise _UsageError(f"--{name.replace('_', '-')} must not be negative")
+    if getattr(args, "jobs", 1) < 1:
+        raise _UsageError("--jobs must be at least 1")
     if not 0.0 < getattr(args, "percentile", 0.5) < 1.0:
         raise _UsageError("--percentile must lie in (0, 1)")
 

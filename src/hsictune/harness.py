@@ -309,9 +309,11 @@ def jobs_from_env(jobs: int) -> int:
     if raw is None:
         return int(jobs)
     try:
-        return int(raw)
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        raise ValueError(f"HSIC_TUNE_JOBS must be an integer, got {raw!r}") from None
+        pass
+    raise ValueError(f"HSIC_TUNE_JOBS must be a positive integer, got {raw!r}")
 
 
 def run_random_search(

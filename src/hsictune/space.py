@@ -7,10 +7,8 @@ through its sampling CDF onto [0, 1); that shared scale is what makes
 dependence scores comparable across parameters of different kinds.
 Continuous ranks draw nothing.  A discrete value gets a uniform inside its
 level's probability band, so the rank is marginally uniform, drawn once per
-active cell from a stream keyed by (seed, parameter, trial).  The rank
-matrix keeps those draws, and interval reduction reuses them to re-rank a
-knob on each shrunken domain.  An inactive cell's rank is NaN, and that NaN
-is the matrix's only inactive mark.
+active cell from a stream keyed by (seed, parameter, trial).  An inactive
+cell's rank is NaN, and that NaN is the matrix's only inactive mark.
 
 Owners: _KIND_KEYS holds each kind's document keys for space_from_dict and
 its inverse space_to_dict; ParameterSpec and ConditionalRule validate, then
@@ -497,11 +495,12 @@ class NormalizedMatrix:
     """Per-parameter unit-interval ranks; a NaN rank marks an inactive cell.
 
     An active cell's value passed validate_config, so its rank is finite.
+    The ranks are the only per-cell record: interval reduction scores a
+    knob's column as it stands on every shrunken domain.
     """
 
     names: tuple
     columns: dict            # name -> float64 array, nan where inactive
-    draws: dict              # name -> band draw, nan where inactive or continuous
 
     def __len__(self):
         return 0 if not self.names else len(self.columns[self.names[0]])
@@ -519,10 +518,6 @@ class NormalizedMatrix:
             out &= self.mask(n)
         return out
 
-    def rerank(self, spec: ParameterSpec, rows, values) -> np.ndarray:
-        """Ranks of values at rows under spec, reusing the rows' band draws."""
-        return _column_ranks(spec, values, self.draws[spec.name][rows])
-
 
 def normalize_trials(space: SearchSpace, trials, seed: int) -> NormalizedMatrix:
     """Build the rank matrix for a list of trials.
@@ -536,16 +531,14 @@ def normalize_trials(space: SearchSpace, trials, seed: int) -> NormalizedMatrix:
         space.validate_config(config)
     n = len(configs)
     names = tuple(p.name for p in space.params)
-    columns, draws = {}, {}
+    columns = {}
     for p in space.params:
         rows = np.flatnonzero([p.name in c for c in configs])
         values = [configs[i][p.name] for i in rows]
-        draws[p.name] = np.full(n, np.nan)
-        if p.is_discrete:
-            draws[p.name][rows] = [_substream(seed, p.name, i).random() for i in rows]
+        draws = [_substream(seed, p.name, i).random() for i in rows] if p.is_discrete else None
         columns[p.name] = np.full(n, np.nan)
-        columns[p.name][rows] = _column_ranks(p, values, draws[p.name][rows])
-    return NormalizedMatrix(names, columns, draws)
+        columns[p.name][rows] = _column_ranks(p, values, draws)
+    return NormalizedMatrix(names, columns)
 
 
 # -- conditional groups ------------------------------------------------------

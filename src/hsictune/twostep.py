@@ -216,7 +216,7 @@ def two_step_optimize(
     curves = {}
     for name, direction in policy.speed_directions.items():
         spec = space.param(name)
-        if direction == "neutral" or not spec.is_ordered:
+        if direction != "minimize" or not spec.is_ordered:
             continue        # select_fixed_values reads no curve for these
         try:
             curves[name] = interval_reduction(

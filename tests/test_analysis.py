@@ -278,12 +278,14 @@ def test_equal_scores_no_flag():
 # -- interval reduction ------------------------------------------------------------
 
 
-def _layers_trials(n, seed, threshold_level=3):
-    # good errors only when the integer knob reaches the threshold
+def _layers_trials(n, seed, threshold_level=3, skip=None):
+    # good errors only when the integer knob reaches the threshold; no trial
+    # holds level skip, whose draws move up one level
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         k = int(rng.integers(1, 11))
+        k += k == skip
         base = 0.0 if k >= threshold_level else 1.0
         out.append(ok_trial({"n_layers": k, "x": float(rng.uniform(0, 1))},
                             base + rng.uniform(0, 0.01)))
@@ -335,7 +337,23 @@ def test_interval_reduction_offset_zero_matches_rank_group():
     floor = dummy_floor(np.ones(len(trials), dtype=bool), z, 1, n_boot=10)
     curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
                                floor, seed=1, n_boot=0)
-    assert abs(curve.scores[0].value - entries["n_layers"].value) <= 1e-12
+    assert curve.scores[0].value == entries["n_layers"].value
+
+
+def _check_analyze_ranks_and_restricted_domain(curve, trials, matrix, goal, spec,
+                                               seed, n_boot, restricted_ranks):
+    # each offset scores the kept rows' analyze ranks bit for bit; ranking
+    # them on the shrunken domain instead moves the score by rounding only
+    values = np.array([t.config[spec.name] for t in trials])
+    for lo_c, score in zip(curve.lows, curve.scores):
+        rows = np.flatnonzero(values >= lo_c)
+        flags = make_goal_flags([trials[i] for i in rows], goal)
+        own = hsic_goal(matrix.column(spec.name)[rows], flags, n_boot=n_boot, seed=seed)
+        assert (score.value, score.std_error) == (own.value, own.std_error), lo_c
+        ref = hsic_goal(restricted_ranks(dataclasses.replace(spec, lo=lo_c), rows, values),
+                        flags, n_boot=n_boot, seed=seed)
+        assert score.value == pytest.approx(ref.value, rel=1e-12, abs=0), lo_c
+        assert score.std_error == pytest.approx(ref.std_error, rel=1e-12, abs=0), lo_c
 
 
 def test_interval_reduction_matches_per_row_reference_ranks():
@@ -348,10 +366,9 @@ def test_interval_reduction_matches_per_row_reference_ranks():
     curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
                                floor, seed=6, n_boot=10)
     assert len(curve.offsets) > 3
-    values = np.array([t.config["n_layers"] for t in trials])
-    for c, score in zip(curve.offsets, curve.scores):
-        rows = np.flatnonzero(values >= 1 + c)
-        spec = dataclasses.replace(space.param("n_layers"), lo=1 + c)
+
+    def restricted_ranks(spec, rows, values):
+        # the band draw of each row's own (seed, parameter, trial) stream
         levels, weights = spec.level_weights()
         u = []
         for i in rows:
@@ -360,9 +377,56 @@ def test_interval_reduction_matches_per_row_reference_ranks():
             j = levels.index(values[i])
             lo = float(np.sum(weights[:j]))
             u.append(rng.uniform(lo, lo + weights[j]))
-        ref = hsic_goal(np.array(u), make_goal_flags([trials[i] for i in rows], goal),
-                        n_boot=10, seed=6)
-        assert (score.value, score.std_error) == (ref.value, ref.std_error), c
+        return np.array(u)
+
+    _check_analyze_ranks_and_restricted_domain(curve, trials, matrix, goal,
+                                               space.param("n_layers"), 6, 10,
+                                               restricted_ranks)
+
+
+def test_interval_reduction_log_knob_scores_analyze_ranks():
+    space = SearchSpace((continuous_param("lr", 1e-5, 1e-1, scale="log"),))
+    rng = np.random.default_rng(8)
+    trials = []
+    for _ in range(1500):
+        config = space_module.sample_configuration(space, rng)
+        trials.append(ok_trial(config, abs(np.log10(config["lr"]) + 2) + rng.random()))
+    goal = best_percentile(0.1)
+    matrix = normalize_trials(space, trials, seed=8)
+    floor = dummy_floor(np.ones(len(trials), dtype=bool),
+                        make_goal_flags(trials, goal), 8, n_boot=10)
+    curve = interval_reduction(space.param("lr"), trials, matrix, goal, floor,
+                               seed=8, n_boot=10)
+    assert len(curve.offsets) > 3
+
+    def restricted_ranks(spec, rows, values):
+        # the log-uniform CDF of [lo_c, hi]
+        span = np.log(spec.hi) - np.log(spec.lo)
+        return np.array([(np.log(values[i]) - np.log(spec.lo)) / span for i in rows])
+
+    _check_analyze_ranks_and_restricted_domain(curve, trials, matrix, goal,
+                                               space.param("lr"), 8, 10,
+                                               restricted_ranks)
+
+
+def test_interval_reduction_scores_each_row_set_once(monkeypatch):
+    # no trial holds level 2, so bounds 2 and 3 keep the same rows
+    space = _layers_space()
+    trials = _layers_trials(1200, seed=5, skip=2)
+    goal = best_percentile(0.1)
+    matrix = normalize_trials(space, trials, seed=5)
+    floor = dummy_floor(np.ones(len(trials), dtype=bool),
+                        make_goal_flags(trials, goal), 5, n_boot=10)
+    calls = []
+    score = analysis.hsic_goal
+    monkeypatch.setattr(analysis, "hsic_goal",
+                        lambda *a, **k: calls.append(1) or score(*a, **k))
+    curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
+                               floor, seed=5, n_boot=10)
+    assert curve.offsets == tuple(range(9))
+    assert len(calls) == len(set(curve.retained)) == 8
+    assert curve.retained[1] == curve.retained[2]
+    assert curve.scores[1] == curve.scores[2]
 
 
 @pytest.mark.parametrize("name", ["n_layers", "x"])

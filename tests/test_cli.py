@@ -136,8 +136,9 @@ def test_non_object_trial_line_is_runtime_error(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
-def test_bad_jobs_variable_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HSIC_TUNE_JOBS", "abc")
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_jobs_variable_is_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HSIC_TUNE_JOBS", value)
     assert cli(["search", "--objective", "example2", "--n", "10",
                 "--out", str(tmp_path / "trials.jsonl")]) == 1
     assert "HSIC_TUNE_JOBS" in capsys.readouterr().err
@@ -392,6 +393,9 @@ def test_optimize_skips_a_step_with_no_evaluations(tmp_path, capsys, init, step1
     ["optimize", "t.jsonl", "--objective", "example2", "--init", "-1"],
     ["optimize", "t.jsonl", "--objective", "example2", "--budget-step1", "-1"],
     ["optimize", "t.jsonl", "--objective", "example2", "--budget-step2", "-1"],
+    ["search", "--objective", "example2", "--n", "20", "--jobs", "0", "--out", "new.jsonl"],
+    ["search", "--objective", "example2", "--n", "20", "--jobs", "-4", "--out", "new.jsonl"],
+    ["demo", "example2", "--n", "20", "--jobs", "0"],
 ])
 def test_negative_count_is_usage_error(tmp_path, capsys, argv):
     assert cli(["search", "--objective", "example2", "--n", "50", "--seed", "1",

@@ -148,12 +148,15 @@ def test_neutral_speed_direction_runs_no_reduction(monkeypatch):
         return reduce(spec, *args, **kwargs)
 
     monkeypatch.setattr(twostep, "interval_reduction", spy)
+    # a maximize knob pins at hi without a curve, so it is not reduced either
     obj, trials = three_term_setup(200, seed=9)
-    policy = FixingPolicy(speed_directions={"x2": "minimize", "x3": "neutral"})
+    policy = FixingPolicy(speed_directions={"x1": "maximize", "x2": "minimize",
+                                            "x3": "neutral"})
     result = two_step_optimize(obj.space, trials, obj, best_percentile(0.1), policy,
                                Budgets(3, 2, 3, 2), seed=9, n_boot=10)
     assert reduced == ["x2"]
     assert set(result.curves) == {"x2"}
+    assert result.fixed["x1"] == obj.space.param("x1").hi
 
 
 def test_two_step_pipeline_three_term():
