@@ -39,7 +39,7 @@ def main():
     report = run_algorithm1(obj.space, trials, best_percentile(0.1),
                             seed=args.seed, n_boot=50)
     for g in report.groups:
-        print(f"group {g.group.id} (n={g.n_rows}):")
+        print(f"group {g.group.id} (n={g.floor.n_total}):")
         for name, s in g.entries:
             mark = "*" if name in g.impactful() else " "
             print(f"  {mark} {name:<14} {s.value:.3e} +- {s.std_error:.1e}")

@@ -40,10 +40,10 @@ def main():
     curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
                                floor, seed=SEED, n_boot=100)
     print(f"{'c':>3}  {'lower bound':>11}  {'score':>10}  {'se':>8}  {'kept':>6}")
-    for c, s, kept in zip(curve.offsets, curve.scores, curve.retained):
+    for c, s in zip(curve.offsets, curve.scores):
         mark = "  <- cutoff" if c == curve.cutoff else ""
         print(f"{c:3d}  {1 + c:11d}  {s.value:10.3e}  {s.std_error:8.1e}  "
-              f"{kept:6d}{mark}")
+              f"{s.n_total:6d}{mark}")
     print(f"\nsuggested cutoff c* = {curve.cutoff}: pin n_layers to "
           f"{1 + curve.cutoff} and stop paying for the search dimension.")
 

@@ -7,7 +7,9 @@ the unit interval, scores each parameter's dependence on the goal flags
 within its conditional group, and compares everything against the score of
 an injected synthetic dummy parameter, which plays the role of a concrete
 noise floor: anything statistically indistinguishable from the dummy is
-treated as non-impactful.
+treated as non-impactful.  The pipeline's result keeps each score once: the
+rankings with their floors, and the scored pairs.  Sample and goal counts
+are read off the scores.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "threshold",
     "make_goal_flags",
     "rank_group",
-    "InteractionMatrix",
     "interaction_matrix",
     "LevelReport",
     "worst_level_report",
@@ -185,62 +186,29 @@ def rank_group(group: GroupSpec, matrix: NormalizedMatrix, z, *, seed: int = 0,
 # -- interactions --------------------------------------------------------------
 
 
-@dataclass
-class InteractionMatrix:
-    params: tuple
-    scores: dict                 # (i, j) with i <= j -> HsicScore
-
-    def score(self, a: str, b: str) -> HsicScore:
-        i, j = self.params.index(a), self.params.index(b)
-        return self.scores[(min(i, j), max(i, j))]
-
-    def pair_scores(self):
-        """((param_i, param_j), score) of every computed off-diagonal pair,
-        in index order."""
-        return [((self.params[i], self.params[j]), s)
-                for (i, j), s in sorted(self.scores.items()) if i != j]
-
-
 def interaction_matrix(params, matrix: NormalizedMatrix, z, *, seed: int = 0,
-                       n_boot: int = 100) -> InteractionMatrix:
-    """Pairwise joint scores; diagonal holds the single-column scores.
+                       n_boot: int = 100):
+    """((param_i, param_j), joint score) of every pair of params, in index
+    order.
 
-    Every entry is computed on rows where both parameters are active.
+    Every pair is scored on the rows where both parameters are active.
     """
     params = tuple(params)
     if len(params) < 2:
         raise EstimationError("interaction matrix needs at least 2 parameters")
-    z = np.asarray(z, dtype=bool)
-    scores = {}
-    for i, name in enumerate(params):
-        rows = matrix.rows_where_active([name])
-        scores[(i, i)] = hsic_goal(matrix.column(name)[rows], z[rows], n_boot=n_boot,
-                                   seed=seed)
-    return _with_pairs(params, scores, matrix, z, seed, n_boot, None)
+    return _pair_scores(params, matrix, np.asarray(z, dtype=bool), seed, n_boot)
 
 
-def _with_pairs(params, diagonal, matrix, z, seed, n_boot, pairs) -> InteractionMatrix:
-    """The interaction matrix from its diagonal scores plus the wanted pairs
-    (every pair when pairs is None)."""
-    k = len(params)
-    wanted = None
-    if pairs is not None:
-        wanted = {(min(params.index(a), params.index(b)),
-                   max(params.index(a), params.index(b))) for a, b in pairs}
-    scores = dict(diagonal)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if wanted is not None and (i, j) not in wanted:
-                continue
-            rows = matrix.rows_where_active([params[i], params[j]])
-            scores[(i, j)] = hsic_pair(
-                matrix.column(params[i])[rows],
-                matrix.column(params[j])[rows],
-                z[rows],
-                n_boot=n_boot,
-                seed=seed,
-            )
-    return InteractionMatrix(params, scores)
+def _pair_scores(names, matrix, z, seed, n_boot):
+    """((param_i, param_j), joint score) of every pair of names, in index
+    order; () for fewer than 2 names."""
+    scored = []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            rows = matrix.rows_where_active([a, b])
+            scored.append(((a, b), hsic_pair(matrix.column(a)[rows], matrix.column(b)[rows],
+                                             z[rows], n_boot=n_boot, seed=seed)))
+    return tuple(scored)
 
 
 # -- bad-level detection -------------------------------------------------------
@@ -293,8 +261,7 @@ def worst_level_report(param: ParameterSpec, trials,
 class ReductionCurve:
     param: str
     offsets: tuple               # c values actually evaluated
-    scores: tuple                # HsicScore per offset
-    retained: tuple              # subpopulation sizes
+    scores: tuple                # HsicScore per offset; n_total is the rows kept
     cutoff: int | None           # smallest c at the noise floor, None if never
     lows: tuple                  # lower bound of the domain at each offset
 
@@ -335,14 +302,14 @@ def interval_reduction(
     n_steps = int(param.hi - param.lo) if param.kind == "integer" else _CONTINUOUS_STEPS
     f, f_inv = _scale(param)
     step = (f(param.hi) - f(param.lo)) / n_steps
-    kept_offsets, scores, retained, lows = [], [], [], []
+    kept_offsets, scores, lows = [], [], []
     for c in range(n_steps):
         # lo itself: exp(log(lo)) can miss it by an ulp
         lo_c = float(param.lo) if c == 0 else f_inv(f(param.lo) + c * step)
         rows = np.flatnonzero(active & (raw >= lo_c))
         if len(rows) < _MIN_TRIALS:
             break
-        if retained and len(rows) == retained[-1]:
+        if scores and len(rows) == scores[-1].n_total:
             # the kept rows are nested, so these are the previous offset's
             score = scores[-1]
         else:
@@ -355,14 +322,13 @@ def interval_reduction(
             score = hsic_goal(ranks[rows], z_sub, n_boot=n_boot, seed=seed)
         kept_offsets.append(c)
         scores.append(score)
-        retained.append(len(rows))
         lows.append(lo_c)
     if not kept_offsets:
         raise EstimationError(f"{param.name}: no offsets with enough samples")
     cutoff = next((c for c, s in zip(kept_offsets, scores)
                    if not _clears_floor(s, noise_floor)), None)
-    return ReductionCurve(param.name, tuple(kept_offsets), tuple(scores),
-                          tuple(retained), cutoff, tuple(lows))
+    return ReductionCurve(param.name, tuple(kept_offsets), tuple(scores), cutoff,
+                          tuple(lows))
 
 
 # -- the full pipeline ---------------------------------------------------------
@@ -372,9 +338,7 @@ def interval_reduction(
 class GroupRanking:
     group: GroupSpec
     entries: tuple               # ((name, HsicScore), ...) sorted descending
-    floor: HsicScore
-    n_rows: int
-    n_goal: int
+    floor: HsicScore             # dummy score on the group's rows and goal flags
 
     def impactful(self):
         return tuple(name for name, s in self.entries if _clears_floor(s, self.floor))
@@ -385,8 +349,7 @@ class SensitivityReport:
     goal: GoalSet
     seed: int
     groups: tuple                # GroupRanking per group, main first
-    interactions: InteractionMatrix | None
-    noise_floor: HsicScore       # main-group dummy score
+    interactions: tuple          # ((param_i, param_j), HsicScore) of each scored pair
     matrix: NormalizedMatrix = field(repr=False, compare=False)  # ranks it was built from
     flags: np.ndarray = field(repr=False, compare=False)         # goal flag per trial
 
@@ -412,11 +375,9 @@ class SensitivityReport:
         return tuple(seen)
 
     def interacting_pairs(self):
-        """Off-diagonal pairs whose joint score clears the noise floor."""
-        if self.interactions is None:
-            return ()
-        return tuple(pair for pair, s in self.interactions.pair_scores()
-                     if _clears_floor(s, self.noise_floor))
+        """Scored pairs whose joint score clears the main group's floor."""
+        floor = self.groups[0].floor
+        return tuple(pair for pair, s in self.interactions if _clears_floor(s, floor))
 
 
 def run_algorithm1(
@@ -430,10 +391,11 @@ def run_algorithm1(
 ) -> SensitivityReport:
     """Goal flags, conditional groups, per-group rankings, interactions.
 
-    Interactions are scanned among main parameters; by default only pairs
-    where both single scores sit below the impact bar are computed, since a
-    pair containing an impactful parameter is always large.  Pass
-    full_interactions=True for the complete matrix.  A conditional group
+    Interactions are scanned among pairs of main parameters, in index
+    order; by default only pairs where both single scores sit below the
+    impact bar are scored, since a pair containing an impactful parameter is
+    always large.  Pass full_interactions=True to score every pair.  The
+    main group's floor is the noise floor of the pairs.  A conditional group
     with fewer than 2 goal rows cannot be scored: it is left out of the
     report with a warning.
     """
@@ -453,21 +415,10 @@ def run_algorithm1(
             continue
         entries = rank_group(g, matrix, z, seed=seed, n_boot=n_boot)
         floor = dummy_floor(rows, z, seed, label=g.id, n_boot=n_boot)
-        rankings.append(GroupRanking(g, tuple(entries), floor, int(rows.sum()), n_goal))
+        rankings.append(GroupRanking(g, tuple(entries), floor))
     main_ranking = rankings[0]
-    main_params = main_ranking.group.members
-    interactions = None
-    if len(main_params) >= 2:
-        if full_interactions:
-            pairs = None
-        else:
-            quiet = [n for n in main_params if n not in main_ranking.impactful()]
-            pairs = [(a, b) for ai, a in enumerate(quiet) for b in quiet[ai + 1:]]
-        if pairs is None or pairs:
-            # the main group spans every row, so its ranking is the diagonal
-            ranked = dict(main_ranking.entries)
-            diagonal = {(i, i): ranked[name] for i, name in enumerate(main_params)}
-            interactions = _with_pairs(main_params, diagonal, matrix, z, seed, n_boot,
-                                       pairs)
-    return SensitivityReport(goal, int(seed), tuple(rankings), interactions,
-                             main_ranking.floor, matrix, z)
+    impactful = main_ranking.impactful()
+    scanned = [n for n in main_ranking.group.members
+               if full_interactions or n not in impactful]
+    interactions = _pair_scores(scanned, matrix, z, seed, n_boot)
+    return SensitivityReport(goal, int(seed), tuple(rankings), interactions, matrix, z)

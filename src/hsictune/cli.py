@@ -54,7 +54,7 @@ def _jobs(args) -> int:
 
 def _print_ranking(report):
     for g in report.groups:
-        print(f"group {g.group.id}  (n={g.n_rows}, goal={g.n_goal})")
+        print(f"group {g.group.id}  (n={g.floor.n_total}, goal={g.floor.n_goal})")
         bar = g.floor.value
         for name, s in g.entries:
             mark = "*" if name in g.impactful() else " "

@@ -393,6 +393,8 @@ def gpbo(
     configuration.  History length is exactly n_init + n_iter; evaluation
     faults become failed trials with penalized targets.
     """
+    if n_init < 0 or n_iter < 0:
+        raise ValueError(f"n_init and n_iter must not be negative, got {n_init}, {n_iter}")
     fixed = dict(fixed or {})
     for name in fixed:
         space.param(name)

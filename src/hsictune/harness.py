@@ -304,7 +304,9 @@ def _cores() -> int:
 
 
 def jobs_from_env(jobs: int) -> int:
-    """Worker count: HSIC_TUNE_JOBS when it is set, else jobs."""
+    """Worker count: HSIC_TUNE_JOBS when it is set, else jobs (at least 1)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     raw = os.environ.get("HSIC_TUNE_JOBS")
     if raw is None:
         return int(jobs)
@@ -331,6 +333,8 @@ def run_random_search(
     skipped, so an interrupted run picks up where it left off; the list then
     holds every trial of the file.
     """
+    if n_s < 0:
+        raise ValueError(f"n_s must not be negative, got {n_s}")
     jobs = jobs_from_env(jobs)
     space_doc = space_to_dict(space)
     # trials sample from the space as the manifest records it

@@ -124,8 +124,8 @@ class Kernel:
 
     def __post_init__(self):
         bw = tuple(float(b) for b in self.bandwidths)
-        if not bw or any(b <= 0 for b in bw):
-            raise EstimationError("bandwidths must be positive")
+        if not bw or not all(0 < b < np.inf for b in bw):
+            raise EstimationError("bandwidths must be positive and finite")
         object.__setattr__(self, "bandwidths", bw)
 
     @property
@@ -157,6 +157,8 @@ def _as_points(x) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or len(pts) == 0:
         raise EstimationError("sample sets must be nonempty 1-D or 2-D arrays")
+    if not np.isfinite(pts).all():
+        raise EstimationError("samples must be finite")
     return pts
 
 
@@ -494,8 +496,8 @@ def _select(backend, grid):
     med = backend.median_distance()
     degenerate = med <= 0.0
     grid = bandwidth_grid(med) if grid is None else np.sort(np.asarray(grid, dtype=float))
-    if len(grid) == 0 or np.any(grid <= 0):
-        raise EstimationError("bandwidth grid must be nonempty and positive")
+    if len(grid) == 0 or not np.all((grid > 0) & (grid < np.inf)):
+        raise EstimationError("bandwidth grid must be nonempty, positive and finite")
     if degenerate:
         warnings.warn("all samples identical; bandwidth selection is degenerate")
     gammas = 1.0 / (2.0 * grid**2)

@@ -47,8 +47,8 @@ def summary_dict(report: SensitivityReport) -> dict:
             {
                 "id": g.group.id,
                 "members": list(g.group.members),
-                "n_rows": g.n_rows,
-                "n_goal": g.n_goal,
+                "n_rows": g.floor.n_total,
+                "n_goal": g.floor.n_goal,
                 "floor": {"value": g.floor.value, "se": g.floor.std_error},
                 "ranking": [
                     {
@@ -62,10 +62,9 @@ def summary_dict(report: SensitivityReport) -> dict:
                 "impactful": list(g.impactful()),
             }
         )
-    interactions = []
-    if report.interactions is not None:
-        interactions = [{"i": a, "j": b, "hsic": s.value, "se": s.std_error}
-                        for (a, b), s in report.interactions.pair_scores()]
+    interactions = [{"i": a, "j": b, "hsic": s.value, "se": s.std_error}
+                    for (a, b), s in report.interactions]
+    noise_floor = report.groups[0].floor
     return {
         "goal": {
             "kind": report.goal.kind,
@@ -75,8 +74,8 @@ def summary_dict(report: SensitivityReport) -> dict:
         },
         "seed": report.seed,
         "noise_floor": {
-            "value": report.noise_floor.value,
-            "se": report.noise_floor.std_error,
+            "value": noise_floor.value,
+            "se": noise_floor.std_error,
         },
         "groups": groups,
         "interactions": interactions,
@@ -97,10 +96,7 @@ def save_report_bundle(report: SensitivityReport, out_dir: str) -> None:
             ("param", "hsic", "se", "n", "m"),
             rows,
         )
-    rows = []
-    if report.interactions is not None:
-        rows = [(a, b, repr(s.value), repr(s.std_error))
-                for (a, b), s in report.interactions.pair_scores()]
+    rows = [(a, b, repr(s.value), repr(s.std_error)) for (a, b), s in report.interactions]
     _write_csv(
         os.path.join(out_dir, "interactions.csv"),
         ("i", "j", "hsic", "se"),
@@ -118,10 +114,10 @@ def save_reduction_curve(curve: ReductionCurve, out_dir: str) -> None:
             c,
             repr(s.value),
             repr(s.std_error),
-            n,
+            s.n_total,
             int(curve.cutoff is not None and c == curve.cutoff),
         )
-        for c, s, n in zip(curve.offsets, curve.scores, curve.retained)
+        for c, s in zip(curve.offsets, curve.scores)
     ]
     _write_csv(
         os.path.join(out_dir, f"reduction_{_slug(curve.param)}.csv"),

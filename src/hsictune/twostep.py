@@ -12,7 +12,7 @@ the rest, starting from the first pass's optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .analysis import (
     GoalSet,
@@ -66,6 +66,10 @@ class Budgets:
     n_iter_step1: int = 25
     n_init_step2: int = 10
     n_iter_step2: int = 25
+
+    def __post_init__(self):
+        if min(astuple(self)) < 0:
+            raise ValueError(f"budgets must not be negative: {self}")
 
 
 @dataclass
@@ -220,7 +224,7 @@ def two_step_optimize(
             continue        # select_fixed_values reads no curve for these
         try:
             curves[name] = interval_reduction(
-                spec, trials, report.matrix, goal, report.noise_floor,
+                spec, trials, report.matrix, goal, report.groups[0].floor,
                 seed=seed, n_boot=n_boot,
             )
         except EstimationError:

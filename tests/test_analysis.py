@@ -193,23 +193,19 @@ def test_example2_interaction_matrix():
     trials = example2_trials(2000, seed=4)
     z = make_goal_flags(trials, threshold(0.5, "le"))
     matrix = normalize_trials(space, trials, seed=4)
-    im = interaction_matrix([p.name for p in space.params], matrix, z,
-                            seed=4, n_boot=0)
-    # symmetry is exact
-    names = im.params
-    values = np.array([[im.score(a, b).value for b in names] for a in names])
-    assert np.array_equal(values, values.T)
+    names = [p.name for p in space.params]
+    pairs = interaction_matrix(names, matrix, z, seed=4, n_boot=0)
+    # every pair once, in index order
+    assert [pair for pair, _ in pairs] == [(a, b) for i, a in enumerate(names)
+                                           for b in names[i + 1:]]
+    value = {pair: s.value for pair, s in pairs}
     # any pair containing x1 dominates pairs without it
     for other in ("x2", "x3", "x4", "x5"):
-        assert im.score("x1", other).value > im.score("x4", "x5").value
+        assert value["x1", other] > value["x4", "x5"]
     # among pairs without x1, (x2, x3) stands far above the rest
-    s23 = im.score("x2", "x3").value
-    others = [
-        im.score(a, b).value
-        for a, b in (("x2", "x4"), ("x2", "x5"), ("x3", "x4"),
-                     ("x3", "x5"), ("x4", "x5"))
-    ]
-    assert s23 >= 10.0 * max(others)
+    others = [value[pair] for pair in (("x2", "x4"), ("x2", "x5"), ("x3", "x4"),
+                                       ("x3", "x5"), ("x4", "x5"))]
+    assert value["x2", "x3"] >= 10.0 * max(others)
 
 
 def test_independent_dummies_below_noise_floor():
@@ -217,10 +213,10 @@ def test_independent_dummies_below_noise_floor():
     trials = example2_trials(2000, seed=5)
     z = make_goal_flags(trials, threshold(0.5, "le"))
     matrix = normalize_trials(space, trials, seed=5)
-    im = interaction_matrix(["x4", "x5"], matrix, z, seed=5, n_boot=30)
+    ((names, pair),) = interaction_matrix(["x4", "x5"], matrix, z, seed=5, n_boot=30)
+    assert names == ("x4", "x5")
     rows = matrix.rows_where_active(["x4", "x5"])
     floor = dummy_floor(rows, z, 5, n_boot=30)
-    pair = im.score("x4", "x5")
     assert pair.value <= floor.value + 3 * (pair.std_error + floor.std_error)
 
 
@@ -308,7 +304,8 @@ def test_interval_reduction_oracle_cutoff():
     curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
                                floor, seed=0, n_boot=50)
     assert curve.cutoff == 2
-    assert all(b < a for a, b in zip(curve.retained, curve.retained[1:]))
+    kept = [s.n_total for s in curve.scores]
+    assert all(b < a for a, b in zip(kept, kept[1:]))
 
 
 def test_interval_reduction_independent_param_cuts_at_zero():
@@ -424,8 +421,7 @@ def test_interval_reduction_scores_each_row_set_once(monkeypatch):
     curve = interval_reduction(space.param("n_layers"), trials, matrix, goal,
                                floor, seed=5, n_boot=10)
     assert curve.offsets == tuple(range(9))
-    assert len(calls) == len(set(curve.retained)) == 8
-    assert curve.retained[1] == curve.retained[2]
+    assert len(calls) == len({s.n_total for s in curve.scores}) == 8
     assert curve.scores[1] == curve.scores[2]
 
 
@@ -489,7 +485,8 @@ def test_interval_reduction_steps_log_knobs_geometrically(lo, hi):
     curve = interval_reduction(space.param("lr"), trials, matrix, goal, floor,
                                seed=12, n_boot=0)
     assert len(curve.offsets) > 2
-    assert curve.retained[1] / curve.retained[0] == pytest.approx(0.95, abs=0.02)
+    kept = [s.n_total for s in curve.scores]
+    assert kept[1] / kept[0] == pytest.approx(0.95, abs=0.02)
     assert curve.lows[0] == lo
     assert np.allclose(np.diff(np.log(curve.lows)), np.log(hi / lo) / 20)
 
@@ -550,18 +547,24 @@ def test_run_algorithm1_deterministic_serialization():
     )
 
 
-def test_run_algorithm1_interaction_diagonal_is_the_main_ranking():
+def test_run_algorithm1_full_interactions_are_the_interaction_matrix():
     space = example2_space()
     trials = example2_trials(600, seed=8)
     report = run_algorithm1(space, trials, threshold(0.5, "le"), seed=8, n_boot=20,
                             full_interactions=True)
-    ranked = dict(report.groups[0].entries)
-    params = report.interactions.params
-    direct = interaction_matrix(params, report.matrix, report.flags, seed=8, n_boot=20)
-    for i, name in enumerate(params):
-        assert report.interactions.scores[(i, i)] == ranked[name]
-        assert report.interactions.scores[(i, i)] == direct.scores[(i, i)]
-        assert report.interactions.score(name, name).value == ranked[name].value
+    main_params = report.groups[0].group.members
+    assert len(report.interactions) == len(main_params) * (len(main_params) - 1) // 2
+    assert report.interactions == interaction_matrix(main_params, report.matrix,
+                                                     report.flags, seed=8, n_boot=20)
+
+
+def test_run_algorithm1_without_pairs_has_no_interactions():
+    space = SearchSpace((continuous_param("x", 0.0, 1.0),))
+    rng = np.random.default_rng(3)
+    trials = [ok_trial({"x": float(x)}, x) for x in rng.random(200)]
+    report = run_algorithm1(space, trials, best_percentile(0.1), seed=3, n_boot=5)
+    assert report.interactions == ()
+    assert report.interacting_pairs() == ()
 
 
 def test_ranking_robust_to_sampling_distribution():
@@ -591,7 +594,7 @@ def test_ranking_robust_to_sampling_distribution():
 def test_impact_bar_is_exclusive_at_its_boundary():
     # a score exactly at floor + 2 (se + floor_se) does not clear the bar,
     # one ulp above it does, for single parameters and pairs alike
-    from hsictune.analysis import GroupRanking, InteractionMatrix, SensitivityReport
+    from hsictune.analysis import GroupRanking, SensitivityReport
     from hsictune.hsic import HsicScore, Kernel
     from hsictune.space import GroupSpec, MAIN_GROUP
 
@@ -603,10 +606,9 @@ def test_impact_bar_is_exclusive_at_its_boundary():
     for value, clears in ((at_bar, False), (np.nextafter(at_bar, 1.0), True)):
         score = HsicScore(float(value), se, 300, 30, kernel)
         ranking = GroupRanking(GroupSpec(MAIN_GROUP, ("a", "b")),
-                               (("a", score), ("b", quiet)), floor, 300, 30)
-        im = InteractionMatrix(("a", "b"), {(0, 0): quiet, (1, 1): quiet, (0, 1): score})
-        report = SensitivityReport(best_percentile(0.1), 0, (ranking,), im, floor,
-                                   None, None)
+                               (("a", score), ("b", quiet)), floor)
+        report = SensitivityReport(best_percentile(0.1), 0, (ranking,),
+                                   ((("a", "b"), score),), None, None)
         assert ranking.impactful() == (("a",) if clears else ())
         assert report.impactful() == (("a",) if clears else ())
         assert report.interacting_pairs() == ((("a", "b"),) if clears else ())
@@ -633,6 +635,6 @@ def test_group_scores_only_use_jointly_active_rows():
     report = run_algorithm1(space, trials, best_percentile(0.2), seed=10, n_boot=10)
     child_group = report.group("child")
     n_active = sum(1 for t in trials if t.config.get("flag") is True)
-    assert child_group.n_rows == n_active
+    assert child_group.floor.n_total == n_active
     for name, score in child_group.entries:
         assert score.n_total == n_active

@@ -53,6 +53,25 @@ def test_search_then_analyze_then_report(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "hist_x1.csv"))
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_analyze_interactions_scan_the_quiet_or_all_main_pairs(tmp_path, full):
+    trials = str(tmp_path / "trials.jsonl")
+    out = tmp_path / "bundle"
+    cli(["search", "--objective", "example2", "--n", "400", "--seed", "7", "--out", trials])
+    assert cli(["analyze", trials, "--seed", "7", "--out", str(out)]
+               + ["--full-interactions"] * full) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["impactful"] == ["x1"]
+    names = ["x1", "x2", "x3", "x4", "x5"] if full else ["x2", "x3", "x4", "x5"]
+    with open(out / "interactions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "j", "hsic", "se"]
+    assert [tuple(r[:2]) for r in rows[1:]] == [(a, b) for k, a in enumerate(names)
+                                                for b in names[k + 1:]]
+    assert [[r[0], r[1], float(r[2]), float(r[3])] for r in rows[1:]] == [
+        [p["i"], p["j"], p["hsic"], p["se"]] for p in summary["interactions"]]
+
+
 def test_analyze_worst_goal(tmp_path, capsys):
     trials = str(tmp_path / "trials.jsonl")
     assert cli(["search", "--objective", "example2", "--n", "300",
@@ -180,7 +199,7 @@ def test_reduce_curve_uses_the_analysis_noise_floor(tmp_path):
     goal = threshold(0.5, "le")          # example2 scores are 0/1 indicators
     report = run_algorithm1(parsed, loaded, goal, 4)
     curve = interval_reduction(parsed.param("x1"), loaded, report.matrix, goal,
-                               report.noise_floor, seed=4)
+                               report.groups[0].floor, seed=4)
     save_reduction_curve(curve, str(tmp_path / "lib"))
     name = "reduction_x1.csv"
     assert ((tmp_path / "cli" / name).read_bytes()

@@ -455,6 +455,14 @@ def test_gpbo_quadratic_finds_argmin():
     assert abs(best.config["x"] - 0.3) < 0.05
 
 
+@pytest.mark.parametrize("n_init, n_iter", [(-2, 3), (2, -1)])
+def test_gpbo_rejects_negative_budgets(n_init, n_iter):
+    # the history holds exactly n_init + n_iter trials, so neither may be negative
+    obj = QuadraticObjective()
+    with pytest.raises(ValueError, match="must not be negative"):
+        gpbo(obj, obj.space, n_init=n_init, n_iter=n_iter, seed=0)
+
+
 def test_gpbo_beats_random_on_branin():
     obj = BraninObjective()
     wins = 0

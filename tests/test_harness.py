@@ -247,6 +247,19 @@ def test_env_var_overrides_jobs(tmp_path, monkeypatch):
     assert len(trials) == 8
 
 
+@pytest.mark.parametrize("n_s, jobs, match", [(5, 0, "jobs"), (5, -4, "jobs"),
+                                               (-3, 1, "n_s")])
+def test_search_rejects_counts_below_their_floor(tmp_path, monkeypatch, n_s, jobs, match):
+    # a negative worker count does not fall back to a serial run, and a
+    # negative trial count writes no run file
+    monkeypatch.delenv("HSIC_TUNE_JOBS", raising=False)
+    obj = Example2Objective()
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match=match):
+        run_random_search(obj.space, obj, n_s, jobs=jobs, out_path=str(path))
+    assert not path.exists()
+
+
 def test_returned_trials_are_the_file_trials(tmp_path):
     obj = _FaultyObjective()
     path = str(tmp_path / "t.jsonl")

@@ -41,8 +41,34 @@ def example1_sample(n, seed, normalized=True, x1_truncnorm=True):
 
 
 def test_kernel_requires_positive_bandwidth():
-    with pytest.raises(EstimationError):
-        Kernel((0.0,))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(EstimationError):
+            Kernel((0.1, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_select_bandwidth_rejects_nonfinite_grid_points(bad):
+    xs = np.random.default_rng(3).random(50)
+    with pytest.raises(EstimationError, match="finite"):
+        select_bandwidth(xs, xs[:10], grid=[0.1, bad])
+
+
+@pytest.mark.parametrize("n", [50, 3000])                 # dense and binned backends
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda u, v, z: hsic_goal(u, z, n_boot=5),
+    lambda u, v, z: hsic_pair(u, v, z, n_boot=5),
+    lambda u, v, z: mmd2(u, u[z], Kernel((0.1,))),
+    lambda u, v, z: select_bandwidth(u, u[z]),
+], ids=["hsic_goal", "hsic_pair", "mmd2", "select_bandwidth"])
+def test_nonfinite_samples_rejected(n, bad, call):
+    # one bad value would otherwise score as nan, or as 0.0 once binned
+    rng = np.random.default_rng(4)
+    u, v = rng.random(n), rng.random(n)
+    z = u < 0.3
+    u[7] = bad
+    with pytest.raises(EstimationError, match="finite"):
+        call(u, v, z)
 
 
 # -- mmd2 ----------------------------------------------------------------------

@@ -130,6 +130,13 @@ def test_speed_pin_on_truncated_continuous_curve():
     assert _speed_value(space.param("x"), "minimize", truncated) == 0.25
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Budgets)])
+def test_budgets_reject_a_negative_count(field):
+    with pytest.raises(ValueError, match="must not be negative"):
+        Budgets(**{field: -1})
+    assert getattr(Budgets(**{field: 0}), field) == 0
+
+
 def test_no_ok_trials_raises():
     obj = ThreeTermObjective()
     trials = [Trial({"x1": 0.5, "x2": 0.5, "x3": 1}, None, "failed", 0)
