@@ -19,17 +19,18 @@ The optimizer alternates fit, EI maximization over scrambled Sobol
 candidates with a local polish of the best few, and evaluation; failed
 evaluations are penalized, never fatal.  Candidates, polished points and
 the history are rows, decoded only to be evaluated.
+scipy (L-BFGS-B, scrambled Sobol, the normal distribution, LAPACK) is
+imported by the functions that use it, when first called, so importing this
+module loads numpy alone and only an optimization pays for scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import get_lapack_funcs
-from scipy.stats import norm, qmc
 
 from .harness import _best_trial, _evaluate_trial, trial_seed
 from .space import (SearchSpace, _continuous_cdf, _continuous_quantile, _level_index,
@@ -52,9 +53,24 @@ _JITTERS = tuple(1e-10 * 10**k for k in range(7))   # 1e-10 .. 1e-4
 _SQRT5 = math.sqrt(5.0)
 _N_CANDIDATES = 2048    # Sobol candidates per acquisition step
 _N_POLISH = 5           # best candidates given a local EI polish
-# the LAPACK routines that scipy.linalg's cholesky and cho_solve wrap, called
-# without those wrappers' per-call input checks and copies
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
+
+@functools.cache
+def _lapack(name):
+    """The double-precision LAPACK routine that scipy.linalg's cholesky or
+    cho_solve wraps, called without those wrappers' per-call input checks
+    and copies.  scipy loads on the first call, not with this module."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(name, (np.empty(0),))
+
+
+def _POTRF(*args, **kwargs):
+    return _lapack("potrf")(*args, **kwargs)
+
+
+def _POTRS(*args, **kwargs):
+    return _lapack("potrs")(*args, **kwargs)
 
 
 class FitError(RuntimeError):
@@ -279,6 +295,8 @@ def gp_fit(X, y) -> GpModel:
         for l in ls_starts
         for nz in noise_starts
     ]
+    from scipy import optimize
+
     best = None
     for x0 in starts:
         res = optimize.minimize(
@@ -316,6 +334,8 @@ def ei_value(mean, sd, best_so_far: float):
     (best - mean) Phi(gamma) + sd phi(gamma) with gamma = (best - mean)/sd;
     degenerates to max(best - mean, 0) at sd = 0.
     """
+    from scipy.stats import norm
+
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sd = np.atleast_1d(np.asarray(sd, dtype=float))
     gap = best_so_far - mean
@@ -395,6 +415,9 @@ def gpbo(
     """
     if n_init < 0 or n_iter < 0:
         raise ValueError(f"n_init and n_iter must not be negative, got {n_init}, {n_iter}")
+    from scipy import optimize
+    from scipy.stats import qmc
+
     fixed = dict(fixed or {})
     for name in fixed:
         space.param(name)

@@ -290,7 +290,12 @@ def _blas_threads() -> list:
 
 
 def _pin_blas_threads(n: int) -> None:
-    """Set every loaded OpenBLAS to n threads (a search worker's initializer)."""
+    """Set every loaded OpenBLAS to n threads (a search worker's initializer).
+
+    An OpenBLAS that the worker loads later, as an objective that imports
+    scipy does, reads OPENBLAS_NUM_THREADS when it loads, so that is set too.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = str(n)
     for path in _openblas_libraries():
         set_threads = _openblas_function(path, "set")
         if set_threads is not None:
@@ -366,7 +371,7 @@ def run_random_search(
             finished = map(_evaluate_one, work)
         else:
             # the default start method (fork on Linux): a spawned worker
-            # would import the package, scipy.stats with it, afresh
+            # would import the package and its numpy afresh
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_pin_blas_threads,
                 initargs=(max(1, _cores() // workers),)))

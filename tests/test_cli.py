@@ -1,10 +1,15 @@
 import csv
 import json
+import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import hsictune
 from hsictune import analysis, cli as cli_module, space, twostep
 from hsictune.analysis import interval_reduction, run_algorithm1, threshold
 from hsictune.cli import cli
@@ -645,3 +650,46 @@ def test_a_warning_prints_as_one_line(monkeypatch, capsys):
         assert cli(["analyze", "trials.jsonl"]) == 0
         assert capsys.readouterr().err == ("warning: all samples identical; "
                                            "bandwidth selection is degenerate\n")
+
+
+_IMPORT_FOOTPRINT = textwrap.dedent("""
+    import contextlib, io, json, os, sys, tempfile
+    import hsictune, hsictune.cli
+    from hsictune.objectives import OBJECTIVE_NAMES, build_objective
+
+    for name in OBJECTIVE_NAMES:
+        build_objective(name)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        trials = os.path.join(tmp, "trials.jsonl")
+        for argv in (["search", "--objective", "example2", "--n", "200", "--seed", "7",
+                      "--out", trials],
+                     ["analyze", trials, "--seed", "7", "--out", os.path.join(tmp, "a")],
+                     ["reduce", trials, "--param", "x1", "--seed", "7", "--out", os.path.join(tmp, "r")],
+                     ["report", trials, "--seed", "7", "--out", os.path.join(tmp, "p")]):
+            assert hsictune.cli.cli(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    kept = [m for m in ("hsictune.gp", "hsictune.twostep") if m in sys.modules]
+
+    import numpy as np
+    from hsictune.gp import gp_fit, gp_predict
+    x = np.linspace(0.0, 1.0, 6)[:, None]
+    model = gp_fit(x, np.sin(3.0 * x[:, 0]))
+    mean, _ = gp_predict(model, [0.5])
+    print(json.dumps({"scipy": loaded, "kept": kept, "fit_loads_scipy": "scipy" in sys.modules,
+                      "mean": mean}))
+""")
+
+
+def test_the_command_line_loads_scipy_only_to_fit():
+    # a fresh process: the package, the command line, every objective and the
+    # commands that do not optimize load numpy alone; gp and twostep stay imported (the bench tracer reads
+    # them from sys.modules); a fit loads scipy on first use
+    src = os.path.dirname(os.path.dirname(hsictune.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["scipy"] == []
+    assert got["kept"] == ["hsictune.gp", "hsictune.twostep"]
+    assert got["fit_loads_scipy"]
+    assert abs(got["mean"] - math.sin(1.5)) < 0.05

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 from hsictune import gp
@@ -397,13 +398,13 @@ def test_refit_matches_the_reference_refit(monkeypatch):
     assert jittered >= 5
     # through gp_fit, at the optimum its eight starts reach
     results = []
-    minimize = gp.optimize.minimize
+    minimize = scipy.optimize.minimize
 
     def recording_minimize(*args, **kwargs):
         results.append(minimize(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(gp.optimize, "minimize", recording_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
     for n, d in ((4, 1), (12, 2), (20, 5)):
         results.clear()
         X, y = rng.random((n, d)), rng.standard_normal(n)

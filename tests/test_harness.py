@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import Future
 
 import numpy as np
@@ -97,6 +100,41 @@ def test_search_workers_pin_blas_to_their_share(tmp_path, monkeypatch):
     _, bare = _read_records(unpinned)
     assert _without_tags(bare) == _without_tags(records)
     assert all(r["tags"]["blas_threads"] == parent for r in bare)
+
+
+_LATE_BLAS_PROBE = textwrap.dedent("""
+    import json, sys
+    from hsictune import harness
+    from hsictune.harness import Trial, run_random_search
+    from hsictune.space import SearchSpace, continuous_param
+
+    class Probe:
+        name = "blas_probe"
+        space = SearchSpace((continuous_param("x", 0.0, 1.0),))
+
+        def evaluate(self, config, seed):
+            import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS after the initializer)
+            return Trial(dict(config), 0.0, "ok", seed, tags={"threads": harness._blas_threads()})
+
+    scipy_before = "scipy" in sys.modules
+    trials = run_random_search(Probe.space, Probe(), 2, jobs=2)
+    print(json.dumps({"scipy_before": scipy_before, "share": max(1, harness._cores() // 2),
+                      "threads": [t.tags["threads"] for t in trials]}))
+""")
+
+
+def test_search_workers_pin_an_openblas_a_trial_loads():
+    # a fresh process, so that scipy's OpenBLAS is first mapped inside the
+    # worker, after its initializer pinned the libraries already loaded
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LATE_BLAS_PROBE], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert not got["scipy_before"]
+    if not all(got["threads"]):
+        pytest.skip("no OpenBLAS loaded")
+    assert [set(counts) for counts in got["threads"]] == [{got["share"]}] * 2, got
 
 
 class _RecordingPool:

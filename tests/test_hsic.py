@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 from scipy.stats import rankdata, truncnorm
 
 from hsictune import hsic
@@ -911,21 +912,11 @@ def test_screen_sums_the_dense_kernel_at_few_grid_points(monkeypatch):
 # -- the dense distances, against the numpy tables they replaced -------------------
 
 
-def _reference_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(a), len(b)))
-    for d in range(a.shape[1]):
-        out += (a[:, d, None] - b[None, :, d]) ** 2
-    return out
-
-
 def _reference_median_distance(self) -> float:
-    # a pair of support points stands for the product of their pooled
-    # counts, and a point's own pooled pairs are all at distance 0
-    w = (self.c + self.g).astype(np.int64)
-    upper = np.triu(np.ones(self.d2.shape, dtype=bool), k=1)   # no index arrays
-    pairs = np.repeat(self.d2[upper], np.outer(w, w)[upper])
-    ties = np.zeros(int(np.sum(w * (w - 1) // 2)))
-    med = np.median(np.concatenate([ties, pairs]))
+    # the scipy form: pdist of the support repeated by its pooled counts
+    pooled = np.repeat(self.support, (self.c + self.g).astype(np.int64), axis=0)
+    pairs = pdist(pooled, "sqeuclidean")
+    med = np.median(pairs)
     if med == 0.0 and np.any(pairs > 0):      # most pooled pairs tie
         med = np.median(pairs[pairs > 0])
     return float(np.sqrt(med))
@@ -955,11 +946,14 @@ def dense_case(kind, dim, rng):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["ranks", "ties", "one-point", "pooled-2000"])
 def test_dense_distances_match_the_numpy_tables(kind, dim):
-    # cdist and pdist add the same squares in the same column order, so the
-    # kernel table and the pooled median keep every bit
+    # the numpy tables add the same squares in the same column order as
+    # cdist and pdist, so the kernel table and the pooled median keep every bit
     pts, z = dense_case(kind, dim, np.random.default_rng(120 + dim))
     eng = backend(hsic._DenseBackend, pts, z)
-    assert np.array_equal(eng.d2, _reference_sq_dists(eng.support, eng.support))
+    assert np.array_equal(eng.d2, cdist(eng.support, eng.support, "sqeuclidean"))
+    pooled = np.repeat(eng.support, (eng.c + eng.g).astype(np.int64), axis=0)
+    assert np.array_equal(np.sort(hsic._sq_dist_pairs(pooled)),
+                          np.sort(pdist(pooled, "sqeuclidean")))
     med = eng.median_distance()
     assert med == _reference_median_distance(eng)
     if kind == "pooled-2000":
@@ -970,3 +964,11 @@ def test_dense_distances_match_the_numpy_tables(kind, dim):
         w = (eng.c + eng.g).astype(np.int64)
         assert np.sum(w * (w - 1) // 2) > (eng.n + eng.m) * (eng.n + eng.m - 1) // 4
         assert med > 0.0
+
+
+def test_median_matches_np_median():
+    # odd and even lengths, ties and a single value: the same bits as np.median
+    rng = np.random.default_rng(121)
+    for size in [1, 2, 3, 4, 5, 64, 65, 1001, 1002]:
+        for values in (rng.random(size), rng.integers(0, 3, size) / 7.0):
+            assert hsic._median(values.copy()) == np.median(values), size
