@@ -682,8 +682,9 @@ _IMPORT_FOOTPRINT = textwrap.dedent("""
 
 def test_the_command_line_loads_scipy_only_to_fit():
     # a fresh process: the package, the command line, every objective and the
-    # commands that do not optimize load numpy alone; gp and twostep stay imported (the bench tracer reads
-    # them from sys.modules); a fit loads scipy on first use
+    # commands that do not optimize load numpy alone; gp and twostep stay
+    # imported (the bench tracer reads them from sys.modules); a fit loads
+    # scipy on first use
     src = os.path.dirname(os.path.dirname(hsictune.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env, capture_output=True,
