@@ -43,20 +43,41 @@ sorted and counts are order-free.
 
 One bootstrap draw serves both backends: a replicate resamples the n rows
 of set a and counts them per support point (dense) or grid cell (binned),
-and a draw without a flagged row is drawn again.  One bootstrap loop hands
-the draws, in order, to one call of the backend's replicate_sums at the
-selected bandwidth, which returns each replicate's three sums.  The dense
-backend lays them out as the columns of one block and sums the whole block
-with one product K X, which reads the s x s kernel matrix once instead of
-twice per replicate.  The binned backend sums each replicate as it arrives
-and keeps none of them (100 2-D count grids would take ~105 MB): in 1-D
-by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
+and a draw without a flagged row is drawn again.  The bootstrap hands the
+draws to one call of the backend's replicate_sums at the selected
+bandwidth as a sequence that draws replicate b from its own stream when it
+is read (_Draws), and replicate_sums returns each replicate's three sums.
+The dense backend lays them out as the columns of one block and sums the
+whole block with one product K X, which reads the s x s kernel matrix once
+instead of twice per replicate.  The binned backend sums each replicate as
+it is drawn and keeps none of them (100 2-D count grids would take ~105
+MB): in 1-D by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
 F_d F_d' = K_d factors each axis's Toeplitz kernel.  F_d keeps the
 eigenvectors of K_d whose eigenvalues exceed B eps lambda_max, the level of
 eigh's own error, so the factored sums match K1 C K2 to 1e-12 relative.  A
 kernel 20-55 bins wide keeps a rank of 18-35 of 256, and a replicate's
 products then run 3 to 18 times faster than K1 C K2; a kernel a few bins
 wide keeps nearly all 256 and costs what K1 C K2 does.
+
+Each estimate runs in _scoring, which pins every loaded OpenBLAS to one
+thread and puts one thread on each core the process may run on: the
+calling thread and a pool of the others, which ends with the estimate.
+numpy runs its elementwise passes on one core, so the backends hand the
+work to those threads in pieces, through the map that _scoring yields (a
+backend built outside it maps inline).  The dense backend splits its
+distance tables, its kernel matrix and the products K c, K g and K X into
+blocks of _SPLIT_ROWS rows (_row_blocks; a support under two blocks is one
+block and runs inline), and each block builds its rows of K and multiplies
+them while they are in cache.  The binned backend hands out runs of
+bootstrap replicates, each replicate drawn from its own stream.  The bits
+depend neither on the number of threads nor on the caller's BLAS thread
+count: every entry of a table or of K is computed on its own, the blocks
+and runs are fixed by the input size alone, and at one thread OpenBLAS
+gives a row of a block's product the bits of the same row of the whole
+product.  That last fact holds for its matrix-vector kernels at any block
+of two or more rows that starts where _row_blocks starts one, and for its
+blocked matrix-matrix kernel (_SMALL_GEMM keeps the small-matrix kernel
+out).  numpy's exp dispatch still sets the bits (see the README).
 
 The dense backend's bandwidth search runs coarse to fine.  When the padded
 FFT grid of B bins per dimension has fewer cells than the dense kernel
@@ -72,12 +93,16 @@ that slack.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import _cores, one_blas_thread
 from .space import _seed_sequence
 
 __all__ = [
@@ -97,7 +122,10 @@ _BINS = {1: 4096, 2: 256}   # bins per axis of the binned backend's grid, by dim
 # below the binned maximum within which a grid point is summed exactly.  Over
 # 787 random goal scores (n 100-1800, null, main-effect and interaction flags,
 # tied ranks) the exact argmax's binned value sat at most 2.9e-3 below the
-# binned maximum, relative.
+# binned maximum, relative.  A flat 2-D case sits further down: example2's
+# pair (x3, x4) in the 1500-trial search of seed 11 has its exact argmax at
+# the first grid point, 9.4e-3 below, so a 2-D slack under 1e-2 would lose
+# it (test_screened_selection_of_a_flat_example2_pair_matches_exhaustive).
 _SCREEN_SLACK = {1: 1e-2, 2: 5e-2}
 # The dense replicate block's width is a multiple of this many columns.  At
 # such widths OpenBLAS gave every column of a product K X the same bits
@@ -110,6 +138,16 @@ _BLOCK_COLUMNS = 8
 _EXP_NORMAL = -707.0
 _EXP_ZERO = -746.0
 _BLOCK_ROWS = 32        # rows per block of a distance table; a block's temporaries stay in cache
+# Rows per block of the scoring pool's work on a dense matrix (_row_blocks),
+# a multiple of _BLOCK_ROWS.  A block's kernel rows stay in a core's cache
+# (1.9 MB at s = 1500), and a support under 320 points is one block.
+_SPLIT_ROWS = 160
+# OpenBLAS sends a product of at most 100^3 multiply-adds to its
+# small-matrix kernel (on AVX-512 cores), which rounds unlike its blocked
+# kernel once s passes the blocked kernel's depth; a replicate block is split
+# only when every block's product stays above it.
+_SMALL_GEMM = 100**3
+_REPLICATE_CHUNK = 10   # binned bootstrap replicates per task of the scoring pool
 N_GRID = 40
 GRID_SPAN = (1e-2, 1e1)  # multiples of the median pairwise distance
 
@@ -149,6 +187,64 @@ class HsicScore:
             raise EstimationError("score and std_error must be nonnegative")
         if not (0 < self.n_goal <= self.n_total):
             raise EstimationError("need 0 < n_goal <= n_total")
+
+
+# -- the scoring pool ------------------------------------------------------------
+
+def _inline(fn, items):
+    """[fn(item) for item in items]: the map of a backend built outside
+    _scoring."""
+    return [fn(item) for item in items]
+
+
+@contextlib.contextmanager
+def _scoring(workers=None):
+    """The context of one estimate: every loaded OpenBLAS at one thread, and
+    workers threads (default: the cores this process may run on), this one
+    and a pool of the rest, whose threads end with the block.
+
+    Yields the map that hands a list's items to those threads: each takes
+    the next item no thread has taken, and the results come back in the
+    list's order.  This thread takes items too, so one core starts no
+    thread, and there is one pool thread fewer whose malloc arena keeps the
+    large arrays freed in it.
+    """
+    helpers = (workers or _cores()) - 1
+    with one_blas_thread(), ThreadPoolExecutor(max(helpers, 1)) as executor:
+
+        def each(fn, items):
+            if helpers == 0 or len(items) < 2:
+                return _inline(fn, items)
+            out, todo, lock = [None] * len(items), iter(range(len(items))), threading.Lock()
+
+            def work():
+                while True:
+                    with lock:
+                        i = next(todo, None)
+                    if i is None:
+                        return
+                    out[i] = fn(items[i])
+
+            futures = [executor.submit(work) for _ in range(min(helpers, len(items) - 1))]
+            work()
+            for future in futures:
+                future.result()
+            return out
+
+        yield each
+
+
+def _row_blocks(s):
+    """Row slices of an s-row matrix, _SPLIT_ROWS rows each and the last
+    one holding the rest: one slice when s < 2 _SPLIT_ROWS.
+
+    Every block starts at a multiple of _SPLIT_ROWS and none is one row
+    long (numpy hands a one-row product to a dot product), so a block's
+    matrix-vector products take the kernels the whole matrix takes and give
+    each row its bits.
+    """
+    starts = list(range(0, max(s - _SPLIT_ROWS, 0) + 1, _SPLIT_ROWS))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [s])]
 
 
 # -- the two-set representation -----------------------------------------------
@@ -193,13 +289,13 @@ def _rows(c, g):
     return point, flagged
 
 
-def _backend(points_a, points_b):
+def _backend(points_a, points_b, each):
     dense = len(points_a) + len(points_b) <= _DENSE_LIMIT
     dim = points_a.shape[1]
     if not dense and dim not in _BINS:
         raise EstimationError(f"sets of {dim} columns are limited to {_DENSE_LIMIT} pooled points")
     support, c, g = _support(points_a, points_b)
-    return (_DenseBackend if dense else _BinnedBackend)(support, c, g)
+    return (_DenseBackend if dense else _BinnedBackend)(support, c, g, each)
 
 
 def _mmd_from_sums(sums, n, m):
@@ -243,18 +339,23 @@ def _sq_dists(out, rows, cols, tmp):
     return out
 
 
-def _sq_dist_table(points):
+def _sq_dist_table(points, each=_inline):
     """The s x s squared distances between the rows of points."""
     s = len(points)
     cols = points.T
     d2 = np.empty((s, s))
-    tmp = np.empty(_BLOCK_ROWS * s)
-    for r0 in range(0, s, _BLOCK_ROWS):
-        _sq_dists(d2[r0 : r0 + _BLOCK_ROWS], cols[:, r0 : r0 + _BLOCK_ROWS], cols, tmp)
+
+    def rows(block):
+        tmp = np.empty(_BLOCK_ROWS * s)
+        for r0 in range(block.start, block.stop, _BLOCK_ROWS):
+            r1 = min(block.stop, r0 + _BLOCK_ROWS)
+            _sq_dists(d2[r0:r1], cols[:, r0:r1], cols, tmp)
+
+    each(rows, _row_blocks(s))
     return d2
 
 
-def _sq_dist_pairs(points):
+def _sq_dist_pairs(points, each=_inline):
     """The squared distance of every pair i < j of rows of points: pdist's
     values in another order.  Per block of rows, the rectangle against the
     rows after the block, then the block's own strict upper triangle.
@@ -262,17 +363,21 @@ def _sq_dist_pairs(points):
     n = len(points)
     cols = points.T
     pairs = np.empty(n * (n - 1) // 2)
-    tmp = np.empty(_BLOCK_ROWS * n)
     upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), k=1)
-    pos = 0
-    for r0 in range(0, n, _BLOCK_ROWS):
-        r1 = min(n, r0 + _BLOCK_ROWS)
-        b, width = r1 - r0, n - r1
-        _sq_dists(pairs[pos : pos + b * width].reshape(b, width), cols[:, r0:r1], cols[:, r1:], tmp)
-        pos += b * width
-        block = _sq_dists(np.empty((b, b)), cols[:, r0:r1], cols[:, r0:r1], tmp)[upper[:b, :b]]
-        pairs[pos : pos + len(block)] = block
-        pos += len(block)
+
+    def rows(block):
+        tmp = np.empty(_BLOCK_ROWS * n)
+        for r0 in range(block.start, block.stop, _BLOCK_ROWS):
+            r1 = min(block.stop, r0 + _BLOCK_ROWS)
+            b, width = r1 - r0, n - r1
+            pos = r0 * n - r0 * (r0 + 1) // 2       # the pairs whose first row precedes r0
+            _sq_dists(pairs[pos : pos + b * width].reshape(b, width), cols[:, r0:r1], cols[:, r1:],
+                      tmp)
+            pos += b * width
+            pairs[pos : pos + b * (b - 1) // 2] = _sq_dists(
+                np.empty((b, b)), cols[:, r0:r1], cols[:, r0:r1], tmp)[upper[:b, :b]]
+
+    each(rows, _row_blocks(n))
     return pairs
 
 
@@ -294,24 +399,24 @@ def _median(values):
 class _DenseBackend:
     """Exact sums over the kernel matrix of the support points."""
 
-    def __init__(self, support, c, g):
-        self.support, self.c, self.g = support, c, g
+    def __init__(self, support, c, g, each=_inline):
+        self.support, self.c, self.g, self.each = support, c, g, each
         self.n, self.m = int(c.sum()), int(g.sum())
-        self.d2 = _sq_dist_table(support)
+        self.d2 = _sq_dist_table(support, each)
         self.d2_max = self.d2.max()
         self.owner, self.flagged = _rows(c, g)
 
     def median_distance(self) -> float:
         pooled = np.repeat(self.support, (self.c + self.g).astype(np.int64), axis=0)
-        pairs = _sq_dist_pairs(pooled)
+        pairs = _sq_dist_pairs(pooled, self.each)
         med = _median(pairs)
         if med == 0.0 and np.any(pairs > 0):      # most pooled pairs tie
             med = _median(pairs[pairs > 0])
         return float(np.sqrt(med))
 
-    def _kernel(self, gamma, out):
-        """K = exp(-gamma d2) into out, entry for entry the bits of
-        np.exp(-gamma * d2).
+    def _kernel(self, gamma, out, rows=slice(None)):
+        """K = exp(-gamma d2[rows]) into out, entry for entry the bits of
+        np.exp(-gamma * d2[rows]).
 
         np.exp leaves its vector path for every entry whose result
         underflows, which costs 15-100 times a normal entry, and a narrow
@@ -323,7 +428,7 @@ class _DenseBackend:
         A gamma whose arguments all stay at or above _EXP_NORMAL runs plain
         np.exp.
         """
-        K = np.multiply(self.d2, -gamma, out=out)
+        K = np.multiply(self.d2[rows], -gamma, out=out)
         if self.d2_max * -gamma >= _EXP_NORMAL:   # the smallest argument, exactly
             return np.exp(K, out=K)
         keep = K >= _EXP_NORMAL
@@ -338,16 +443,22 @@ class _DenseBackend:
         return K
 
     def sweep(self, gammas):
-        out = np.empty((len(gammas), 3))
         c, g = self.c, self.g
-        K = np.empty_like(self.d2)
-        for i, gamma in enumerate(gammas):
-            self._kernel(gamma, K)
-            kg = K @ g
-            kc = K @ c
+        kc, kg = np.empty((2, len(gammas), len(c)))
+
+        def rows(block):        # each gamma's kernel rows, then their products
+            K = np.empty((block.stop - block.start, len(c)))
+            for i, gamma in enumerate(gammas):
+                self._kernel(gamma, K, block)
+                kg[i, block] = K @ g
+                kc[i, block] = K @ c
+
+        self.each(rows, _row_blocks(len(c)))
+        out = np.empty((len(gammas), 3))
+        for i in range(len(gammas)):
             # the cross term's contraction order sets its rounding; changing
             # c'(Kg) here or g'(Kc) in replicate_sums moves the scores' last bits
-            out[i] = c @ kc, c @ kg, g @ kg
+            out[i] = c @ kc[i], c @ kg[i], g @ kg[i]
         return out
 
     def replicate_sums(self, gamma, replicates):
@@ -355,14 +466,20 @@ class _DenseBackend:
 
         One product K X reads K once for every replicate: replicate b's c
         and g are columns 2b and 2b + 1 of X, which zero columns pad to a
-        multiple of _BLOCK_COLUMNS wide.
+        multiple of _BLOCK_COLUMNS wide.  Each block of rows of K is built
+        and multiplied by X on its own.
         """
-        cols = [v for pair in replicates for v in pair]     # c, g, c, g, ...
-        x = np.zeros((len(self.c), -(-len(cols) // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
-        for j, v in enumerate(cols):
-            x[:, j] = v
-        kx = self._kernel(gamma, np.empty_like(self.d2)) @ x
-        width = len(cols)
+        s, width = len(self.c), 2 * len(replicates)
+        x = np.zeros((s, -(-width // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
+        for b in range(len(replicates)):
+            x[:, 2 * b], x[:, 2 * b + 1] = replicates[b]
+        kx = np.empty_like(x)
+
+        def rows(block):
+            kx[block] = self._kernel(gamma, np.empty((block.stop - block.start, s)), block) @ x
+
+        split = x.shape[1] * _SPLIT_ROWS * s > _SMALL_GEMM
+        self.each(rows, _row_blocks(s) if split else [slice(0, s)])
         c, g = x[:, 0:width:2], x[:, 1:width:2]
         kc, kg = kx[:, 0:width:2], kx[:, 1:width:2]
         return np.column_stack([np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
@@ -372,7 +489,8 @@ class _DenseBackend:
 class _BinnedBackend:
     """Sums over the support snapped onto a grid of B bins per dimension."""
 
-    def __init__(self, support, c, g):
+    def __init__(self, support, c, g, each=_inline):
+        self.each = each
         self.n, self.m = int(c.sum()), int(g.sum())
         self.dim = support.shape[1]
         self.B = B = _BINS[self.dim]
@@ -468,18 +586,22 @@ class _BinnedBackend:
             w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
         else:
             F1, F2 = self._factors(gamma)
-        out = []
-        for c, g in replicates:
+
+        def sums(b):
+            c, g = replicates[b]
             if self.dim == 1:
                 fc, fg = np.fft.rfft(c, M), np.fft.rfft(g, M)
-                out.append((w @ (fc.real**2 + fc.imag**2),
-                            w @ (fg.real * fc.real + fg.imag * fc.imag),
-                            w @ (fg.real**2 + fg.imag**2)))
-            else:
-                pc = F1.T @ c.reshape(B, B) @ F2
-                pg = F1.T @ g.reshape(B, B) @ F2
-                out.append((np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)))
-        return np.array(out)
+                return (w @ (fc.real**2 + fc.imag**2),
+                        w @ (fg.real * fc.real + fg.imag * fc.imag),
+                        w @ (fg.real**2 + fg.imag**2))
+            pc = F1.T @ c.reshape(B, B) @ F2
+            pg = F1.T @ g.reshape(B, B) @ F2
+            return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
+
+        n = len(replicates)
+        runs = [range(b, min(n, b + _REPLICATE_CHUNK)) for b in range(0, n, _REPLICATE_CHUNK)]
+        parts = self.each(lambda run: [sums(b) for b in run], runs)
+        return np.array([row for part in parts for row in part])
 
     def _factors(self, gamma):
         """Per axis, F_d with F_d F_d' = K_d to eigh's accuracy.
@@ -514,18 +636,29 @@ def _resample(backend, rng):
             np.bincount(rows, weights=backend.flagged[idx], minlength=units))
 
 
+class _Draws:
+    """The bootstrap replicates' counts (c, g) as a sequence: replicate b is
+    drawn when it is read, from the stream keyed (seed, b), and its flagged
+    count goes into m[b]."""
+
+    def __init__(self, backend, n_boot, seed):
+        self.backend, self.seed, self.m = backend, seed, np.empty(n_boot)
+
+    def __len__(self):
+        return len(self.m)
+
+    def __getitem__(self, b):
+        c, g = _resample(self.backend, np.random.default_rng(_seed_sequence(self.seed, b)))
+        self.m[b] = g.sum()
+        return c, g
+
+
 def _bootstrap(backend, gamma, n_boot, seed):
     """Replicate scores at a fixed gamma; replicate b draws from the stream
     keyed (seed, b), so extending n_boot keeps earlier replicates."""
-    n, m = backend.n, np.empty(n_boot)
-
-    def draws():
-        for b in range(n_boot):
-            c, g = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
-            m[b] = g.sum()
-            yield c, g
-
-    sums = backend.replicate_sums(gamma, draws())
+    draws = _Draws(backend, n_boot, seed)
+    sums = backend.replicate_sums(gamma, draws)
+    n, m = backend.n, draws.m
     return np.maximum((m / n) ** 2 * _mmd_from_sums(sums, n, m), 0.0)
 
 
@@ -548,7 +681,7 @@ def _candidates(backend, gammas):
     cells = (2 * _BINS[dim]) ** dim
     if cells >= len(backend.c) ** 2:
         return everything
-    twin = _BinnedBackend(backend.support, backend.c, backend.g)
+    twin = _BinnedBackend(backend.support, backend.c, backend.g, backend.each)
     screened = _mmd_from_sums(twin.sweep(gammas), twin.n, twin.m)
     top = screened.max()
     slack = _SCREEN_SLACK[dim] * abs(top) + cells * np.finfo(float).eps
@@ -600,8 +733,9 @@ def mmd2(xs, ys, kernel: Kernel) -> float:
     if a.shape[1] != kernel.dim or b.shape[1] != kernel.dim:
         raise EstimationError("sample dimension does not match kernel")
     h = np.asarray(kernel.bandwidths)
-    backend = _backend(a / h, b / h)
-    return float(_mmd_from_sums(backend.sweep([0.5]), backend.n, backend.m)[0])
+    with _scoring() as each:
+        backend = _backend(a / h, b / h, each)
+        return float(_mmd_from_sums(backend.sweep([0.5]), backend.n, backend.m)[0])
 
 
 def select_bandwidth(xs, ys, grid=None) -> Kernel:
@@ -614,7 +748,8 @@ def select_bandwidth(xs, ys, grid=None) -> Kernel:
     b = _as_points(ys)
     if a.shape[1] != b.shape[1]:
         raise EstimationError("sample sets have different dimensions")
-    h, _, _, degenerate = _select(_backend(a, b), grid)
+    with _scoring() as each:
+        h, _, _, degenerate = _select(_backend(a, b, each), grid)
     return Kernel((h,) * a.shape[1], degenerate=degenerate)
 
 
@@ -631,14 +766,15 @@ def _prepare_labeled(u, z):
 
 
 def _score_labeled(pts, flags, n_boot, seed):
-    backend = _backend(pts, pts[flags])
-    n, m = backend.n, backend.m
-    h, gamma, mmd, degenerate = _select(backend, None)
-    value = max((m / n) ** 2 * mmd, 0.0)
-    if n_boot >= 2:
-        se = float(np.std(_bootstrap(backend, gamma, n_boot, seed), ddof=1))
-    else:
-        se = 0.0
+    with _scoring() as each:
+        backend = _backend(pts, pts[flags], each)
+        n, m = backend.n, backend.m
+        h, gamma, mmd, degenerate = _select(backend, None)
+        value = max((m / n) ** 2 * mmd, 0.0)
+        if n_boot >= 2:
+            se = float(np.std(_bootstrap(backend, gamma, n_boot, seed), ddof=1))
+        else:
+            se = 0.0
     kernel = Kernel((h,) * pts.shape[1], degenerate=degenerate)
     return HsicScore(value, se, n, m, kernel)
 

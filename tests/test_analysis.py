@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import threading
 import zlib
 
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from hsictune import analysis, space as space_module
+from hsictune import analysis, harness, hsic, space as space_module
 from hsictune.analysis import (
     best_percentile,
     dummy_floor,
@@ -19,8 +20,9 @@ from hsictune.analysis import (
     worst_level_report,
     worst_percentile,
 )
-from hsictune.harness import Trial
+from hsictune.harness import Trial, run_random_search
 from hsictune.hsic import EstimationError, hsic_goal
+from hsictune.objectives import build_objective
 from hsictune.reports import summary_dict
 from hsictune.space import (
     SearchSpace,
@@ -514,6 +516,31 @@ def test_run_algorithm1_example2_end_to_end():
     pairs = report.interacting_pairs()
     assert ("x2", "x3") in pairs
     assert ("x4", "x5") not in pairs
+
+
+def test_no_thread_outlives_scoring(monkeypatch):
+    # a dense-size analysis splits its kernel matrices over the scoring pool;
+    # the pool's threads end with each score and every OpenBLAS is back at its
+    # own count, so a search can fork its workers afterwards (Python 3.12
+    # warns when a multi-threaded process forks)
+    obj = build_objective("example2")
+    trials = run_random_search(obj.space, obj, 1500, master_seed=7)
+    threads, blas_threads = threading.active_count(), harness._blas_threads()
+    during = []
+    sweep = hsic._DenseBackend.sweep
+
+    def watched_sweep(self, gammas):
+        out = sweep(self, gammas)
+        during.append(threading.active_count())
+        return out
+
+    monkeypatch.setattr(hsic._DenseBackend, "sweep", watched_sweep)
+    run_algorithm1(obj.space, trials, threshold(0.5, "le"), seed=7, n_boot=4)
+    if harness._cores() > 1:
+        assert max(during) > threads
+    assert threading.active_count() == threads
+    assert harness._blas_threads() == blas_threads
+    assert len(run_random_search(obj.space, obj, 4, jobs=2, master_seed=8)) == 4
 
 
 def test_run_algorithm1_example1_statistical_tie():

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import warnings
 
@@ -6,7 +7,9 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 from scipy.stats import rankdata, truncnorm
 
-from hsictune import hsic
+from hsictune import blas, hsic
+from hsictune.analysis import make_goal_flags, threshold
+from hsictune.harness import run_random_search
 from hsictune.hsic import (
     _BLOCK_COLUMNS,
     EstimationError,
@@ -19,7 +22,8 @@ from hsictune.hsic import (
     _mmd_from_sums,
     _resample,
 )
-from hsictune.space import _seed_sequence
+from hsictune.objectives import build_objective
+from hsictune.space import _seed_sequence, normalize_trials
 
 
 def example1_sample(n, seed, normalized=True, x1_truncnorm=True):
@@ -368,9 +372,9 @@ def labeled_points(rng, n, dim):
     return pts, z
 
 
-def backend(cls, pts, z):
+def backend(cls, pts, z, *each):
     """A goal score's representation: a = all points, b = the flagged ones."""
-    return cls(*hsic._support(pts, pts[z]))
+    return cls(*hsic._support(pts, pts[z]), *each)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -454,7 +458,7 @@ def test_dense_block_sums_match_per_replicate_products(dim):
         gamma = 1.0 / (2.0 * h * h)
         K = np.exp(eng.d2 * (-gamma))
         want = [(cb @ (K @ cb), gb @ (K @ cb), gb @ (K @ gb)) for cb, gb in draws]
-        np.testing.assert_allclose(eng.replicate_sums(gamma, iter(draws)), want,
+        np.testing.assert_allclose(eng.replicate_sums(gamma, draws), want,
                                    rtol=1e-12, atol=0)
 
 
@@ -907,6 +911,101 @@ def test_screen_sums_the_dense_kernel_at_few_grid_points(monkeypatch):
     assert len(eng.c) == 1500
     hsic._select(eng, None)
     assert len(swept) == 1 and 1 <= swept[0] <= 4
+
+
+def test_screened_selection_of_a_flat_example2_pair_matches_exhaustive():
+    # example2's pair (x3, x4) in the 1500-trial search of seed 11 has its
+    # exact maximum at the first grid point, 9.4e-3 below the binned maximum
+    # (relative): further down than any of the 787 scores behind _SCREEN_SLACK
+    obj = build_objective("example2")
+    trials = run_random_search(obj.space, obj, 1500, master_seed=11)
+    z = make_goal_flags(trials, threshold(0.5, "le"))
+    matrix = normalize_trials(obj.space, trials, 11)
+    pts = np.column_stack([matrix.column("x3"), matrix.column("x4")])
+    eng = assert_selects_as_exhaustive(pts, pts[z])
+    assert len(eng.c) == 1500
+    gammas = 1.0 / (2.0 * bandwidth_grid(eng.median_distance()) ** 2)
+    assert exhaustive_select(eng, None)[1] == gammas[0]
+    twin = hsic._BinnedBackend(eng.support, eng.c, eng.g)
+    screened = _mmd_from_sums(twin.sweep(gammas), twin.n, twin.m)
+    assert 9e-3 < (screened.max() - screened[0]) / screened.max() < hsic._SCREEN_SLACK[1]
+
+
+# -- the scoring pool -------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def blas_threads_at(n):
+    """Every loaded OpenBLAS at n threads inside the block."""
+    libraries = [(blas._openblas_function(path, "get"), blas._openblas_function(path, "set"))
+                 for path in blas._openblas_libraries()]
+    libraries = [(get, put) for get, put in libraries if get is not None and put is not None]
+    saved = [get() for get, _ in libraries]
+    for _, put in libraries:
+        put(n)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libraries, saved):
+            put(count)
+
+
+@pytest.mark.parametrize("s", [7, 319, 320, 321, 480, 1500, 1501])
+def test_row_blocks_tile_the_rows_from_fixed_starts(s):
+    blocks = hsic._row_blocks(s)
+    assert [b.start for b in blocks] == list(range(0, hsic._SPLIT_ROWS * len(blocks),
+                                                   hsic._SPLIT_ROWS))
+    assert blocks[-1].stop == s and all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert len(blocks) == 1 or min(b.stop - b.start for b in blocks) == hsic._SPLIT_ROWS
+    assert (len(blocks) > 1) == (s >= 2 * hsic._SPLIT_ROWS)
+
+
+# 1441 rows are nine blocks and one row more; 400 rows with 3 replicates
+# (8 columns) split the sweep but not the replicate block (_SMALL_GEMM)
+@pytest.mark.parametrize("s, n_boot", [(1500, 21), (1441, 21), (400, 3)])
+def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
+    # whatever the pool's size and the caller's BLAS thread count, the row
+    # blocks give the distance table, the sweep and the replicate block the
+    # bits of one product of the whole kernel matrix at one BLAS thread
+    eng = dense_support(np.random.default_rng(130 + s), s, 1, False)
+    assert len(hsic._row_blocks(s)) > 1
+    gammas = 1.0 / (2.0 * bandwidth_grid(eng.median_distance())[::8] ** 2)
+    gamma = gammas[2]
+    draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(n_boot)]
+    c, g = eng.c, eng.g
+    with blas.one_blas_thread():
+        sweep = []
+        for gm in gammas:
+            K = np.exp(-gm * eng.d2)
+            kg, kc = K @ g, K @ c
+            sweep.append((c @ kc, c @ kg, g @ kg))
+        block = np.column_stack(ReferenceDense.sums_at(eng, gamma)(
+            np.column_stack([cb for cb, _ in draws]), np.column_stack([gb for _, gb in draws])))
+    for threads in (1, 2):
+        for workers in (1, 2, 3):
+            with blas_threads_at(threads):
+                with hsic._scoring(workers) as each:
+                    pooled = hsic._DenseBackend(eng.support, c, g, each)
+                    got_sweep = pooled.sweep(gammas)
+                    got_block = pooled.replicate_sums(gamma, draws)
+                assert blas._blas_threads() == [threads] * len(blas._blas_threads())
+            assert np.array_equal(pooled.d2, eng.d2), (threads, workers)
+            assert np.array_equal(got_sweep, np.array(sweep)), (threads, workers)
+            assert np.array_equal(got_block, block), (threads, workers)
+
+
+def test_binned_pool_bootstrap_has_the_bits_of_one_unsplit_call():
+    rng = np.random.default_rng(150)
+    pts, z = labeled_points(rng, 5000, 2)
+    eng = backend(hsic._BinnedBackend, pts, z)
+    gamma = hsic._select(eng, None)[1]
+    with blas.one_blas_thread():
+        want = reference_bootstrap(backend(ReferenceBinnedReplicates, pts, z), gamma, 37, 3)
+    for threads in (1, 2):
+        for workers in (1, 2, 3):
+            with blas_threads_at(threads), hsic._scoring(workers) as each:
+                got = hsic._bootstrap(backend(hsic._BinnedBackend, pts, z, each), gamma, 37, 3)
+            assert np.array_equal(got, want), (threads, workers)
 
 
 # -- the dense distances, against the numpy tables they replaced -------------------
