@@ -3,16 +3,18 @@
 numpy maps one OpenBLAS, and scipy maps another once it is imported; each
 runs its products on a pool of threads of its own size.  The functions here
 find the mapped libraries in /proc/self/maps and read or set their thread
-counts through ctypes.  Without /proc, or without an OpenBLAS, there is
-nothing to read or set.  A search worker pins the libraries to its share
-of the cores (harness), and a score pins them to one thread while it runs
-(hsic): a product's rounding depends on how many threads share it.
+counts through ctypes, loading each entry point once.  Without /proc, or
+without an OpenBLAS, there is nothing to read or set.  A search worker pins
+the libraries to its share of the cores (_pin_blas_threads), and a score to
+one thread while it runs (one_blas_thread): a product's rounding depends on
+how many threads share it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 
@@ -28,6 +30,7 @@ def _openblas_libraries() -> list:
     return sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
 
 
+@functools.cache
 def _openblas_function(path, verb):
     """The library's {verb}_num_threads entry point: numpy's and scipy's
     prefixed builds first, then a plain OpenBLAS; None when it has none."""
@@ -45,10 +48,27 @@ def _openblas_function(path, verb):
     return None
 
 
+def _openblas_controls() -> list:
+    """(get, set) of each loaded OpenBLAS that has both, in library order."""
+    pairs = [(_openblas_function(path, "get"), _openblas_function(path, "set"))
+             for path in _openblas_libraries()]
+    return [pair for pair in pairs if None not in pair]
+
+
 def _blas_threads() -> list:
     """The thread count each loaded OpenBLAS reports, in library order."""
-    getters = (_openblas_function(path, "get") for path in _openblas_libraries())
-    return [get() for get in getters if get is not None]
+    return [get() for get, _ in _openblas_controls()]
+
+
+def _pin_blas_threads(n: int) -> None:
+    """Set every loaded OpenBLAS to n threads (a search worker's initializer).
+
+    An OpenBLAS that the worker loads later, as an objective that imports
+    scipy does, reads OPENBLAS_NUM_THREADS when it loads, so that is set too.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = str(n)
+    for _, set_threads in _openblas_controls():
+        set_threads(n)
 
 
 def _cores() -> int:
@@ -72,13 +92,9 @@ def one_blas_thread():
     """
     with _pin_lock:
         if _pin["depth"] == 0:
-            saved = []
-            for path in _openblas_libraries():
-                get, set_threads = _openblas_function(path, "get"), _openblas_function(path, "set")
-                if get is not None and set_threads is not None:
-                    saved.append((set_threads, get()))
-                    set_threads(1)
-            _pin["saved"] = saved
+            _pin["saved"] = [(set_threads, get()) for get, set_threads in _openblas_controls()]
+            for set_threads, _ in _pin["saved"]:
+                set_threads(1)
         _pin["depth"] += 1
     try:
         yield

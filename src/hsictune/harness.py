@@ -23,9 +23,9 @@ line one alone, so load_trials reports n_s as at least the highest index + 1.
 A parallel search starts min(jobs, trials to run) workers.  Each pins
 every loaded OpenBLAS to its share of the cores (cores // workers, at
 least 1), so the workers do not each start a pool of threads as large as
-the machine.  The pin goes through the blas module's ctypes calls on the
-libraries the process has mapped; without an OpenBLAS it does nothing, and
-the parent's own thread count is left alone.
+the machine.  The pin (blas._pin_blas_threads) goes through ctypes calls on
+the libraries the process has mapped; without an OpenBLAS it does nothing,
+and the parent's own thread count is left alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .blas import _blas_threads, _cores, _openblas_function, _openblas_libraries  # noqa: F401
+from .blas import _cores, _pin_blas_threads
 from .space import (SearchSpace, SpaceError, _seed_sequence, sample_configuration,
                     space_from_dict, space_to_dict)
 
@@ -254,19 +254,6 @@ def _scan_existing(path, manifest_expected):
                 raise TrialFileError(f"{path}: {field.replace('_', ' ')} mismatch")
         fh.truncate(good_bytes)
     return trials
-
-
-def _pin_blas_threads(n: int) -> None:
-    """Set every loaded OpenBLAS to n threads (a search worker's initializer).
-
-    An OpenBLAS that the worker loads later, as an objective that imports
-    scipy does, reads OPENBLAS_NUM_THREADS when it loads, so that is set too.
-    """
-    os.environ["OPENBLAS_NUM_THREADS"] = str(n)
-    for path in _openblas_libraries():
-        set_threads = _openblas_function(path, "set")
-        if set_threads is not None:
-            set_threads(n)
 
 
 def jobs_from_env(jobs: int) -> int:

@@ -28,18 +28,18 @@ _BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
 pooled points are rejected.  Each backend gives the pooled median distance
 that centers the bandwidth grid (the median of the nonzero distances when
 most pooled pairs tie), the sums over the grid and the bootstrap
-replicates' sums at one bandwidth.  The dense backend builds its distance
-tables with numpy, in blocks of rows: the support's squared distances for
-the kernel matrix, and those of every pair of the pooled sample (the
-support repeated by its pooled counts) for the median.  Each entry adds the
-squared difference per dimension in column order, as scipy's cdist and
-pdist ("sqeuclidean") do, so the tables have their bits.  Its
-kernel matrix has the bits of np.exp(-gamma d2), entry for entry, but no
-entry takes np.exp's slow path for results that underflow: the arguments
-below -707 are computed apart, the band down to -746 as one short array,
-and the ones below it set to the +0.0 that np.exp gives them.  Both
-backends are deterministic and permutation invariant: the support is
-sorted and counts are order-free.
+replicates' sums at one bandwidth.  The dense backend computes squared
+distances with numpy, in blocks of rows: a block of kernel rows computes
+its rows' distances to the support where it exponentiates them, and the
+median reads a table of every pair of the pooled sample (the support
+repeated by its pooled counts).  Each entry adds the squared difference per
+dimension in column order, as scipy's cdist and pdist ("sqeuclidean") do,
+so it has their bits.  The kernel has the bits of np.exp(-gamma d2), entry
+for entry, but no entry takes np.exp's slow path for results that
+underflow: the arguments below -707 are computed apart, the band down to
+-746 as one short array, and the ones below it set to the +0.0 that np.exp
+gives them.  Both backends are deterministic and permutation invariant: the
+support is sorted and counts are order-free.
 
 One bootstrap draw serves both backends: a replicate resamples the n rows
 of set a and counts them per support point (dense) or grid cell (binned),
@@ -64,15 +64,15 @@ thread and puts one thread on each core the process may run on: the
 calling thread and a pool of the others, which ends with the estimate.
 numpy runs its elementwise passes on one core, so the backends hand the
 work to those threads in pieces, through the map that _scoring yields (a
-backend built outside it maps inline).  The dense backend splits its
-distance tables, its kernel matrix and the products K c, K g and K X into
-blocks of _SPLIT_ROWS rows (_row_blocks; a support under two blocks is one
-block and runs inline), and each block builds its rows of K and multiplies
-them while they are in cache.  The binned backend hands out runs of
-bootstrap replicates, each replicate drawn from its own stream.  The bits
-depend neither on the number of threads nor on the caller's BLAS thread
-count: every entry of a table or of K is computed on its own, the blocks
-and runs are fixed by the input size alone, and at one thread OpenBLAS
+backend built outside it maps inline).  The dense backend splits the pair
+table, its kernel matrix and the products K c, K g and K X into blocks of
+_SPLIT_ROWS rows (_row_blocks; a support under two blocks is one block and
+runs inline), and each block builds its distances and rows of K and
+multiplies them while they are in cache.  The binned backend hands out runs
+of bootstrap replicates, each replicate drawn from its own stream.  The
+bits depend neither on the number of threads nor on the caller's BLAS
+thread count: every distance and entry of K is computed on its own, the
+blocks and runs are fixed by the input size alone, and at one thread OpenBLAS
 gives a row of a block's product the bits of the same row of the whole
 product.  That last fact holds for its matrix-vector kernels at any block
 of two or more rows that starts where _row_blocks starts one, and for its
@@ -339,19 +339,13 @@ def _sq_dists(out, rows, cols, tmp):
     return out
 
 
-def _sq_dist_table(points, each=_inline):
-    """The s x s squared distances between the rows of points."""
-    s = len(points)
-    cols = points.T
-    d2 = np.empty((s, s))
-
-    def rows(block):
-        tmp = np.empty(_BLOCK_ROWS * s)
-        for r0 in range(block.start, block.stop, _BLOCK_ROWS):
-            r1 = min(block.stop, r0 + _BLOCK_ROWS)
-            _sq_dists(d2[r0:r1], cols[:, r0:r1], cols, tmp)
-
-    each(rows, _row_blocks(s))
+def _sq_dist_rows(points, rows):
+    """The squared distances of points[rows] to every row of points, built
+    _BLOCK_ROWS rows at a time."""
+    block, cols = points[rows].T, points.T
+    d2, tmp = np.empty((block.shape[1], len(points))), np.empty(_BLOCK_ROWS * len(points))
+    for r0 in range(0, len(d2), _BLOCK_ROWS):
+        _sq_dists(d2[r0 : r0 + _BLOCK_ROWS], block[:, r0 : r0 + _BLOCK_ROWS], cols, tmp)
     return d2
 
 
@@ -402,8 +396,6 @@ class _DenseBackend:
     def __init__(self, support, c, g, each=_inline):
         self.support, self.c, self.g, self.each = support, c, g, each
         self.n, self.m = int(c.sum()), int(g.sum())
-        self.d2 = _sq_dist_table(support, each)
-        self.d2_max = self.d2.max()
         self.owner, self.flagged = _rows(c, g)
 
     def median_distance(self) -> float:
@@ -414,9 +406,10 @@ class _DenseBackend:
             med = _median(pairs[pairs > 0])
         return float(np.sqrt(med))
 
-    def _kernel(self, gamma, out, rows=slice(None)):
-        """K = exp(-gamma d2[rows]) into out, entry for entry the bits of
-        np.exp(-gamma * d2[rows]).
+    @staticmethod
+    def _kernel(gamma, out, d2, d2_max):
+        """K = exp(-gamma d2) into out (which may be d2 itself), entry for
+        entry the bits of np.exp(-gamma * d2); d2_max is d2's largest entry.
 
         np.exp leaves its vector path for every entry whose result
         underflows, which costs 15-100 times a normal entry, and a narrow
@@ -428,8 +421,8 @@ class _DenseBackend:
         A gamma whose arguments all stay at or above _EXP_NORMAL runs plain
         np.exp.
         """
-        K = np.multiply(self.d2[rows], -gamma, out=out)
-        if self.d2_max * -gamma >= _EXP_NORMAL:   # the smallest argument, exactly
+        K = np.multiply(d2, -gamma, out=out)
+        if d2_max * -gamma >= _EXP_NORMAL:   # the smallest argument, exactly
             return np.exp(K, out=K)
         keep = K >= _EXP_NORMAL
         in_band = K >= _EXP_ZERO
@@ -446,10 +439,11 @@ class _DenseBackend:
         c, g = self.c, self.g
         kc, kg = np.empty((2, len(gammas), len(c)))
 
-        def rows(block):        # each gamma's kernel rows, then their products
-            K = np.empty((block.stop - block.start, len(c)))
+        def rows(block):        # the block's distances once, then each gamma's kernel rows
+            d2 = _sq_dist_rows(self.support, block)
+            d2_max, K = d2.max(), np.empty_like(d2)
             for i, gamma in enumerate(gammas):
-                self._kernel(gamma, K, block)
+                self._kernel(gamma, K, d2, d2_max)
                 kg[i, block] = K @ g
                 kc[i, block] = K @ c
 
@@ -467,7 +461,7 @@ class _DenseBackend:
         One product K X reads K once for every replicate: replicate b's c
         and g are columns 2b and 2b + 1 of X, which zero columns pad to a
         multiple of _BLOCK_COLUMNS wide.  Each block of rows of K is built
-        and multiplied by X on its own.
+        over its distances and multiplied by X on its own.
         """
         s, width = len(self.c), 2 * len(replicates)
         x = np.zeros((s, -(-width // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
@@ -476,7 +470,8 @@ class _DenseBackend:
         kx = np.empty_like(x)
 
         def rows(block):
-            kx[block] = self._kernel(gamma, np.empty((block.stop - block.start, s)), block) @ x
+            d2 = _sq_dist_rows(self.support, block)
+            kx[block] = self._kernel(gamma, d2, d2, d2.max()) @ x
 
         split = x.shape[1] * _SPLIT_ROWS * s > _SMALL_GEMM
         self.each(rows, _row_blocks(s) if split else [slice(0, s)])

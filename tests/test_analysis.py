@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from hsictune import analysis, harness, hsic, space as space_module
+from hsictune import analysis, blas, hsic, space as space_module
 from hsictune.analysis import (
     best_percentile,
     dummy_floor,
@@ -525,7 +525,7 @@ def test_no_thread_outlives_scoring(monkeypatch):
     # warns when a multi-threaded process forks)
     obj = build_objective("example2")
     trials = run_random_search(obj.space, obj, 1500, master_seed=7)
-    threads, blas_threads = threading.active_count(), harness._blas_threads()
+    threads, blas_threads = threading.active_count(), blas._blas_threads()
     during = []
     sweep = hsic._DenseBackend.sweep
 
@@ -536,10 +536,10 @@ def test_no_thread_outlives_scoring(monkeypatch):
 
     monkeypatch.setattr(hsic._DenseBackend, "sweep", watched_sweep)
     run_algorithm1(obj.space, trials, threshold(0.5, "le"), seed=7, n_boot=4)
-    if harness._cores() > 1:
+    if blas._cores() > 1:
         assert max(during) > threads
     assert threading.active_count() == threads
-    assert harness._blas_threads() == blas_threads
+    assert blas._blas_threads() == blas_threads
     assert len(run_random_search(obj.space, obj, 4, jobs=2, master_seed=8)) == 4
 
 

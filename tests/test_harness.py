@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from hsictune import harness
+from hsictune import blas, harness
 from hsictune.harness import (
     Trial,
     TrialFileError,
@@ -68,10 +68,10 @@ class _BlasThreadsObjective:
 
     def __init__(self):
         self.space = SearchSpace((continuous_param("x", 0.0, 1.0),))
-        self.libraries = harness._openblas_libraries()
+        self.libraries = blas._openblas_libraries()
 
     def evaluate(self, config, seed):
-        counts = [harness._openblas_function(path, "get")() for path in self.libraries]
+        counts = [blas._openblas_function(path, "get")() for path in self.libraries]
         return Trial(dict(config), config["x"], "ok", seed, tags={"blas_threads": counts})
 
 
@@ -81,20 +81,20 @@ def _without_tags(records):
 
 
 def test_search_workers_pin_blas_to_their_share(tmp_path, monkeypatch):
-    parent = harness._blas_threads()
+    parent = blas._blas_threads()
     if not parent:
         pytest.skip("no OpenBLAS loaded")
     obj = _BlasThreadsObjective()
     pinned, unpinned = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     run_random_search(obj.space, obj, 12, jobs=2, master_seed=4, out_path=pinned)
-    assert harness._blas_threads() == parent
+    assert blas._blas_threads() == parent
     share = max(1, len(os.sched_getaffinity(0)) // 2)
     _, records = _read_records(pinned)
     assert [r["tags"]["blas_threads"] for r in records] == [[share] * len(parent)] * 12
 
     # without a library to pin, workers keep the parent's count and the
     # search gives the same records
-    monkeypatch.setattr(harness, "_openblas_libraries", lambda: [])
+    monkeypatch.setattr(blas, "_openblas_libraries", lambda: [])
     run_random_search(obj.space, obj, 12, jobs=2, master_seed=4, out_path=unpinned)
     monkeypatch.undo()
     _, bare = _read_records(unpinned)
@@ -104,7 +104,7 @@ def test_search_workers_pin_blas_to_their_share(tmp_path, monkeypatch):
 
 _LATE_BLAS_PROBE = textwrap.dedent("""
     import json, sys
-    from hsictune import harness
+    from hsictune import blas
     from hsictune.harness import Trial, run_random_search
     from hsictune.space import SearchSpace, continuous_param
 
@@ -114,11 +114,11 @@ _LATE_BLAS_PROBE = textwrap.dedent("""
 
         def evaluate(self, config, seed):
             import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS after the initializer)
-            return Trial(dict(config), 0.0, "ok", seed, tags={"threads": harness._blas_threads()})
+            return Trial(dict(config), 0.0, "ok", seed, tags={"threads": blas._blas_threads()})
 
     scipy_before = "scipy" in sys.modules
     trials = run_random_search(Probe.space, Probe(), 2, jobs=2)
-    print(json.dumps({"scipy_before": scipy_before, "share": max(1, harness._cores() // 2),
+    print(json.dumps({"scipy_before": scipy_before, "share": max(1, blas._cores() // 2),
                       "threads": [t.tags["threads"] for t in trials]}))
 """)
 
@@ -170,7 +170,7 @@ def test_search_starts_no_more_workers_than_trials(tmp_path, monkeypatch, jobs, 
     obj = Example2Objective()
     got = run_random_search(obj.space, obj, n, jobs=jobs, master_seed=5,
                             out_path=str(tmp_path / "a.jsonl"))
-    want = [] if workers is None else [(workers, harness._pin_blas_threads, (share,))]
+    want = [] if workers is None else [(workers, blas._pin_blas_threads, (share,))]
     assert built == want
     serial = run_random_search(obj.space, obj, n, jobs=1, master_seed=5)
     assert [(t.config, t.score) for t in got] == [(t.config, t.score) for t in serial]

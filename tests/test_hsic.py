@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -456,7 +457,7 @@ def test_dense_block_sums_match_per_replicate_products(dim):
     draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(13)]
     for h in bandwidth_grid(eng.median_distance())[::13]:
         gamma = 1.0 / (2.0 * h * h)
-        K = np.exp(eng.d2 * (-gamma))
+        K = np.exp(cdist(eng.support, eng.support, "sqeuclidean") * (-gamma))
         want = [(cb @ (K @ cb), gb @ (K @ cb), gb @ (K @ gb)) for cb, gb in draws]
         np.testing.assert_allclose(eng.replicate_sums(gamma, draws), want,
                                    rtol=1e-12, atol=0)
@@ -490,16 +491,20 @@ def dense_support(rng, s, dim, tied):
 def test_dense_kernel_has_the_bits_of_np_exp(s, dim, tied):
     rng = np.random.default_rng(s + 10 * dim + tied)
     eng = dense_support(rng, s, dim, tied)
+    d2 = cdist(eng.support, eng.support, "sqeuclidean")
     gammas = list(1.0 / (2.0 * bandwidth_grid(eng.median_distance()) ** 2))
     if s > 1:
-        scales = eng.d2_max, np.median(eng.d2[eng.d2 > 0])
+        scales = d2.max(), np.median(d2[d2 > 0])
         gammas += [arg / d for arg in (707.0, 708.4, 745.13, 746.0) for d in scales]
-    out, subnormal = np.empty_like(eng.d2), False
+    out, subnormal = np.empty_like(d2), False
     for gamma in gammas:
-        want = np.exp(-gamma * eng.d2)
-        got = eng._kernel(gamma, out)
+        want = np.exp(-gamma * d2)
+        got = eng._kernel(gamma, out, d2, d2.max())
         assert got is out
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), gamma
+        in_place = d2.copy()        # as replicate_sums builds its rows
+        eng._kernel(gamma, in_place, in_place, d2.max())
+        assert np.array_equal(in_place.view(np.int64), want.view(np.int64)), gamma
         subnormal |= bool(np.any((want > 0) & (want < np.finfo(float).smallest_normal)))
     assert subnormal == (s > 1)
 
@@ -565,8 +570,9 @@ class ReferenceDense(hsic._DenseBackend):
         and g are columns 2b and 2b + 1 of X, which zero columns pad to a
         multiple of _BLOCK_COLUMNS wide.
         """
-        K = np.empty_like(self.d2)
-        np.multiply(self.d2, -gamma, out=K)
+        d2 = cdist(self.support, self.support, "sqeuclidean")
+        K = np.empty_like(d2)
+        np.multiply(d2, -gamma, out=K)
         np.exp(K, out=K)
 
         def sums(c, g):
@@ -937,9 +943,7 @@ def test_screened_selection_of_a_flat_example2_pair_matches_exhaustive():
 @contextlib.contextmanager
 def blas_threads_at(n):
     """Every loaded OpenBLAS at n threads inside the block."""
-    libraries = [(blas._openblas_function(path, "get"), blas._openblas_function(path, "set"))
-                 for path in blas._openblas_libraries()]
-    libraries = [(get, put) for get, put in libraries if get is not None and put is not None]
+    libraries = blas._openblas_controls()
     saved = [get() for get, _ in libraries]
     for _, put in libraries:
         put(n)
@@ -948,6 +952,19 @@ def blas_threads_at(n):
     finally:
         for (_, put), count in zip(libraries, saved):
             put(count)
+
+
+def test_a_pin_loads_no_openblas_again(monkeypatch):
+    # each library's entry points are looked up once; a score's pin after
+    # that only reads which libraries are mapped
+    with blas.one_blas_thread():
+        pass
+    loads, load = [], blas.ctypes.CDLL
+    monkeypatch.setattr(blas.ctypes, "CDLL", lambda *args: loads.append(args) or load(*args))
+    with blas.one_blas_thread():
+        threads = blas._blas_threads()
+    assert loads == []
+    assert threads == [1] * len(blas._openblas_libraries())
 
 
 @pytest.mark.parametrize("s", [7, 319, 320, 321, 480, 1500, 1501])
@@ -965,18 +982,20 @@ def test_row_blocks_tile_the_rows_from_fixed_starts(s):
 @pytest.mark.parametrize("s, n_boot", [(1500, 21), (1441, 21), (400, 3)])
 def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
     # whatever the pool's size and the caller's BLAS thread count, the row
-    # blocks give the distance table, the sweep and the replicate block the
-    # bits of one product of the whole kernel matrix at one BLAS thread
+    # blocks, each over its own distances, give the sweep and the replicate
+    # block the bits of one product of the whole kernel matrix at one BLAS
+    # thread
     eng = dense_support(np.random.default_rng(130 + s), s, 1, False)
     assert len(hsic._row_blocks(s)) > 1
     gammas = 1.0 / (2.0 * bandwidth_grid(eng.median_distance())[::8] ** 2)
     gamma = gammas[2]
     draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(n_boot)]
     c, g = eng.c, eng.g
+    d2 = cdist(eng.support, eng.support, "sqeuclidean")
     with blas.one_blas_thread():
         sweep = []
         for gm in gammas:
-            K = np.exp(-gm * eng.d2)
+            K = np.exp(-gm * d2)
             kg, kc = K @ g, K @ c
             sweep.append((c @ kc, c @ kg, g @ kg))
         block = np.column_stack(ReferenceDense.sums_at(eng, gamma)(
@@ -989,9 +1008,29 @@ def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
                     got_sweep = pooled.sweep(gammas)
                     got_block = pooled.replicate_sums(gamma, draws)
                 assert blas._blas_threads() == [threads] * len(blas._blas_threads())
-            assert np.array_equal(pooled.d2, eng.d2), (threads, workers)
             assert np.array_equal(got_sweep, np.array(sweep)), (threads, workers)
             assert np.array_equal(got_block, block), (threads, workers)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dense_scores_hold_no_support_sized_table(dim):
+    # each row block computes the distances it exponentiates, so building the
+    # backend, a sweep and a 100-replicate block never hold an s x s table
+    s = 1500
+    rng = np.random.default_rng(160 + dim)
+    pts, z = labeled_points(rng, s, dim)
+    gammas = 1.0 / (2.0 * bandwidth_grid(0.3)[::8] ** 2)      # underflowing ones too
+    tracemalloc.start()
+    try:
+        with hsic._scoring() as each:
+            eng = backend(hsic._DenseBackend, pts, z, each)
+            assert len(eng.c) == s
+            eng.sweep(gammas)
+            eng.replicate_sums(gammas[2], hsic._Draws(eng, 100, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s * s * 8, peak
 
 
 def test_binned_pool_bootstrap_has_the_bits_of_one_unsplit_call():
@@ -1045,11 +1084,14 @@ def dense_case(kind, dim, rng):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["ranks", "ties", "one-point", "pooled-2000"])
 def test_dense_distances_match_the_numpy_tables(kind, dim):
-    # the numpy tables add the same squares in the same column order as
-    # cdist and pdist, so the kernel table and the pooled median keep every bit
+    # the numpy distances add the same squares in the same column order as
+    # cdist and pdist, so each block's kernel rows and the pooled median keep
+    # every bit
     pts, z = dense_case(kind, dim, np.random.default_rng(120 + dim))
     eng = backend(hsic._DenseBackend, pts, z)
-    assert np.array_equal(eng.d2, cdist(eng.support, eng.support, "sqeuclidean"))
+    want = cdist(eng.support, eng.support, "sqeuclidean")
+    for block in hsic._row_blocks(len(eng.c)):
+        assert np.array_equal(hsic._sq_dist_rows(eng.support, block), want[block]), block
     pooled = np.repeat(eng.support, (eng.c + eng.g).astype(np.int64), axis=0)
     assert np.array_equal(np.sort(hsic._sq_dist_pairs(pooled)),
                           np.sort(pdist(pooled, "sqeuclidean")))
