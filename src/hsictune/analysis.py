@@ -294,6 +294,13 @@ def interval_reduction(
     impact bar.  Offsets that retain fewer than 10 goal trials truncate the
     curve.
     """
+    steps = _reduction_steps(param, trials, matrix, goal, seed=seed, n_boot=n_boot)
+    return _reduction_curve(param.name, steps, noise_floor)
+
+
+def _reduction_steps(param, trials, matrix, goal, *, seed, n_boot):
+    """interval_reduction's (offset c, lower bound, HsicScore) per kept
+    offset, in order; each offset is scored only when it is reached."""
     if not param.is_ordered:
         raise EstimationError(f"{param.name}: interval reduction needs an ordered domain")
     ranks = matrix.column(param.name)
@@ -302,33 +309,40 @@ def interval_reduction(
     n_steps = int(param.hi - param.lo) if param.kind == "integer" else _CONTINUOUS_STEPS
     f, f_inv = _scale(param)
     step = (f(param.hi) - f(param.lo)) / n_steps
-    kept_offsets, scores, lows = [], [], []
+    score = None
     for c in range(n_steps):
         # lo itself: exp(log(lo)) can miss it by an ulp
         lo_c = float(param.lo) if c == 0 else f_inv(f(param.lo) + c * step)
         rows = np.flatnonzero(active & (raw >= lo_c))
         if len(rows) < _MIN_TRIALS:
-            break
-        if scores and len(rows) == scores[-1].n_total:
-            # the kept rows are nested, so these are the previous offset's
-            score = scores[-1]
-        else:
+            return
+        # the kept rows are nested, so an equal count means the previous
+        # offset's rows, and its score
+        if score is None or len(rows) != score.n_total:
             try:
                 z_sub = make_goal_flags([trials[i] for i in rows], goal)
             except EstimationError:
-                break
+                return
             if int(z_sub.sum()) < _MIN_GOAL:
-                break
+                return
             score = hsic_goal(ranks[rows], z_sub, n_boot=n_boot, seed=seed)
-        kept_offsets.append(c)
-        scores.append(score)
-        lows.append(lo_c)
-    if not kept_offsets:
-        raise EstimationError(f"{param.name}: no offsets with enough samples")
-    cutoff = next((c for c, s in zip(kept_offsets, scores)
-                   if not _clears_floor(s, noise_floor)), None)
-    return ReductionCurve(param.name, tuple(kept_offsets), tuple(scores), cutoff,
-                          tuple(lows))
+        yield c, lo_c, score
+
+
+def _reduction_curve(name, steps, noise_floor, *, through_cutoff=False):
+    """The ReductionCurve of (offset, lower bound, score) steps; with
+    through_cutoff, only those up to the cutoff are drawn from steps."""
+    kept, cutoff = [], None
+    for c, lo_c, score in steps:
+        kept.append((c, lo_c, score))
+        if cutoff is None and not _clears_floor(score, noise_floor):
+            cutoff = c
+            if through_cutoff:
+                break
+    if not kept:
+        raise EstimationError(f"{name}: no offsets with enough samples")
+    offsets, lows, scores = zip(*kept)
+    return ReductionCurve(name, offsets, scores, cutoff, lows)
 
 
 # -- the full pipeline ---------------------------------------------------------

@@ -79,6 +79,19 @@ of two or more rows that starts where _row_blocks starts one, and for its
 blocked matrix-matrix kernel (_SMALL_GEMM keeps the small-matrix kernel
 out).  numpy's exp dispatch still sets the bits (see the README).
 
+Each thread computes into buffers the calling thread allocated.  glibc
+gives every thread its own malloc arena and keeps in it what the thread
+frees, so a pool thread that built its own kernel rows or count grids would
+hold them until the process ends.  So the map takes a workspace factory,
+which the calling thread calls once for each thread before any piece runs:
+a dense block's distances, kernel rows, _kernel's masks and _sq_dists'
+scratch, sized to the largest block of the call, and a binned run's two
+count grids (_resample counts into them) and its 2-D factor products.  The
+products K g, K c and K X go into rows of arrays the caller owns.  A pool
+thread still allocates what is small next to a block or a 2-D grid: a
+replicate's row draw, a 1-D replicate's spectra and a block's entries in
+np.exp's slow band.  None of this moves a bit.
+
 The dense backend's bandwidth search runs coarse to fine.  When the padded
 FFT grid of B bins per dimension has fewer cells than the dense kernel
 matrix, (2B)^dim < s^2 for s support points (s > 90 in 1-D, s > 512 in
@@ -191,10 +204,11 @@ class HsicScore:
 
 # -- the scoring pool ------------------------------------------------------------
 
-def _inline(fn, items):
-    """[fn(item) for item in items]: the map of a backend built outside
-    _scoring."""
-    return [fn(item) for item in items]
+def _inline(fn, items, workspace):
+    """[fn(item, space) for item in items] over one space = workspace(): the
+    map of a backend built outside _scoring."""
+    space = workspace()
+    return [fn(item, space) for item in items]
 
 
 @contextlib.contextmanager
@@ -203,30 +217,33 @@ def _scoring(workers=None):
     workers threads (default: the cores this process may run on), this one
     and a pool of the rest, whose threads end with the block.
 
-    Yields the map that hands a list's items to those threads: each takes
-    the next item no thread has taken, and the results come back in the
-    list's order.  This thread takes items too, so one core starts no
-    thread, and there is one pool thread fewer whose malloc arena keeps the
-    large arrays freed in it.
+    Yields the map each(fn, items, workspace) that hands a list's items to
+    those threads: each takes the next item no thread has taken and calls
+    fn(item, space), and the results come back in the list's order.  This
+    thread takes items too, so one core starts no thread.  Before any item
+    runs, this thread calls workspace() once for itself and once for each
+    thread it starts, and each thread's items compute into its space: a pool
+    thread allocates no large array, so its malloc arena keeps none.
     """
     helpers = (workers or _cores()) - 1
     with one_blas_thread(), ThreadPoolExecutor(max(helpers, 1)) as executor:
 
-        def each(fn, items):
+        def each(fn, items, workspace):
             if helpers == 0 or len(items) < 2:
-                return _inline(fn, items)
+                return _inline(fn, items, workspace)
+            spaces = [workspace() for _ in range(min(helpers, len(items) - 1) + 1)]
             out, todo, lock = [None] * len(items), iter(range(len(items))), threading.Lock()
 
-            def work():
+            def work(space):
                 while True:
                     with lock:
                         i = next(todo, None)
                     if i is None:
                         return
-                    out[i] = fn(items[i])
+                    out[i] = fn(items[i], space)
 
-            futures = [executor.submit(work) for _ in range(min(helpers, len(items) - 1))]
-            work()
+            futures = [executor.submit(work, space) for space in spaces[1:]]
+            work(spaces[0])
             for future in futures:
                 future.result()
             return out
@@ -339,13 +356,32 @@ def _sq_dists(out, rows, cols, tmp):
     return out
 
 
-def _sq_dist_rows(points, rows):
+class _Scratch:
+    """One thread's buffers for dense row blocks of at most rows rows against
+    s points: the block's squared distances, _sq_dists' scratch, _kernel's
+    two masks and, with kernel, kernel rows apart from the distances."""
+
+    def __init__(self, rows, s, kernel=False):
+        self.d2, self.tmp = np.empty((rows, s)), np.empty(_BLOCK_ROWS * s)
+        self.masks = np.empty((2, rows, s), dtype=bool)
+        self.K = np.empty((rows, s)) if kernel else None
+
+
+def _scratch(blocks, s, kernel=False):
+    """The workspace factory of a map over blocks of rows of s points."""
+    return functools.partial(_Scratch, max(b.stop - b.start for b in blocks), s, kernel)
+
+
+def _sq_dist_rows(points, rows, space=None):
     """The squared distances of points[rows] to every row of points, built
-    _BLOCK_ROWS rows at a time."""
+    _BLOCK_ROWS rows at a time into space's buffers (a _Scratch; new ones by
+    default)."""
     block, cols = points[rows].T, points.T
-    d2, tmp = np.empty((block.shape[1], len(points))), np.empty(_BLOCK_ROWS * len(points))
+    if space is None:
+        space = _Scratch(block.shape[1], len(points))
+    d2 = space.d2[: block.shape[1]]
     for r0 in range(0, len(d2), _BLOCK_ROWS):
-        _sq_dists(d2[r0 : r0 + _BLOCK_ROWS], block[:, r0 : r0 + _BLOCK_ROWS], cols, tmp)
+        _sq_dists(d2[r0 : r0 + _BLOCK_ROWS], block[:, r0 : r0 + _BLOCK_ROWS], cols, space.tmp)
     return d2
 
 
@@ -359,8 +395,8 @@ def _sq_dist_pairs(points, each=_inline):
     pairs = np.empty(n * (n - 1) // 2)
     upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), k=1)
 
-    def rows(block):
-        tmp = np.empty(_BLOCK_ROWS * n)
+    def rows(block, space):
+        tmp, square = space
         for r0 in range(block.start, block.stop, _BLOCK_ROWS):
             r1 = min(block.stop, r0 + _BLOCK_ROWS)
             b, width = r1 - r0, n - r1
@@ -369,9 +405,10 @@ def _sq_dist_pairs(points, each=_inline):
                       tmp)
             pos += b * width
             pairs[pos : pos + b * (b - 1) // 2] = _sq_dists(
-                np.empty((b, b)), cols[:, r0:r1], cols[:, r0:r1], tmp)[upper[:b, :b]]
+                square[:b, :b], cols[:, r0:r1], cols[:, r0:r1], tmp)[upper[:b, :b]]
 
-    each(rows, _row_blocks(n))
+    each(rows, _row_blocks(n),
+         lambda: (np.empty(_BLOCK_ROWS * n), np.empty((_BLOCK_ROWS, _BLOCK_ROWS))))
     return pairs
 
 
@@ -407,9 +444,11 @@ class _DenseBackend:
         return float(np.sqrt(med))
 
     @staticmethod
-    def _kernel(gamma, out, d2, d2_max):
+    def _kernel(gamma, out, d2, d2_max, masks=(None, None)):
         """K = exp(-gamma d2) into out (which may be d2 itself), entry for
-        entry the bits of np.exp(-gamma * d2); d2_max is d2's largest entry.
+        entry the bits of np.exp(-gamma * d2); d2_max is d2's largest entry
+        and masks two boolean arrays of d2's shape for scratch (new ones by
+        default).
 
         np.exp leaves its vector path for every entry whose result
         underflows, which costs 15-100 times a normal entry, and a narrow
@@ -424,8 +463,8 @@ class _DenseBackend:
         K = np.multiply(d2, -gamma, out=out)
         if d2_max * -gamma >= _EXP_NORMAL:   # the smallest argument, exactly
             return np.exp(K, out=K)
-        keep = K >= _EXP_NORMAL
-        in_band = K >= _EXP_ZERO
+        keep = np.greater_equal(K, _EXP_NORMAL, out=masks[0])
+        in_band = np.greater_equal(K, _EXP_ZERO, out=masks[1])
         in_band ^= keep                         # _EXP_ZERO <= K < _EXP_NORMAL
         band = np.flatnonzero(in_band)
         tail = np.exp(K.ravel()[band])
@@ -436,18 +475,19 @@ class _DenseBackend:
         return K
 
     def sweep(self, gammas):
-        c, g = self.c, self.g
-        kc, kg = np.empty((2, len(gammas), len(c)))
+        c, g, s = self.c, self.g, len(self.c)
+        kc, kg = np.empty((2, len(gammas), s))
+        blocks = _row_blocks(s)
 
-        def rows(block):        # the block's distances once, then each gamma's kernel rows
-            d2 = _sq_dist_rows(self.support, block)
-            d2_max, K = d2.max(), np.empty_like(d2)
+        def rows(block, space):     # the block's distances once, then each gamma's kernel rows
+            d2 = _sq_dist_rows(self.support, block, space)
+            d2_max, K, masks = d2.max(), space.K[: len(d2)], space.masks[:, : len(d2)]
             for i, gamma in enumerate(gammas):
-                self._kernel(gamma, K, d2, d2_max)
-                kg[i, block] = K @ g
-                kc[i, block] = K @ c
+                self._kernel(gamma, K, d2, d2_max, masks)
+                np.matmul(K, g, out=kg[i, block])
+                np.matmul(K, c, out=kc[i, block])
 
-        self.each(rows, _row_blocks(len(c)))
+        self.each(rows, blocks, _scratch(blocks, s, kernel=True))
         out = np.empty((len(gammas), 3))
         for i in range(len(gammas)):
             # the cross term's contraction order sets its rounding; changing
@@ -461,20 +501,22 @@ class _DenseBackend:
         One product K X reads K once for every replicate: replicate b's c
         and g are columns 2b and 2b + 1 of X, which zero columns pad to a
         multiple of _BLOCK_COLUMNS wide.  Each block of rows of K is built
-        over its distances and multiplied by X on its own.
+        in place over its distances and multiplied by X on its own.
         """
         s, width = len(self.c), 2 * len(replicates)
         x = np.zeros((s, -(-width // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
         for b in range(len(replicates)):
             x[:, 2 * b], x[:, 2 * b + 1] = replicates[b]
         kx = np.empty_like(x)
-
-        def rows(block):
-            d2 = _sq_dist_rows(self.support, block)
-            kx[block] = self._kernel(gamma, d2, d2, d2.max()) @ x
-
         split = x.shape[1] * _SPLIT_ROWS * s > _SMALL_GEMM
-        self.each(rows, _row_blocks(s) if split else [slice(0, s)])
+        blocks = _row_blocks(s) if split else [slice(0, s)]
+
+        def rows(block, space):
+            d2 = _sq_dist_rows(self.support, block, space)
+            K = self._kernel(gamma, d2, d2, d2.max(), space.masks[:, : len(d2)])
+            np.matmul(K, x, out=kx[block])
+
+        self.each(rows, blocks, _scratch(blocks, s))
         c, g = x[:, 0:width:2], x[:, 1:width:2]
         kc, kg = kx[:, 0:width:2], kx[:, 1:width:2]
         return np.column_stack([np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
@@ -579,23 +621,35 @@ class _BinnedBackend:
             ring[B + 1 :] = k[:0:-1]
             w = np.fft.rfft(ring).real / M
             w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
-        else:
-            F1, F2 = self._factors(gamma)
 
-        def sums(b):
-            c, g = replicates[b]
-            if self.dim == 1:
+            def space():                # a thread's two count grids
+                return np.empty((2, B)), None
+
+            def triple(c, g, _):
                 fc, fg = np.fft.rfft(c, M), np.fft.rfft(g, M)
                 return (w @ (fc.real**2 + fc.imag**2),
                         w @ (fg.real * fc.real + fg.imag * fc.imag),
                         w @ (fg.real**2 + fg.imag**2))
-            pc = F1.T @ c.reshape(B, B) @ F2
-            pg = F1.T @ g.reshape(B, B) @ F2
-            return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
+        else:
+            F1, F2 = self._factors(gamma)
+            r1, r2 = F1.shape[1], F2.shape[1]
+
+            def space():                # and F1' C, P_c and P_g
+                return np.empty((2, B * B)), (np.empty((r1, B)), np.empty((2, r1, r2)))
+
+            def triple(c, g, products):
+                left, (pc, pg) = products
+                for counts, p in ((c, pc), (g, pg)):
+                    np.matmul(np.matmul(F1.T, counts.reshape(B, B), out=left), F2, out=p)
+                return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
+
+        def sums(run, space):
+            grids, products = space
+            return [triple(*_replicate(replicates, b, grids), products) for b in run]
 
         n = len(replicates)
         runs = [range(b, min(n, b + _REPLICATE_CHUNK)) for b in range(0, n, _REPLICATE_CHUNK)]
-        parts = self.each(lambda run: [sums(b) for b in run], runs)
+        parts = self.each(sums, runs, space)
         return np.array([row for part in parts for row in part])
 
     def _factors(self, gamma):
@@ -616,19 +670,23 @@ class _BinnedBackend:
         return factors
 
 
-def _resample(backend, rng):
+def _resample(backend, rng, out=None):
     """One bootstrap replicate's counts (c, g): n rows of set a drawn with
     replacement, counted per unit, the flagged ones again into g.  A draw
     without a flagged row is drawn again from the same stream; with m >= 2
     flagged rows that happens with probability (1 - m/n)^n < e^-2.  Both
-    are counted straight into float arrays, as sums of exact 1.0 weights."""
-    n, units = backend.n, backend.c.size
+    are counted as exact integer sums into the rows of out, a float array
+    of shape (2, units) (a new one by default)."""
+    n = backend.n
     idx = rng.integers(0, n, n)
     while not backend.flagged[idx].any():
         idx = rng.integers(0, n, n)
     rows = backend.owner[idx]
-    return (np.bincount(rows, weights=np.ones(n), minlength=units),
-            np.bincount(rows, weights=backend.flagged[idx], minlength=units))
+    c, g = counts = np.empty((2, backend.c.size)) if out is None else out
+    counts.fill(0.0)
+    np.add.at(c, rows, 1.0)
+    np.add.at(g, rows[backend.flagged[idx]], 1.0)
+    return c, g
 
 
 class _Draws:
@@ -643,9 +701,20 @@ class _Draws:
         return len(self.m)
 
     def __getitem__(self, b):
-        c, g = _resample(self.backend, np.random.default_rng(_seed_sequence(self.seed, b)))
+        return self.draw(b)
+
+    def draw(self, b, out=None):
+        """Replicate b, counted into out as _resample counts."""
+        rng = np.random.default_rng(_seed_sequence(self.seed, b))
+        c, g = _resample(self.backend, rng, out)
         self.m[b] = g.sum()
         return c, g
+
+
+def _replicate(replicates, b, grids):
+    """Replicate b's counts (c, g): a _Draws draws them into grids, the
+    reading thread's own; any other sequence holds them."""
+    return replicates.draw(b, grids) if isinstance(replicates, _Draws) else replicates[b]
 
 
 def _bootstrap(backend, gamma, n_boot, seed):

@@ -18,7 +18,8 @@ from .analysis import (
     GoalSet,
     ReductionCurve,
     SensitivityReport,
-    interval_reduction,
+    _reduction_curve,
+    _reduction_steps,
     run_algorithm1,
 )
 from .gp import gpbo
@@ -74,6 +75,11 @@ class Budgets:
 
 @dataclass
 class TwoStepResult:
+    """What two_step_optimize did.  curves maps each minimized speed knob to
+    the prefix of its interval-reduction curve that ends at the cutoff (the
+    whole curve when no offset reaches the floor), or to None when no
+    offset has enough samples."""
+
     fixed: dict                   # parameter -> pinned value for step 1
     provenance: dict              # parameter -> speed | best_trial | interaction
     step1_dims: tuple
@@ -222,11 +228,11 @@ def two_step_optimize(
         spec = space.param(name)
         if direction != "minimize" or not spec.is_ordered:
             continue        # select_fixed_values reads no curve for these
+        # the pin reads the cutoff alone, so no offset past it is scored
+        steps = _reduction_steps(spec, trials, report.matrix, goal, seed=seed, n_boot=n_boot)
         try:
-            curves[name] = interval_reduction(
-                spec, trials, report.matrix, goal, report.groups[0].floor,
-                seed=seed, n_boot=n_boot,
-            )
+            curves[name] = _reduction_curve(name, steps, report.groups[0].floor,
+                                            through_cutoff=True)
         except EstimationError:
             curves[name] = None
     fixed, provenance, step1_dims = select_fixed_values(

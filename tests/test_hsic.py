@@ -1,5 +1,9 @@
 import contextlib
 import copy
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -1031,6 +1035,82 @@ def test_dense_scores_hold_no_support_sized_table(dim):
     finally:
         tracemalloc.stop()
     assert peak < s * s * 8, peak
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_workspace_is_built_on_the_calling_thread(workers):
+    # before any piece runs, the calling thread builds one workspace for
+    # itself and one for each thread it starts, and every thread computes
+    # into its own: a pool thread allocates no block- or grid-sized array,
+    # which its malloc arena would keep
+    caller, calls = threading.get_ident(), []
+    rng = np.random.default_rng(170)
+    pts, z = labeled_points(rng, 1500, 2)
+    wide, wide_z = labeled_points(rng, 5000, 2)
+    with hsic._scoring(workers) as each:
+
+        def recording(fn, items, workspace):
+            built, used = [], {}
+
+            def factory():
+                space = workspace()
+                built.append((threading.get_ident(), id(space)))
+                return space
+
+            def piece(item, space):
+                used.setdefault(threading.get_ident(), set()).add(id(space))
+                return fn(item, space)
+
+            out = each(piece, items, factory)
+            calls.append((len(items), built, used))
+            return out
+
+        eng = backend(hsic._DenseBackend, pts, z, recording)
+        gammas = 1.0 / (2.0 * bandwidth_grid(0.3)[::8] ** 2)
+        eng.sweep(gammas)
+        eng.replicate_sums(gammas[2], hsic._Draws(eng, 100, 0))
+        hsic._sq_dist_pairs(np.repeat(eng.support, (eng.c + eng.g).astype(np.int64), axis=0),
+                            recording)
+        binned = backend(hsic._BinnedBackend, wide, wide_z, recording)
+        hsic._bootstrap(binned, hsic._select(binned, None)[1], 37, 3)
+    assert [n for n, _, _ in calls] == [9, 9, 11, 4]       # row blocks, then replicate runs
+    for n, built, used in calls:
+        assert len(built) == min(workers - 1, n - 1) + 1
+        assert {thread for thread, _ in built} == {caller}
+        spaces = {space for _, space in built}
+        assert all(len(ids) == 1 and ids <= spaces for ids in used.values())
+        assert len(set.union(*used.values())) == len(used)  # no two threads share one
+
+
+_POOL_PEAK = """
+import os, sys
+import numpy as np
+from hsictune import hsic
+if sys.argv[1] == "one-core":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+rng = np.random.default_rng(0)
+u = rng.random((2, 1500))
+hsic.hsic_pair(u[0], u[1], np.abs(u[0] - u[1]) < 0.05)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs /proc and two cores")
+def test_the_scoring_pool_adds_no_malloc_arena_to_the_peak():
+    # a fresh process: a 2-D dense pair score at s = 1500 peaks within 3 MB
+    # of the same score on one core, which starts no pool thread; a pool
+    # thread that freed its kernel rows would keep them in its own arena.
+    # The peak is VmHWM: ru_maxrss would carry this process's over exec
+    src = os.path.dirname(os.path.dirname(hsic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak = {}
+    for mode in ("pool", "one-core"):
+        done = subprocess.run([sys.executable, "-c", _POOL_PEAK, mode], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        peak[mode] = int(done.stdout.split()[-1]) / 1024     # kB to MB
+    assert peak["pool"] <= peak["one-core"] + 3.0, peak
 
 
 def test_binned_pool_bootstrap_has_the_bits_of_one_unsplit_call():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsictune import twostep
+from hsictune import analysis, twostep
 from hsictune.analysis import (
     best_percentile,
     dummy_floor,
@@ -148,13 +148,13 @@ def test_no_ok_trials_raises():
 
 def test_neutral_speed_direction_runs_no_reduction(monkeypatch):
     reduced = []
-    reduce = twostep.interval_reduction
+    reduce = twostep._reduction_steps
 
     def spy(spec, *args, **kwargs):
         reduced.append(spec.name)
         return reduce(spec, *args, **kwargs)
 
-    monkeypatch.setattr(twostep, "interval_reduction", spy)
+    monkeypatch.setattr(twostep, "_reduction_steps", spy)
     # a maximize knob pins at hi without a curve, so it is not reduced either
     obj, trials = three_term_setup(200, seed=9)
     policy = FixingPolicy(speed_directions={"x1": "maximize", "x2": "minimize",
@@ -164,6 +164,43 @@ def test_neutral_speed_direction_runs_no_reduction(monkeypatch):
     assert reduced == ["x2"]
     assert set(result.curves) == {"x2"}
     assert result.fixed["x1"] == obj.space.param("x1").hi
+
+
+def test_speed_pin_at_cutoff_zero_scores_one_offset(monkeypatch):
+    # x3 does not matter, so its curve's first offset sits at the floor: the
+    # pin reads that cutoff and no later offset is scored, yet every value
+    # is fixed as the whole curve fixes it
+    obj, trials = three_term_setup(300, seed=4)
+    goal = best_percentile(0.1)
+    policy = FixingPolicy(speed_directions={"x3": "minimize"})
+    scored, analyzed = [], []
+    score, analyze = analysis.hsic_goal, twostep.run_algorithm1
+
+    def counted(*args, **kwargs):
+        scored.append(bool(analyzed))
+        return score(*args, **kwargs)
+
+    def analysis_then_count(*args, **kwargs):
+        report = analyze(*args, **kwargs)
+        analyzed.append(report)
+        return report
+
+    monkeypatch.setattr(analysis, "hsic_goal", counted)
+    monkeypatch.setattr(twostep, "run_algorithm1", analysis_then_count)
+    result = two_step_optimize(obj.space, trials, obj, goal, policy, Budgets(0, 0, 0, 0),
+                               seed=4, n_boot=10)
+    assert scored.count(True) == 1          # the curve's one score
+    curve = result.curves["x3"]
+    assert curve.offsets == (0,) and curve.cutoff == 0
+    report = result.report
+    full = interval_reduction(obj.space.param("x3"), trials, report.matrix, goal,
+                              report.groups[0].floor, seed=4, n_boot=10)
+    assert len(full.offsets) > 1 and full.cutoff == 0
+    assert full.scores[0] == curve.scores[0] and full.lows[0] == curve.lows[0]
+    fixed, provenance, _ = select_fixed_values(report, trials, policy, {"x3": full},
+                                               space=obj.space)
+    assert (result.fixed, result.provenance) == (fixed, provenance)
+    assert result.fixed["x3"] == 1
 
 
 def test_two_step_pipeline_three_term():
