@@ -125,7 +125,11 @@ def _cmd_search(args) -> int:
     space = objective.space
     if args.space:
         with open(args.space, encoding="utf-8") as fh:
-            space = parse_space(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as e:
+                raise SpaceError(f"{args.space}: not UTF-8 text ({e.reason})") from None
+        space = parse_space(text)
     trials = run_random_search(space, objective, args.n, jobs=_jobs(args),
                                master_seed=args.seed, out_path=args.out)
     print(f"{args.out} holds {len(trials)} trials")

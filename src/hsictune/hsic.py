@@ -43,12 +43,13 @@ support is sorted and counts are order-free.
 
 One bootstrap draw serves both backends: a replicate resamples the n rows
 of set a and counts them per support point (dense) or grid cell (binned),
-and a draw without a flagged row is drawn again.  The bootstrap hands the
-draws to one call of the backend's replicate_sums at the selected
-bandwidth as a sequence that draws replicate b from its own stream when it
-is read (_Draws), and replicate_sums returns each replicate's three sums.
-The dense backend lays them out as the columns of one block and sums the
-whole block with one product K X, which reads the s x s kernel matrix once
+and a draw without a flagged row is drawn again.  The bootstrap hands one
+call of the backend's replicate_sums at the selected bandwidth a draw
+function, the only way a backend reads a replicate: draw(b, out) counts
+replicate b from its own stream into the two rows out, and replicate_sums
+returns each replicate's three sums.  The dense backend draws each
+replicate straight into its two columns of one block and sums the whole
+block with one product K X, which reads the s x s kernel matrix once
 instead of twice per replicate.  The binned backend sums each replicate as
 it is drawn and keeps none of them (100 2-D count grids would take ~105
 MB): in 1-D by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
@@ -60,37 +61,37 @@ products then run 3 to 18 times faster than K1 C K2; a kernel a few bins
 wide keeps nearly all 256 and costs what K1 C K2 does.
 
 Each estimate runs in _scoring, which pins every loaded OpenBLAS to one
-thread and puts one thread on each core the process may run on: the
-calling thread and a pool of the others, which ends with the estimate.
-numpy runs its elementwise passes on one core, so the backends hand the
-work to those threads in pieces, through the map that _scoring yields (a
-backend built outside it maps inline).  The dense backend splits the pair
-table, its kernel matrix and the products K c, K g and K X into blocks of
-_SPLIT_ROWS rows (_row_blocks; a support under two blocks is one block and
-runs inline), and each block builds its distances and rows of K and
-multiplies them while they are in cache.  The binned backend hands out runs
-of bootstrap replicates, each replicate drawn from its own stream.  The
+thread and puts one thread on each core the process may run on: the calling
+thread and a pool of the others, which ends with the estimate.  numpy runs
+its elementwise passes on one core, so the backends hand the work to those
+threads in pieces, through the map that _scoring yields.  The dense backend
+splits the pair table, its kernel matrix and the products K c, K g and K X
+into blocks of _SPLIT_ROWS rows (_row_blocks; a support under two blocks is
+one block and runs inline), and each block builds its distances and rows of
+K and multiplies them while they are in cache.  The binned backend hands out
+its bootstrap replicates one per piece, each drawn from its own stream.  The
 bits depend neither on the number of threads nor on the caller's BLAS
-thread count: every distance and entry of K is computed on its own, the
-blocks and runs are fixed by the input size alone, and at one thread OpenBLAS
-gives a row of a block's product the bits of the same row of the whole
-product.  That last fact holds for its matrix-vector kernels at any block
-of two or more rows that starts where _row_blocks starts one, and for its
-blocked matrix-matrix kernel (_SMALL_GEMM keeps the small-matrix kernel
-out).  numpy's exp dispatch still sets the bits (see the README).
+thread count: every distance and entry of K is computed on its own, every
+replicate is summed on its own, the blocks are fixed by the input size
+alone, and at one thread OpenBLAS gives a row of a block's product the bits
+of the same row of the whole product.  That last fact holds for its
+matrix-vector kernels at any block of two or more rows that starts where
+_row_blocks starts one, and for its blocked matrix-matrix kernel
+(_SMALL_GEMM keeps the small-matrix kernel out).  numpy's exp dispatch still
+sets the bits (see the README).
 
-Each thread computes into buffers the calling thread allocated.  glibc
-gives every thread its own malloc arena and keeps in it what the thread
-frees, so a pool thread that built its own kernel rows or count grids would
-hold them until the process ends.  So the map takes a workspace factory,
-which the calling thread calls once for each thread before any piece runs:
-a dense block's distances, kernel rows, _kernel's masks and _sq_dists'
-scratch, sized to the largest block of the call, and a binned run's two
-count grids (_resample counts into them) and its 2-D factor products.  The
-products K g, K c and K X go into rows of arrays the caller owns.  A pool
-thread still allocates what is small next to a block or a 2-D grid: a
-replicate's row draw, a 1-D replicate's spectra and a block's entries in
-np.exp's slow band.  None of this moves a bit.
+Each thread computes into buffers the calling thread allocated.  glibc gives
+every thread its own malloc arena and keeps in it what the thread frees, so
+a pool thread that built its own kernel rows or count grids would hold them
+until the process ends.  So the map takes a workspace factory, which the
+calling thread calls once for each thread before any piece runs: a dense
+block's distances, kernel rows, _kernel's masks and _sq_dists' scratch,
+sized to the largest block of the call, and a binned replicate's two count
+grids (its draw counts into them) and its 2-D factor products.  The products
+K g, K c and K X go into rows of arrays the caller owns.  A pool thread
+still allocates what is small next to a block or a 2-D grid: a replicate's
+row draw, a 1-D replicate's spectra and a block's entries in np.exp's slow
+band.  None of this moves a bit.
 
 The dense backend's bandwidth search runs coarse to fine.  When the padded
 FFT grid of B bins per dimension has fewer cells than the dense kernel
@@ -160,7 +161,6 @@ _SPLIT_ROWS = 160
 # kernel once s passes the blocked kernel's depth; a replicate block is split
 # only when every block's product stays above it.
 _SMALL_GEMM = 100**3
-_REPLICATE_CHUNK = 10   # binned bootstrap replicates per task of the scoring pool
 N_GRID = 40
 GRID_SPAN = (1e-2, 1e1)  # multiples of the median pairwise distance
 
@@ -206,7 +206,7 @@ class HsicScore:
 
 def _inline(fn, items, workspace):
     """[fn(item, space) for item in items] over one space = workspace(): the
-    map of a backend built outside _scoring."""
+    map of _scoring on one thread."""
     space = workspace()
     return [fn(item, space) for item in items]
 
@@ -330,10 +330,11 @@ def _mmd_from_sums(sums, n, m):
 #                      and it is 0 only when the pooled sample is one point;
 #   sweep(gammas)      (c'Kc, c'Kg, g'Kg) at each gamma;
 #   owner, flagged     per row of set a (_rows), its counting unit and flag;
-#   replicate_sums(gamma, replicates)
-#                      the (c'Kc, g'Kc, g'Kg) of each replicate's counts
-#                      (c, g), taken from an iterable in draw order, one
-#                      row per replicate.
+#   replicate_sums(gamma, n_boot, draw)
+#                      the (c'Kc, g'Kc, g'Kg) of each of n_boot replicates,
+#                      one row per replicate; draw(b, out) counts replicate
+#                      b into the two rows of out, a float array of shape
+#                      (2, units), and returns them as (c, g).
 
 
 def _sq_dists(out, rows, cols, tmp):
@@ -372,20 +373,17 @@ def _scratch(blocks, s, kernel=False):
     return functools.partial(_Scratch, max(b.stop - b.start for b in blocks), s, kernel)
 
 
-def _sq_dist_rows(points, rows, space=None):
+def _sq_dist_rows(points, rows, space):
     """The squared distances of points[rows] to every row of points, built
-    _BLOCK_ROWS rows at a time into space's buffers (a _Scratch; new ones by
-    default)."""
+    _BLOCK_ROWS rows at a time into space's buffers (a _Scratch)."""
     block, cols = points[rows].T, points.T
-    if space is None:
-        space = _Scratch(block.shape[1], len(points))
     d2 = space.d2[: block.shape[1]]
     for r0 in range(0, len(d2), _BLOCK_ROWS):
         _sq_dists(d2[r0 : r0 + _BLOCK_ROWS], block[:, r0 : r0 + _BLOCK_ROWS], cols, space.tmp)
     return d2
 
 
-def _sq_dist_pairs(points, each=_inline):
+def _sq_dist_pairs(points, each):
     """The squared distance of every pair i < j of rows of points: pdist's
     values in another order.  Per block of rows, the rectangle against the
     rows after the block, then the block's own strict upper triangle.
@@ -430,7 +428,7 @@ def _median(values):
 class _DenseBackend:
     """Exact sums over the kernel matrix of the support points."""
 
-    def __init__(self, support, c, g, each=_inline):
+    def __init__(self, support, c, g, each):
         self.support, self.c, self.g, self.each = support, c, g, each
         self.n, self.m = int(c.sum()), int(g.sum())
         self.owner, self.flagged = _rows(c, g)
@@ -444,11 +442,10 @@ class _DenseBackend:
         return float(np.sqrt(med))
 
     @staticmethod
-    def _kernel(gamma, out, d2, d2_max, masks=(None, None)):
+    def _kernel(gamma, out, d2, d2_max, masks):
         """K = exp(-gamma d2) into out (which may be d2 itself), entry for
         entry the bits of np.exp(-gamma * d2); d2_max is d2's largest entry
-        and masks two boolean arrays of d2's shape for scratch (new ones by
-        default).
+        and masks two boolean arrays of d2's shape for scratch.
 
         np.exp leaves its vector path for every entry whose result
         underflows, which costs 15-100 times a normal entry, and a narrow
@@ -495,18 +492,18 @@ class _DenseBackend:
             out[i] = c @ kc[i], c @ kg[i], g @ kg[i]
         return out
 
-    def replicate_sums(self, gamma, replicates):
+    def replicate_sums(self, gamma, n_boot, draw):
         """(c'Kc, g'Kc, g'Kg) of each replicate (c, g), one row per replicate.
 
-        One product K X reads K once for every replicate: replicate b's c
-        and g are columns 2b and 2b + 1 of X, which zero columns pad to a
-        multiple of _BLOCK_COLUMNS wide.  Each block of rows of K is built
-        in place over its distances and multiplied by X on its own.
+        One product K X reads K once for every replicate: replicate b is
+        drawn straight into columns 2b and 2b + 1 of X, which zero columns
+        pad to a multiple of _BLOCK_COLUMNS wide.  Each block of rows of K is
+        built in place over its distances and multiplied by X on its own.
         """
-        s, width = len(self.c), 2 * len(replicates)
+        s, width = len(self.c), 2 * n_boot
         x = np.zeros((s, -(-width // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
-        for b in range(len(replicates)):
-            x[:, 2 * b], x[:, 2 * b + 1] = replicates[b]
+        for b in range(n_boot):
+            draw(b, x[:, 2 * b : 2 * b + 2].T)
         kx = np.empty_like(x)
         split = x.shape[1] * _SPLIT_ROWS * s > _SMALL_GEMM
         blocks = _row_blocks(s) if split else [slice(0, s)]
@@ -526,7 +523,7 @@ class _DenseBackend:
 class _BinnedBackend:
     """Sums over the support snapped onto a grid of B bins per dimension."""
 
-    def __init__(self, support, c, g, each=_inline):
+    def __init__(self, support, c, g, each):
         self.each = each
         self.n, self.m = int(c.sum()), int(g.sum())
         self.dim = support.shape[1]
@@ -600,9 +597,10 @@ class _BinnedBackend:
                 out[i, j] = w
         return out
 
-    def replicate_sums(self, gamma, replicates):
+    def replicate_sums(self, gamma, n_boot, draw):
         """(c'Kc, g'Kc, g'Kg) of each replicate's flat count grids (c, g),
-        one row per replicate, each summed as it arrives.
+        one row per replicate: one pool item per replicate, drawn into its
+        thread's two grids and summed there.
 
         1-D: the Toeplitz kernel matrix, embedded in a circulant of length 2B,
         is diagonal in Fourier space, so by Parseval each triple costs two
@@ -643,14 +641,11 @@ class _BinnedBackend:
                     np.matmul(np.matmul(F1.T, counts.reshape(B, B), out=left), F2, out=p)
                 return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
 
-        def sums(run, space):
+        def sums(b, space):
             grids, products = space
-            return [triple(*_replicate(replicates, b, grids), products) for b in run]
+            return triple(*draw(b, grids), products)
 
-        n = len(replicates)
-        runs = [range(b, min(n, b + _REPLICATE_CHUNK)) for b in range(0, n, _REPLICATE_CHUNK)]
-        parts = self.each(sums, runs, space)
-        return np.array([row for part in parts for row in part])
+        return np.array(self.each(sums, range(n_boot), space))
 
     def _factors(self, gamma):
         """Per axis, F_d with F_d F_d' = K_d to eigh's accuracy.
@@ -670,59 +665,37 @@ class _BinnedBackend:
         return factors
 
 
-def _resample(backend, rng, out=None):
+def _resample(backend, rng, out):
     """One bootstrap replicate's counts (c, g): n rows of set a drawn with
     replacement, counted per unit, the flagged ones again into g.  A draw
     without a flagged row is drawn again from the same stream; with m >= 2
     flagged rows that happens with probability (1 - m/n)^n < e^-2.  Both
-    are counted as exact integer sums into the rows of out, a float array
-    of shape (2, units) (a new one by default)."""
+    are counted as exact integer sums into the two rows of out, a float
+    array of shape (2, units)."""
     n = backend.n
     idx = rng.integers(0, n, n)
     while not backend.flagged[idx].any():
         idx = rng.integers(0, n, n)
     rows = backend.owner[idx]
-    c, g = counts = np.empty((2, backend.c.size)) if out is None else out
-    counts.fill(0.0)
+    c, g = out
+    out.fill(0.0)
     np.add.at(c, rows, 1.0)
     np.add.at(g, rows[backend.flagged[idx]], 1.0)
     return c, g
 
 
-class _Draws:
-    """The bootstrap replicates' counts (c, g) as a sequence: replicate b is
-    drawn when it is read, from the stream keyed (seed, b), and its flagged
-    count goes into m[b]."""
-
-    def __init__(self, backend, n_boot, seed):
-        self.backend, self.seed, self.m = backend, seed, np.empty(n_boot)
-
-    def __len__(self):
-        return len(self.m)
-
-    def __getitem__(self, b):
-        return self.draw(b)
-
-    def draw(self, b, out=None):
-        """Replicate b, counted into out as _resample counts."""
-        rng = np.random.default_rng(_seed_sequence(self.seed, b))
-        c, g = _resample(self.backend, rng, out)
-        self.m[b] = g.sum()
-        return c, g
-
-
-def _replicate(replicates, b, grids):
-    """Replicate b's counts (c, g): a _Draws draws them into grids, the
-    reading thread's own; any other sequence holds them."""
-    return replicates.draw(b, grids) if isinstance(replicates, _Draws) else replicates[b]
-
-
 def _bootstrap(backend, gamma, n_boot, seed):
     """Replicate scores at a fixed gamma; replicate b draws from the stream
     keyed (seed, b), so extending n_boot keeps earlier replicates."""
-    draws = _Draws(backend, n_boot, seed)
-    sums = backend.replicate_sums(gamma, draws)
-    n, m = backend.n, draws.m
+    m = np.empty(n_boot)
+
+    def draw(b, out):       # the one way a backend reads a replicate
+        c, g = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)), out)
+        m[b] = g.sum()
+        return c, g
+
+    sums = backend.replicate_sums(gamma, n_boot, draw)
+    n = backend.n
     return np.maximum((m / n) ** 2 * _mmd_from_sums(sums, n, m), 0.0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import threading
 import zlib
@@ -271,6 +272,28 @@ def test_equal_scores_no_flag():
     report = worst_level_report(space.param("act"), trials, matrix)
     assert report.flagged == ()
     assert report.worst_counts == report.best_counts
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP defect 11: a categorical knob's ranks follow its level "
+                          "list, so its score moves with the order; direction 14 mends it")
+def test_categorical_score_does_not_depend_on_the_level_order():
+    # four levels with goal rates 0.18, 0.14, 0.09 and 0, plus a continuous
+    # knob; relisting the levels (weights with them) must not move the score
+    levels = ("elu", "relu", "tanh", "sigmoid")
+    weights, rates = (0.3, 0.3, 0.2, 0.2), (0.18, 0.14, 0.09, 0.0)
+    rng = np.random.default_rng(11)
+    drawn = rng.choice(4, 600, p=weights)
+    configs = [{"act": levels[k], "x": float(x)} for k, x in zip(drawn, rng.random(600))]
+    z = rng.random(600) < np.take(rates, drawn)
+    scores = []
+    for order in itertools.permutations(range(4)):
+        space = SearchSpace((categorical_param("act", [levels[k] for k in order],
+                                               [weights[k] for k in order]),
+                             continuous_param("x", 0.0, 1.0)))
+        u = normalize_trials(space, configs, seed=3).column("act")
+        scores.append(hsic_goal(u, z, n_boot=0).value)
+    np.testing.assert_allclose(scores, scores[0], rtol=1e-12, atol=0)
 
 
 # -- interval reduction ------------------------------------------------------------

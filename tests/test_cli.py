@@ -500,6 +500,18 @@ def test_mistyped_space_document_is_runtime_error(tmp_path, capsys, params, rule
     assert not trials.exists()
 
 
+def test_space_document_that_is_not_utf8_is_runtime_error(tmp_path, capsys):
+    doc = tmp_path / "space.json"
+    doc.write_bytes(b'\xff{"params": [' + _X.encode() + b"]}")
+    trials = tmp_path / "trials.jsonl"
+    assert cli(["search", "--objective", "quadratic1d", "--space", str(doc), "--n", "12",
+                "--out", str(trials)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(doc) in err and "UTF-8" in err
+    assert "Traceback" not in err
+    assert not trials.exists()
+
+
 @pytest.mark.parametrize("change, message", [("seed", "master seed mismatch"),
                                              ("space", "space hash mismatch"),
                                              ("objective", "objective mismatch")])

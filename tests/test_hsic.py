@@ -25,7 +25,6 @@ from hsictune.hsic import (
     mmd2,
     select_bandwidth,
     _mmd_from_sums,
-    _resample,
 )
 from hsictune.objectives import build_objective
 from hsictune.space import _seed_sequence, normalize_trials
@@ -377,9 +376,24 @@ def labeled_points(rng, n, dim):
     return pts, z
 
 
-def backend(cls, pts, z, *each):
+def backend(cls, pts, z, each=hsic._inline):
     """A goal score's representation: a = all points, b = the flagged ones."""
-    return cls(*hsic._support(pts, pts[z]), *each)
+    return cls(*hsic._support(pts, pts[z]), each)
+
+
+def resample(eng, rng):
+    """One replicate's counts (c, g), drawn into new arrays."""
+    return hsic._resample(eng, rng, np.empty((2, eng.c.size)))
+
+
+def given(draws):
+    """A draw function over a list of replicate counts (c, g)."""
+
+    def draw(b, out):
+        out[0], out[1] = draws[b]
+        return out[0], out[1]
+
+    return draw
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -394,11 +408,11 @@ def test_binned_replicate_sums_match_fft_correlations(dim):
     for h in grid[::6]:
         gamma = 1.0 / (2.0 * h * h)
         for seed in range(3):
-            cb, gb = hsic._resample(eng, np.random.default_rng(seed))
+            cb, gb = resample(eng, np.random.default_rng(seed))
             replicate = copy.copy(eng)
             replicate.c, replicate.g = cb.reshape(shape), gb.reshape(shape)
             want = replicate.sweep([gamma])[0]
-            np.testing.assert_allclose(eng.replicate_sums(gamma, [(cb, gb)])[0], want,
+            np.testing.assert_allclose(eng.replicate_sums(gamma, 1, given([(cb, gb)]))[0], want,
                                        rtol=1e-12, atol=0)
 
 
@@ -417,8 +431,8 @@ def test_binned_draw_is_the_dense_draw_summed_onto_cells(dim):
     np.testing.assert_array_equal(np.bincount(cell, dense.g, binned.c.size), binned.g.ravel())
     for s in (0, 1, 7):
         for b in range(100):
-            cd, gd = hsic._resample(dense, np.random.default_rng(np.random.SeedSequence((s, b))))
-            cb, gb = hsic._resample(binned, np.random.default_rng(np.random.SeedSequence((s, b))))
+            cd, gd = resample(dense, np.random.default_rng(np.random.SeedSequence((s, b))))
+            cb, gb = resample(binned, np.random.default_rng(np.random.SeedSequence((s, b))))
             assert np.array_equal(cb, np.bincount(cell, cd, binned.c.size))
             assert np.array_equal(gb, np.bincount(cell, gd, binned.c.size))
 
@@ -445,11 +459,11 @@ def test_factored_2d_sums_match_the_toeplitz_products():
             assert max(ranks) < B // 4            # the replicate products shrink
         K1, K2 = toeplitz_kernels(eng, gamma)
         for seed in range(2):
-            cb, gb = hsic._resample(eng, np.random.default_rng(seed))
+            cb, gb = resample(eng, np.random.default_rng(seed))
             C, G = cb.reshape(B, B), gb.reshape(B, B)
             kc = K1 @ C @ K2
             want = np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, K1 @ G @ K2)
-            np.testing.assert_allclose(eng.replicate_sums(gamma, [(cb, gb)])[0], want,
+            np.testing.assert_allclose(eng.replicate_sums(gamma, 1, given([(cb, gb)]))[0], want,
                                        rtol=1e-12, atol=0)
 
 
@@ -458,12 +472,12 @@ def test_dense_block_sums_match_per_replicate_products(dim):
     rng = np.random.default_rng(26 + dim)
     pts, z = labeled_points(rng, 600, dim)
     eng = backend(hsic._DenseBackend, pts, z)
-    draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(13)]
+    draws = [resample(eng, np.random.default_rng(b)) for b in range(13)]
     for h in bandwidth_grid(eng.median_distance())[::13]:
         gamma = 1.0 / (2.0 * h * h)
         K = np.exp(cdist(eng.support, eng.support, "sqeuclidean") * (-gamma))
         want = [(cb @ (K @ cb), gb @ (K @ cb), gb @ (K @ gb)) for cb, gb in draws]
-        np.testing.assert_allclose(eng.replicate_sums(gamma, draws), want,
+        np.testing.assert_allclose(eng.replicate_sums(gamma, len(draws), given(draws)), want,
                                    rtol=1e-12, atol=0)
 
 
@@ -500,14 +514,14 @@ def test_dense_kernel_has_the_bits_of_np_exp(s, dim, tied):
     if s > 1:
         scales = d2.max(), np.median(d2[d2 > 0])
         gammas += [arg / d for arg in (707.0, 708.4, 745.13, 746.0) for d in scales]
-    out, subnormal = np.empty_like(d2), False
+    out, masks, subnormal = np.empty_like(d2), np.empty((2, *d2.shape), dtype=bool), False
     for gamma in gammas:
         want = np.exp(-gamma * d2)
-        got = eng._kernel(gamma, out, d2, d2.max())
+        got = eng._kernel(gamma, out, d2, d2.max(), masks)
         assert got is out
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), gamma
         in_place = d2.copy()        # as replicate_sums builds its rows
-        eng._kernel(gamma, in_place, in_place, d2.max())
+        eng._kernel(gamma, in_place, in_place, d2.max(), masks)
         assert np.array_equal(in_place.view(np.int64), want.view(np.int64)), gamma
         subnormal |= bool(np.any((want > 0) & (want < np.finfo(float).smallest_normal)))
     assert subnormal == (s > 1)
@@ -554,7 +568,7 @@ def test_bootstrap_replicates_keep_a_nonempty_goal_set(cls, n):
     z[:2] = True
     eng = backend(cls, pts, z)
     for b in range(200):
-        assert hsic._resample(eng, np.random.default_rng(b))[1].sum() >= 1
+        assert resample(eng, np.random.default_rng(b))[1].sum() >= 1
     gamma = hsic._select(eng, None)[1]
     assert np.all(hsic._bootstrap(eng, gamma, 200, 0) > 0)
 
@@ -660,7 +674,7 @@ def reference_bootstrap(backend, gamma, n_boot, seed):
     put, sums = backend.replicate_sums(gamma, n_boot)
     m = np.empty(n_boot)
     for b in range(n_boot):
-        cb, gb = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
+        cb, gb = resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
         m[b] = gb.sum()
         put(b, cb, gb)
     return np.maximum((m / n) ** 2 * _mmd_from_sums(np.column_stack(sums()), n, m), 0.0)
@@ -837,7 +851,7 @@ def exhaustive_select(backend, grid):
 
 def assert_selects_as_exhaustive(points_a, points_b, grid=None):
     eng = hsic._DenseBackend(*hsic._support(hsic._as_points(points_a),
-                                            hsic._as_points(points_b)))
+                                            hsic._as_points(points_b)), hsic._inline)
     got = hsic._select(eng, grid)
     want = exhaustive_select(eng, grid)
     assert got == want           # h, gamma and mmd2 to the bit
@@ -917,7 +931,7 @@ def test_screen_sums_the_dense_kernel_at_few_grid_points(monkeypatch):
     monkeypatch.setattr(hsic._DenseBackend, "sweep", counting_sweep)
     u = (np.arange(1500) + 0.5) / 1500
     z = np.random.default_rng(100).random(1500) < 0.1 + 0.3 * u
-    eng = hsic._DenseBackend(*hsic._support(u[:, None], u[z, None]))
+    eng = hsic._DenseBackend(*hsic._support(u[:, None], u[z, None]), hsic._inline)
     assert len(eng.c) == 1500
     hsic._select(eng, None)
     assert len(swept) == 1 and 1 <= swept[0] <= 4
@@ -936,7 +950,7 @@ def test_screened_selection_of_a_flat_example2_pair_matches_exhaustive():
     assert len(eng.c) == 1500
     gammas = 1.0 / (2.0 * bandwidth_grid(eng.median_distance()) ** 2)
     assert exhaustive_select(eng, None)[1] == gammas[0]
-    twin = hsic._BinnedBackend(eng.support, eng.c, eng.g)
+    twin = hsic._BinnedBackend(eng.support, eng.c, eng.g, hsic._inline)
     screened = _mmd_from_sums(twin.sweep(gammas), twin.n, twin.m)
     assert 9e-3 < (screened.max() - screened[0]) / screened.max() < hsic._SCREEN_SLACK[1]
 
@@ -993,7 +1007,7 @@ def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
     assert len(hsic._row_blocks(s)) > 1
     gammas = 1.0 / (2.0 * bandwidth_grid(eng.median_distance())[::8] ** 2)
     gamma = gammas[2]
-    draws = [hsic._resample(eng, np.random.default_rng(b)) for b in range(n_boot)]
+    draws = [resample(eng, np.random.default_rng(b)) for b in range(n_boot)]
     c, g = eng.c, eng.g
     d2 = cdist(eng.support, eng.support, "sqeuclidean")
     with blas.one_blas_thread():
@@ -1010,7 +1024,7 @@ def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
                 with hsic._scoring(workers) as each:
                     pooled = hsic._DenseBackend(eng.support, c, g, each)
                     got_sweep = pooled.sweep(gammas)
-                    got_block = pooled.replicate_sums(gamma, draws)
+                    got_block = pooled.replicate_sums(gamma, n_boot, given(draws))
                 assert blas._blas_threads() == [threads] * len(blas._blas_threads())
             assert np.array_equal(got_sweep, np.array(sweep)), (threads, workers)
             assert np.array_equal(got_block, block), (threads, workers)
@@ -1030,7 +1044,7 @@ def test_dense_scores_hold_no_support_sized_table(dim):
             eng = backend(hsic._DenseBackend, pts, z, each)
             assert len(eng.c) == s
             eng.sweep(gammas)
-            eng.replicate_sums(gammas[2], hsic._Draws(eng, 100, 0))
+            hsic._bootstrap(eng, gammas[2], 100, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1068,12 +1082,12 @@ def test_every_workspace_is_built_on_the_calling_thread(workers):
         eng = backend(hsic._DenseBackend, pts, z, recording)
         gammas = 1.0 / (2.0 * bandwidth_grid(0.3)[::8] ** 2)
         eng.sweep(gammas)
-        eng.replicate_sums(gammas[2], hsic._Draws(eng, 100, 0))
+        hsic._bootstrap(eng, gammas[2], 100, 0)
         hsic._sq_dist_pairs(np.repeat(eng.support, (eng.c + eng.g).astype(np.int64), axis=0),
                             recording)
         binned = backend(hsic._BinnedBackend, wide, wide_z, recording)
         hsic._bootstrap(binned, hsic._select(binned, None)[1], 37, 3)
-    assert [n for n, _, _ in calls] == [9, 9, 11, 4]       # row blocks, then replicate runs
+    assert [n for n, _, _ in calls] == [9, 9, 11, 37]      # row blocks, then replicates
     for n, built, used in calls:
         assert len(built) == min(workers - 1, n - 1) + 1
         assert {thread for thread, _ in built} == {caller}
@@ -1170,10 +1184,12 @@ def test_dense_distances_match_the_numpy_tables(kind, dim):
     pts, z = dense_case(kind, dim, np.random.default_rng(120 + dim))
     eng = backend(hsic._DenseBackend, pts, z)
     want = cdist(eng.support, eng.support, "sqeuclidean")
-    for block in hsic._row_blocks(len(eng.c)):
-        assert np.array_equal(hsic._sq_dist_rows(eng.support, block), want[block]), block
+    blocks = hsic._row_blocks(len(eng.c))
+    space = hsic._scratch(blocks, len(eng.c))()
+    for block in blocks:
+        assert np.array_equal(hsic._sq_dist_rows(eng.support, block, space), want[block]), block
     pooled = np.repeat(eng.support, (eng.c + eng.g).astype(np.int64), axis=0)
-    assert np.array_equal(np.sort(hsic._sq_dist_pairs(pooled)),
+    assert np.array_equal(np.sort(hsic._sq_dist_pairs(pooled, hsic._inline)),
                           np.sort(pdist(pooled, "sqeuclidean")))
     med = eng.median_distance()
     assert med == _reference_median_distance(eng)
