@@ -27,71 +27,76 @@ turn it adds the correlation at lag -d onto lag d.  Only the dimensions in
 _BINS can be binned, so sets of three or more columns above _DENSE_LIMIT
 pooled points are rejected.  Each backend gives the pooled median distance
 that centers the bandwidth grid (the median of the nonzero distances when
-most pooled pairs tie), the sums over the grid and the bootstrap
-replicates' sums at one bandwidth.  The dense backend computes squared
-distances with numpy, in blocks of rows: a block of kernel rows computes
-its rows' distances to the support where it exponentiates them, and the
-median reads a table of every pair of the pooled sample (the support
-repeated by its pooled counts).  Each entry adds the squared difference per
-dimension in column order, as scipy's cdist and pdist ("sqeuclidean") do,
-so it has their bits.  The kernel has the bits of np.exp(-gamma d2), entry
-for entry, but no entry takes np.exp's slow path for results that
-underflow: the arguments below -707 are computed apart, the band down to
--746 as one short array, and the ones below it set to the +0.0 that np.exp
-gives them.  Both backends are deterministic and permutation invariant: the
-support is sorted and counts are order-free.
+most pooled pairs tie), the sums over the grid and, at the selected
+bandwidth, the kernel products that the standard error reads.  The dense
+backend computes squared distances with numpy, in blocks of rows: a block
+of kernel rows computes its rows' distances to the support where it
+exponentiates them, and the median reads a table of every pair of the
+pooled sample (the support repeated by its pooled counts).  Each entry adds
+the squared difference per dimension in column order, as scipy's cdist and
+pdist ("sqeuclidean") do, so it has their bits.  The kernel has the bits of
+np.exp(-gamma d2), entry for entry, but no entry takes np.exp's slow path
+for results that underflow: the arguments below -707 are computed apart,
+the band down to -746 as one short array, and the ones below it set to the
++0.0 that np.exp gives them.  Both backends are deterministic and
+permutation invariant: the support is sorted and counts are order-free.
 
-One bootstrap draw serves both backends: a replicate resamples the n rows
-of set a and counts them per support point (dense) or grid cell (binned),
-and a draw without a flagged row is drawn again.  The bootstrap hands one
-call of the backend's replicate_sums at the selected bandwidth a draw
-function, the only way a backend reads a replicate: draw(b, out) counts
-replicate b from its own stream into the two rows out, and replicate_sums
-returns each replicate's three sums.  The dense backend draws each
-replicate straight into its two columns of one block and sums the whole
-block with one product K X, which reads the s x s kernel matrix once
-instead of twice per replicate.  The binned backend sums each replicate as
-it is drawn and keeps none of them (100 2-D count grids would take ~105
-MB): in 1-D by Parseval, in 2-D as |F1' C F2|^2 for the count grid C, where
-F_d F_d' = K_d factors each axis's Toeplitz kernel.  F_d keeps the
-eigenvectors of K_d whose eigenvalues exceed B eps lambda_max, the level of
-eigh's own error, so the factored sums match K1 C K2 to 1e-12 relative.  A
-kernel 20-55 bins wide keeps a rank of 18-35 of 256, and a replicate's
-products then run 3 to 18 times faster than K1 C K2; a kernel a few bins
-wide keeps nearly all 256 and costs what K1 C K2 does.
+The standard error is the row bootstrap's, in closed form (_std_error).  A
+replicate weighs row i of set a by w_i, its count among n draws with
+replacement, and scores S(w) = v'Kv / n^2 with v = G w - (z'w / n) C w,
+where C counts rows per unit (support point or grid cell), G counts the
+flagged ones and z holds the flags.  The replicate's goal count z'w moves
+with w, as a resampled goal set's does; an expansion that held it at m
+would miss part of a null column's spread and give a constant column a
+nonzero error.  With w = 1 + delta, S(w) = S + a'delta + delta'M delta to
+second order, delta has covariance P = I - 11'/n, and
+
+    Var = a~'a~ + 2 |M~|_F^2 + sum_i M~_ii^2 + 2 sum_i a~_i M~_ii,
+    a~ = P a,  M~ = P M P,
+
+whose last two terms come from the multinomial's fourth and third
+cumulants (Efron 1982, The Jackknife, the Bootstrap and Other Resampling
+Plans, gives the first- and second-order terms at a fixed m).  At n = 400
+it came within 1% of a 4000-replicate bootstrap on a signal column, a tied
+one and a 2-D signal pair, and 0-5% above 20000-replicate bootstraps on
+null columns and pairs, whose selected kernels are narrow.  Rows that share
+a unit and a flag share their entries of a~ and of M~'s diagonal, and
+|M~|_F^2 reduces to sums over units, so the error reads K c, K g and
+r'(K*K)r at the selected bandwidth, where r_p sums (z_i - m/n)^2 over the
+rows of unit p and K*K, the kernel squared entry by entry, is the kernel at
+2 gamma.  The dense backend computes them in one pass of row blocks that
+squares each kernel block in place for the last; the binned backend takes
+FFT products in 1-D and Toeplitz products K1 X K2 in 2-D.  So neither
+n_boot (from 2 up) nor the seed moves the error.  A goal set of every row
+and a sample of one unit have the error 0 exactly: every replicate scores
+0 there.
 
 Each estimate runs in _scoring, which pins every loaded OpenBLAS to one
 thread and puts one thread on each core the process may run on: the calling
 thread and a pool of the others, which ends with the estimate.  numpy runs
-its elementwise passes on one core, so the backends hand the work to those
-threads in pieces, through the map that _scoring yields.  The dense backend
-splits the pair table, its kernel matrix and the products K c, K g and K X
-into blocks of _SPLIT_ROWS rows (_row_blocks; a support under two blocks is
-one block and runs inline), and each block builds its distances and rows of
-K and multiplies them while they are in cache.  The binned backend hands out
-its bootstrap replicates one per piece, each drawn from its own stream.  The
-bits depend neither on the number of threads nor on the caller's BLAS
-thread count: every distance and entry of K is computed on its own, every
-replicate is summed on its own, the blocks are fixed by the input size
-alone, and at one thread OpenBLAS gives a row of a block's product the bits
-of the same row of the whole product.  That last fact holds for its
+its elementwise passes on one core, so the dense backend hands the work to
+those threads in pieces, through the map that _scoring yields: it splits
+the pair table, its kernel matrix and the products K c, K g and (K*K)r into
+blocks of _SPLIT_ROWS rows (_row_blocks; a support under two blocks is one
+block and runs inline), and each block builds its distances and rows of K
+and multiplies them while they are in cache.  The bits depend neither on
+the number of threads nor on the caller's BLAS thread count: every distance
+and entry of K is computed on its own, the blocks are fixed by the input
+size alone, and at one thread OpenBLAS gives a row of a block's product the
+bits of the same row of the whole product.  That last fact holds for its
 matrix-vector kernels at any block of two or more rows that starts where
-_row_blocks starts one, and for its blocked matrix-matrix kernel
-(_SMALL_GEMM keeps the small-matrix kernel out).  numpy's exp dispatch still
-sets the bits (see the README).
+_row_blocks starts one.  numpy's exp dispatch still sets the bits (see the
+README).
 
 Each thread computes into buffers the calling thread allocated.  glibc gives
 every thread its own malloc arena and keeps in it what the thread frees, so
-a pool thread that built its own kernel rows or count grids would hold them
-until the process ends.  So the map takes a workspace factory, which the
-calling thread calls once for each thread before any piece runs: a dense
-block's distances, kernel rows, _kernel's masks and _sq_dists' scratch,
-sized to the largest block of the call, and a binned replicate's two count
-grids (its draw counts into them) and its 2-D factor products.  The products
-K g, K c and K X go into rows of arrays the caller owns.  A pool thread
-still allocates what is small next to a block or a 2-D grid: a replicate's
-row draw, a 1-D replicate's spectra and a block's entries in np.exp's slow
-band.  None of this moves a bit.
+a pool thread that built its own kernel rows would hold them until the
+process ends.  So the map takes a workspace factory, which the calling
+thread calls once for each thread before any piece runs: a dense block's
+distances, kernel rows, _kernel's masks and _sq_dists' scratch, sized to
+the largest block of the call.  The products go into rows of arrays the
+caller owns.  A pool thread still allocates what is small next to a block,
+its entries in np.exp's slow band.  None of this moves a bit.
 
 The dense backend's bandwidth search runs coarse to fine.  When the padded
 FFT grid of B bins per dimension has fewer cells than the dense kernel
@@ -117,7 +122,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import _cores, one_blas_thread
-from .space import _seed_sequence
 
 __all__ = [
     "EstimationError",
@@ -141,11 +145,6 @@ _BINS = {1: 4096, 2: 256}   # bins per axis of the binned backend's grid, by dim
 # the first grid point, 9.4e-3 below, so a 2-D slack under 1e-2 would lose
 # it (test_screened_selection_of_a_flat_example2_pair_matches_exhaustive).
 _SCREEN_SLACK = {1: 1e-2, 2: 5e-2}
-# The dense replicate block's width is a multiple of this many columns.  At
-# such widths OpenBLAS gave every column of a product K X the same bits
-# whatever X's width (Haswell kernels, one and two threads, s 3-1999), so a
-# replicate's sums do not depend on n_boot; at other widths they moved.
-_BLOCK_COLUMNS = 8
 # np.exp of an argument at or above _EXP_NORMAL is a normal double
 # (exp(-707) = 9.0e-308 > 2.2e-308), and below _EXP_ZERO it is +0.0 (the
 # cutoff is ln 2^-1075 = -745.13); see _DenseBackend._kernel.
@@ -156,11 +155,6 @@ _BLOCK_ROWS = 32        # rows per block of a distance table; a block's temporar
 # a multiple of _BLOCK_ROWS.  A block's kernel rows stay in a core's cache
 # (1.9 MB at s = 1500), and a support under 320 points is one block.
 _SPLIT_ROWS = 160
-# OpenBLAS sends a product of at most 100^3 multiply-adds to its
-# small-matrix kernel (on AVX-512 cores), which rounds unlike its blocked
-# kernel once s passes the blocked kernel's depth; a replicate block is split
-# only when every block's product stays above it.
-_SMALL_GEMM = 100**3
 N_GRID = 40
 GRID_SPAN = (1e-2, 1e1)  # multiples of the median pairwise distance
 
@@ -297,15 +291,6 @@ def _support(points_a, points_b):
     return ordered[new], c, g
 
 
-def _rows(c, g):
-    """The n rows of set a in support order, each point's flagged rows last:
-    per row, its support index and whether it is flagged."""
-    reps = c.astype(np.int64)
-    point = np.repeat(np.arange(len(c)), reps)
-    flagged = np.arange(len(point)) >= np.repeat(np.cumsum(reps) - g.astype(np.int64), reps)
-    return point, flagged
-
-
 def _backend(points_a, points_b, each):
     dense = len(points_a) + len(points_b) <= _DENSE_LIMIT
     dim = points_a.shape[1]
@@ -329,12 +314,9 @@ def _mmd_from_sums(sums, n, m):
 #                      nonzero ones when most pairs tie; it centers the grid,
 #                      and it is 0 only when the pooled sample is one point;
 #   sweep(gammas)      (c'Kc, c'Kg, g'Kg) at each gamma;
-#   owner, flagged     per row of set a (_rows), its counting unit and flag;
-#   replicate_sums(gamma, n_boot, draw)
-#                      the (c'Kc, g'Kc, g'Kg) of each of n_boot replicates,
-#                      one row per replicate; draw(b, out) counts replicate
-#                      b into the two rows of out, a float array of shape
-#                      (2, units), and returns them as (c, g).
+#   products(gamma, r) K c, K g and r'(K*K)r at one gamma, for a vector r on
+#                      the counting units (support points or grid cells) in
+#                      c's shape; K*K is K squared entry by entry.
 
 
 def _sq_dists(out, rows, cols, tmp):
@@ -431,7 +413,6 @@ class _DenseBackend:
     def __init__(self, support, c, g, each):
         self.support, self.c, self.g, self.each = support, c, g, each
         self.n, self.m = int(c.sum()), int(g.sum())
-        self.owner, self.flagged = _rows(c, g)
 
     def median_distance(self) -> float:
         pooled = np.repeat(self.support, (self.c + self.g).astype(np.int64), axis=0)
@@ -487,37 +468,29 @@ class _DenseBackend:
         self.each(rows, blocks, _scratch(blocks, s, kernel=True))
         out = np.empty((len(gammas), 3))
         for i in range(len(gammas)):
-            # the cross term's contraction order sets its rounding; changing
-            # c'(Kg) here or g'(Kc) in replicate_sums moves the scores' last bits
+            # the cross term's contraction order sets its rounding; g'(Kc)
+            # here would move the scores' last bits
             out[i] = c @ kc[i], c @ kg[i], g @ kg[i]
         return out
 
-    def replicate_sums(self, gamma, n_boot, draw):
-        """(c'Kc, g'Kc, g'Kg) of each replicate (c, g), one row per replicate.
-
-        One product K X reads K once for every replicate: replicate b is
-        drawn straight into columns 2b and 2b + 1 of X, which zero columns
-        pad to a multiple of _BLOCK_COLUMNS wide.  Each block of rows of K is
-        built in place over its distances and multiplied by X on its own.
-        """
-        s, width = len(self.c), 2 * n_boot
-        x = np.zeros((s, -(-width // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
-        for b in range(n_boot):
-            draw(b, x[:, 2 * b : 2 * b + 2].T)
-        kx = np.empty_like(x)
-        split = x.shape[1] * _SPLIT_ROWS * s > _SMALL_GEMM
-        blocks = _row_blocks(s) if split else [slice(0, s)]
+    def products(self, gamma, r):
+        """K c, K g and r'(K*K)r in one pass of row blocks: each block of K
+        is built in place over its distances, multiplied by c and g, then
+        squared in place and multiplied by r."""
+        c, g, s = self.c, self.g, len(self.c)
+        out = np.empty((3, s))
+        blocks = _row_blocks(s)
 
         def rows(block, space):
             d2 = _sq_dist_rows(self.support, block, space)
             K = self._kernel(gamma, d2, d2, d2.max(), space.masks[:, : len(d2)])
-            np.matmul(K, x, out=kx[block])
+            np.matmul(K, c, out=out[0, block])
+            np.matmul(K, g, out=out[1, block])
+            K *= K
+            np.matmul(K, r, out=out[2, block])
 
         self.each(rows, blocks, _scratch(blocks, s))
-        c, g = x[:, 0:width:2], x[:, 1:width:2]
-        kc, kg = kx[:, 0:width:2], kx[:, 1:width:2]
-        return np.column_stack([np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
-                                np.einsum("ij,ij->j", g, kg)])
+        return out[0], out[1], float(r @ out[2])
 
 
 class _BinnedBackend:
@@ -536,8 +509,6 @@ class _BinnedBackend:
         self.c = np.bincount(flat, weights=c, minlength=B**self.dim).reshape(shape)
         self.g = np.bincount(flat, weights=g, minlength=B**self.dim).reshape(shape)
         self.lag2 = [(np.arange(B) * float(w)) ** 2 for w in width]   # per axis
-        point, self.flagged = _rows(c, g)
-        self.owner = flat[point]
 
     def _spectrum(self, counts):
         return np.fft.rfftn(counts, (2 * self.B,) * self.dim, tuple(range(self.dim)))
@@ -597,106 +568,69 @@ class _BinnedBackend:
                 out[i, j] = w
         return out
 
-    def replicate_sums(self, gamma, n_boot, draw):
-        """(c'Kc, g'Kc, g'Kg) of each replicate's flat count grids (c, g),
-        one row per replicate: one pool item per replicate, drawn into its
-        thread's two grids and summed there.
-
-        1-D: the Toeplitz kernel matrix, embedded in a circulant of length 2B,
-        is diagonal in Fourier space, so by Parseval each triple costs two
-        forward FFTs and three weighted spectrum sums.  2-D: the product
-        kernel is K1 (x) K2 with Toeplitz factors K_d[i, j] =
-        exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.  With K_d = F_d F_d'
-        (see _factors) that is |P_c|^2 for P_c = F1' C F2, and g'Kc is
-        <P_g, P_c>; a replicate's products cost r1 B^2 + r1 r2 B for ranks
-        r_d <= B, against 2 B^3 for K1 C K2.
-        """
-        B, M = self.B, 2 * self.B
-        if self.dim == 1:
-            k = np.exp(self.lag2[0] * (-gamma))
-            ring = np.zeros(M)          # lag B never occurs between two bins
-            ring[:B] = k
-            ring[B + 1 :] = k[:0:-1]
-            w = np.fft.rfft(ring).real / M
-            w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
-
-            def space():                # a thread's two count grids
-                return np.empty((2, B)), None
-
-            def triple(c, g, _):
-                fc, fg = np.fft.rfft(c, M), np.fft.rfft(g, M)
-                return (w @ (fc.real**2 + fc.imag**2),
-                        w @ (fg.real * fc.real + fg.imag * fc.imag),
-                        w @ (fg.real**2 + fg.imag**2))
-        else:
-            F1, F2 = self._factors(gamma)
-            r1, r2 = F1.shape[1], F2.shape[1]
-
-            def space():                # and F1' C, P_c and P_g
-                return np.empty((2, B * B)), (np.empty((r1, B)), np.empty((2, r1, r2)))
-
-            def triple(c, g, products):
-                left, (pc, pg) = products
-                for counts, p in ((c, pc), (g, pg)):
-                    np.matmul(np.matmul(F1.T, counts.reshape(B, B), out=left), F2, out=p)
-                return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
-
-        def sums(b, space):
-            grids, products = space
-            return triple(*draw(b, grids), products)
-
-        return np.array(self.each(sums, range(n_boot), space))
-
-    def _factors(self, gamma):
-        """Per axis, F_d with F_d F_d' = K_d to eigh's accuracy.
-
-        F_d holds the eigenvectors of the Toeplitz factor K_d scaled by the
-        square roots of their eigenvalues, keeping only the eigenvalues above
-        B eps lambda_max, the level of eigh's own error.  A wide kernel keeps
-        few of the B.
-        """
+    def _kernel_products(self, gamma, grids):
+        """K x for each grid x.  1-D by FFT: the Toeplitz kernel, embedded in
+        a circulant of 2B points, is diagonal in Fourier space.  2-D as K1 X
+        K2, with each axis's Toeplitz factor K_d[i, j] = exp(-gamma
+        e_d[|i - j|]); two B x B products cost less than the 2B x 2B FFTs."""
         B = self.B
-        lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
-        factors = []
-        for e in self.lag2:
-            lam, v = np.linalg.eigh(np.exp(e * (-gamma))[lag])
-            keep = lam > B * np.finfo(float).eps * lam[-1]
-            factors.append(v[:, keep] * np.sqrt(lam[keep]))
-        return factors
+        if self.dim == 2:
+            lag = np.abs(np.subtract.outer(np.arange(B), np.arange(B)))
+            K1, K2 = (np.exp(e * (-gamma))[lag] for e in self.lag2)
+            return [K1 @ x @ K2 for x in grids]
+        k = np.exp(self.lag2[0] * (-gamma))
+        ring = np.zeros(2 * B)          # lag B never occurs between two bins
+        ring[:B] = k
+        ring[B + 1 :] = k[:0:-1]
+        spectrum = np.fft.rfft(ring)
+        return [np.fft.irfft(np.fft.rfft(x, 2 * B) * spectrum, 2 * B)[:B] for x in grids]
+
+    def products(self, gamma, r):
+        """K c, K g and r'(K*K)r on the grid; K*K is the kernel at 2 gamma."""
+        kc, kg = self._kernel_products(gamma, (self.c, self.g))
+        (kkr,) = self._kernel_products(2.0 * gamma, (r,))
+        return kc, kg, float(np.vdot(r, kkr))
 
 
-def _resample(backend, rng, out):
-    """One bootstrap replicate's counts (c, g): n rows of set a drawn with
-    replacement, counted per unit, the flagged ones again into g.  A draw
-    without a flagged row is drawn again from the same stream; with m >= 2
-    flagged rows that happens with probability (1 - m/n)^n < e^-2.  Both
-    are counted as exact integer sums into the two rows of out, a float
-    array of shape (2, units)."""
-    n = backend.n
-    idx = rng.integers(0, n, n)
-    while not backend.flagged[idx].any():
-        idx = rng.integers(0, n, n)
-    rows = backend.owner[idx]
-    c, g = out
-    out.fill(0.0)
-    np.add.at(c, rows, 1.0)
-    np.add.at(g, rows[backend.flagged[idx]], 1.0)
-    return c, g
+def _std_error(backend, gamma):
+    """The bootstrap standard error of the goal score at gamma, in closed
+    form (see the module docstring): the standard deviation, to second
+    order, of S(w) = v'Kv / n^2 over multinomial row weights w = 1 + delta.
 
-
-def _bootstrap(backend, gamma, n_boot, seed):
-    """Replicate scores at a fixed gamma; replicate b draws from the stream
-    keyed (seed, b), so extending n_boot keeps earlier replicates."""
-    m = np.empty(n_boot)
-
-    def draw(b, out):       # the one way a backend reads a replicate
-        c, g = _resample(backend, np.random.default_rng(_seed_sequence(seed, b)), out)
-        m[b] = g.sum()
-        return c, g
-
-    sums = backend.replicate_sums(gamma, n_boot, draw)
-    n = backend.n
-    return np.maximum((m / n) ** 2 * _mmd_from_sums(sums, n, m), 0.0)
+    Per row, q = z - m/n, and o(i) is the row's unit.  The first-order
+    weights are a_i = (2/n^2)[q_i (Kv)_o(i) - z_i c'Kv / n], and the
+    second-order matrix is M = (Q + u z' + z u' + beta z z') / n^2, with
+    Q_ij = q_i q_j K_o(i)o(j), u_i = -(q_i (Kc)_o(i) + (Kv)_o(i)) / n and
+    beta = c'Kc / n^2.  Centred, n^2 M~ = D'KD + L with L = u~ q' + q u~' +
+    beta q q', since P z = q: D has the columns q_i e_o(i) - v/n, DD' =
+    diag(r) - vv'/n, Dq = r and D u~ sums q_i u~_i per unit.  The rows of one
+    unit and one flag share every per-row entry, so each sum runs over
+    units, as rows of the two flags stacked: unflagged first, flagged second.
+    """
+    n, m = backend.n, backend.m
+    if m == n or np.count_nonzero(backend.c) == 1:
+        return 0.0
+    mu = m / n
+    counts = np.stack([backend.c - backend.g, backend.g]).reshape(2, -1)   # rows per flag, unit
+    q = np.array([[-mu], [1.0 - mu]])
+    z = np.array([[0.0], [1.0]])
+    r = counts[0] * mu**2 + counts[1] * (1.0 - mu) ** 2      # sum of q_i^2 over a unit's rows
+    kc, kg, rkkr = backend.products(gamma, r.reshape(backend.c.shape))
+    c, kc, kg = backend.c.ravel(), kc.ravel(), kg.ravel()
+    v, kv = counts[1] - mu * c, kg - mu * kc
+    kr = (kc - kg) * mu**2 + kg * (1.0 - mu) ** 2
+    vkv, ckv, beta = v @ kv, c @ kv / n, c @ kc / n**2
+    a = (2.0 / n**2) * (q * kv - z * ckv) - (2.0 / n**3) * (vkv - m * ckv)    # a~
+    u = -(q * kc + kv) / n + 2.0 * ckv / n                                    # u~
+    # M~'s diagonal; K is 1 on its own
+    diag = ((1.0 + beta) * q**2 + 2.0 * q * u - 2.0 * q * kv / n + vkv / n**2) / n**2
+    uu, uq, qq = np.sum(counts * u * u), np.sum(counts * u * q), np.sum(counts * q * q)
+    dkd = rkkr - 2.0 / n * (r @ kv**2) + vkv**2 / n**2                         # |D'KD|_F^2
+    cross = 2.0 * kr @ np.sum(counts * q * u, axis=0) + beta * (r @ kr)        # tr(D'KD L)
+    low = 2.0 * uq**2 + 2.0 * uu * qq + 4.0 * beta * uq * qq + beta**2 * qq**2  # |L|_F^2
+    frob = (dkd + 2.0 * cross + low) / n**4                                    # |M~|_F^2
+    var = np.sum(counts * (a * a + diag * diag + 2.0 * a * diag)) + 2.0 * frob
+    return float(np.sqrt(max(var, 0.0)))
 
 
 def _candidates(backend, gammas):
@@ -802,16 +736,13 @@ def _prepare_labeled(u, z):
     return pts, flags
 
 
-def _score_labeled(pts, flags, n_boot, seed):
+def _score_labeled(pts, flags, n_boot):
     with _scoring() as each:
         backend = _backend(pts, pts[flags], each)
         n, m = backend.n, backend.m
         h, gamma, mmd, degenerate = _select(backend, None)
         value = max((m / n) ** 2 * mmd, 0.0)
-        if n_boot >= 2:
-            se = float(np.std(_bootstrap(backend, gamma, n_boot, seed), ddof=1))
-        else:
-            se = 0.0
+        se = _std_error(backend, gamma) if n_boot >= 2 else 0.0
     kernel = Kernel((h,) * pts.shape[1], degenerate=degenerate)
     return HsicScore(value, se, n, m, kernel)
 
@@ -821,21 +752,25 @@ def hsic_goal(u, z, *, n_boot=100, seed=0) -> HsicScore:
 
     The bandwidth is selected by maximizing mmd2 between the full column and
     its flagged subsample over the grid, then the score is evaluated there.
-    The bootstrap standard error resamples (rank, flag) pairs with
-    replacement, bandwidth held fixed at the full-sample choice.
+    The standard error is that of the bootstrap that resamples (rank, flag)
+    pairs with replacement, bandwidth held fixed at the full-sample choice,
+    in closed form to second order (see the module docstring).  n_boot below
+    2 skips it (std_error 0.0); any larger n_boot, and the seed, leave it as
+    it is: both are kept so that existing calls run unchanged.
     """
     pts, flags = _prepare_labeled(u, z)
     if pts.shape[1] != 1:
         raise EstimationError("hsic_goal expects a single rank column")
-    return _score_labeled(pts, flags, n_boot, seed)
+    return _score_labeled(pts, flags, n_boot)
 
 
 def hsic_pair(u_i, u_j, z, *, n_boot=100, seed=0) -> HsicScore:
-    """Joint two-column dependence score with a product kernel (shared h)."""
+    """Joint two-column dependence score with a product kernel (shared h);
+    n_boot and seed act as in hsic_goal."""
     ui = np.asarray(u_i, dtype=float)
     uj = np.asarray(u_j, dtype=float)
     if ui.shape != uj.shape or ui.ndim != 1:
         raise EstimationError("pair columns must be 1-D and equally long")
     pts, flags = _prepare_labeled(np.column_stack([ui, uj]), z)
-    return _score_labeled(pts, flags, n_boot, seed)
+    return _score_labeled(pts, flags, n_boot)
 

@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import os
 import subprocess
 import sys
@@ -16,7 +15,6 @@ from hsictune import blas, hsic
 from hsictune.analysis import make_goal_flags, threshold
 from hsictune.harness import run_random_search
 from hsictune.hsic import (
-    _BLOCK_COLUMNS,
     EstimationError,
     Kernel,
     bandwidth_grid,
@@ -27,7 +25,7 @@ from hsictune.hsic import (
     _mmd_from_sums,
 )
 from hsictune.objectives import build_objective
-from hsictune.space import _seed_sequence, normalize_trials
+from hsictune.space import normalize_trials
 
 
 def example1_sample(n, seed, normalized=True, x1_truncnorm=True):
@@ -319,8 +317,8 @@ def test_permutation_invariance_exact():
 
 @pytest.mark.parametrize("n", [500, 3000], ids=["dense", "binned"])
 def test_permutation_invariance_with_bootstrap(n):
-    # the standard error too: replicates resample rows in support order,
-    # never in the input's row order
+    # the standard error too: it sums over the support, never in the
+    # input's row order
     rng = np.random.default_rng(15)
     u1, u2 = rng.random(n), rng.random(n)
     z = np.abs(u1 - u2) < 0.2
@@ -381,104 +379,62 @@ def backend(cls, pts, z, each=hsic._inline):
     return cls(*hsic._support(pts, pts[z]), each)
 
 
-def resample(eng, rng):
-    """One replicate's counts (c, g), drawn into new arrays."""
-    return hsic._resample(eng, rng, np.empty((2, eng.c.size)))
-
-
-def given(draws):
-    """A draw function over a list of replicate counts (c, g)."""
-
-    def draw(b, out):
-        out[0], out[1] = draws[b]
-        return out[0], out[1]
-
-    return draw
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_binned_replicate_sums_match_fft_correlations(dim):
-    # per-replicate kernel products against the folded FFT correlations on the
-    # same resampled histograms, across the bandwidth grid
-    rng = np.random.default_rng(20 + dim)
-    pts, z = labeled_points(rng, 5000, dim)
-    eng = backend(hsic._BinnedBackend, pts, z)
-    shape = eng.c.shape
-    grid = bandwidth_grid(eng.median_distance())
-    for h in grid[::6]:
-        gamma = 1.0 / (2.0 * h * h)
-        for seed in range(3):
-            cb, gb = resample(eng, np.random.default_rng(seed))
-            replicate = copy.copy(eng)
-            replicate.c, replicate.g = cb.reshape(shape), gb.reshape(shape)
-            want = replicate.sweep([gamma])[0]
-            np.testing.assert_allclose(eng.replicate_sums(gamma, 1, given([(cb, gb)]))[0], want,
-                                       rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_binned_draw_is_the_dense_draw_summed_onto_cells(dim):
-    # both backends resample the same rows from one stream; the binned
-    # replicate counts them per grid cell, the dense one per support point
-    rng = np.random.default_rng(30 + dim)
-    pts, z = labeled_points(rng, 1200, dim)
-    dense = backend(hsic._DenseBackend, pts, z)
-    binned = backend(hsic._BinnedBackend, pts, z)
-    cell = np.empty(len(dense.c), dtype=np.int64)
-    cell[dense.owner] = binned.owner
-    assert np.array_equal(binned.owner, cell[dense.owner])   # one cell per point
-    np.testing.assert_array_equal(np.bincount(cell, dense.c, binned.c.size), binned.c.ravel())
-    np.testing.assert_array_equal(np.bincount(cell, dense.g, binned.c.size), binned.g.ravel())
-    for s in (0, 1, 7):
-        for b in range(100):
-            cd, gd = resample(dense, np.random.default_rng(np.random.SeedSequence((s, b))))
-            cb, gb = resample(binned, np.random.default_rng(np.random.SeedSequence((s, b))))
-            assert np.array_equal(cb, np.bincount(cell, cd, binned.c.size))
-            assert np.array_equal(gb, np.bincount(cell, gd, binned.c.size))
-
-
 def toeplitz_kernels(eng, gamma):
     lag = np.abs(np.subtract.outer(np.arange(eng.B), np.arange(eng.B)))
     return [np.exp(e * (-gamma))[lag] for e in eng.lag2]
 
 
-def test_factored_2d_sums_match_the_toeplitz_products():
-    # every grid point, from a kernel a bin wide (full rank) to the widest
-    rng = np.random.default_rng(24)
-    pts, z = labeled_points(rng, 5000, 2)
-    eng = backend(hsic._BinnedBackend, pts, z)
-    B = eng.B
-    grid = bandwidth_grid(eng.median_distance())
-    assert len(grid) == 40
-    for i, h in enumerate(grid):
-        gamma = 1.0 / (2.0 * h * h)
-        ranks = [f.shape[1] for f in eng._factors(gamma)]
-        if i == 0:
-            assert ranks == [B, B]
-        if i == len(grid) - 1:
-            assert max(ranks) < B // 4            # the replicate products shrink
+def toeplitz_product(eng, gamma, x):
+    """K x on the binned grid, from the kernel's Toeplitz factors: a direct
+    convolution in 1-D, K1 X K2 in 2-D."""
+    if eng.dim == 2:
         K1, K2 = toeplitz_kernels(eng, gamma)
-        for seed in range(2):
-            cb, gb = resample(eng, np.random.default_rng(seed))
-            C, G = cb.reshape(B, B), gb.reshape(B, B)
-            kc = K1 @ C @ K2
-            want = np.vdot(C, kc), np.vdot(G, kc), np.vdot(G, K1 @ G @ K2)
-            np.testing.assert_allclose(eng.replicate_sums(gamma, 1, given([(cb, gb)]))[0], want,
-                                       rtol=1e-12, atol=0)
+        return K1 @ x @ K2
+    k = np.exp(eng.lag2[0] * (-gamma))
+    return np.convolve(x, np.concatenate([k[:0:-1], k]))[eng.B - 1 : 2 * eng.B - 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_binned_replicate_sums_match_fft_correlations(dim):
+    # the standard error's products, which replaced the replicate sums,
+    # against direct Toeplitz products across the bandwidth grid, from a
+    # kernel about a bin wide to the widest; the sums they give match the
+    # sweep's folded FFT correlations
+    rng = np.random.default_rng(20 + dim)
+    pts, z = labeled_points(rng, 5000, dim)
+    eng = backend(hsic._BinnedBackend, pts, z)
+    mu = eng.m / eng.n
+    r = (eng.c - eng.g) * mu**2 + eng.g * (1 - mu) ** 2
+    grid = bandwidth_grid(eng.median_distance())
+    for h in grid[::3]:
+        gamma = 1.0 / (2.0 * h * h)
+        kc, kg, rkkr = eng.products(gamma, r)
+        assert kc.shape == kg.shape == eng.c.shape
+        for got, x in ((kc, eng.c), (kg, eng.g)):
+            want = toeplitz_product(eng, gamma, x)
+            assert np.abs(got - want).max() <= 1e-12 * want.max(), gamma
+        want = np.vdot(r, toeplitz_product(eng, 2.0 * gamma, r))
+        np.testing.assert_allclose(rkkr, want, rtol=1e-12, atol=0)
+        sums = np.vdot(eng.c, kc), np.vdot(eng.c, kg), np.vdot(eng.g, kg)
+        np.testing.assert_allclose(sums, eng.sweep([gamma])[0], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dense_block_sums_match_per_replicate_products(dim):
+    # the row-block pass against products of the whole kernel matrix, for
+    # several weight vectors r, across the bandwidth grid
     rng = np.random.default_rng(26 + dim)
     pts, z = labeled_points(rng, 600, dim)
     eng = backend(hsic._DenseBackend, pts, z)
-    draws = [resample(eng, np.random.default_rng(b)) for b in range(13)]
+    weights = rng.random((13, len(eng.c)))
     for h in bandwidth_grid(eng.median_distance())[::13]:
         gamma = 1.0 / (2.0 * h * h)
         K = np.exp(cdist(eng.support, eng.support, "sqeuclidean") * (-gamma))
-        want = [(cb @ (K @ cb), gb @ (K @ cb), gb @ (K @ gb)) for cb, gb in draws]
-        np.testing.assert_allclose(eng.replicate_sums(gamma, len(draws), given(draws)), want,
-                                   rtol=1e-12, atol=0)
+        for r in weights:
+            kc, kg, rkkr = eng.products(gamma, r)
+            np.testing.assert_allclose(kc, K @ eng.c, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(kg, K @ eng.g, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(rkkr, r @ ((K * K) @ r), rtol=1e-12, atol=0)
 
 
 def dense_support(rng, s, dim, tied):
@@ -520,7 +476,7 @@ def test_dense_kernel_has_the_bits_of_np_exp(s, dim, tied):
         got = eng._kernel(gamma, out, d2, d2.max(), masks)
         assert got is out
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), gamma
-        in_place = d2.copy()        # as replicate_sums builds its rows
+        in_place = d2.copy()        # as the standard error's pass builds its rows
         eng._kernel(gamma, in_place, in_place, d2.max(), masks)
         assert np.array_equal(in_place.view(np.int64), want.view(np.int64)), gamma
         subnormal |= bool(np.any((want > 0) & (want < np.finfo(float).smallest_normal)))
@@ -539,6 +495,115 @@ def test_np_exp_is_positive_zero_below_the_cutoff():
     assert np.exp(hsic._EXP_NORMAL) >= np.finfo(float).smallest_normal
 
 
+# -- the closed-form standard error ---------------------------------------------------
+
+
+def row_kernel(eng, pts, gamma):
+    """The n x n kernel between the rows' counting units: their support
+    points (dense) or grid cells (binned), each cell's points snapped onto
+    its corner as the binned backend snaps them."""
+    if isinstance(eng, hsic._DenseBackend):
+        return np.exp(cdist(pts, pts, "sqeuclidean") * (-gamma))
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    width = np.where(hi > lo, hi - lo, 1.0) / eng.B
+    cells = np.clip(((pts - lo) / width).astype(np.int64), 0, eng.B - 1)
+    flat = np.ravel_multi_index(tuple(cells.T), eng.c.shape)
+    assert np.array_equal(np.bincount(flat, minlength=eng.c.size), eng.c.ravel())
+    K = np.ones((len(pts), len(pts)))
+    for e, axis in zip(eng.lag2, cells.T):
+        K *= np.exp(e * (-gamma))[np.abs(np.subtract.outer(axis, axis))]
+    return K
+
+
+def second_order_variance(K, z):
+    """The bootstrap variance of the goal score to second order, from
+    explicit n x n matrices; K is the kernel between the rows' units.
+
+    With q = z - m/n: a_i = (2/n^2)[q_i (Kv)_o(i) - (z_i/n) c'Kv], M = (1/n^2)
+    [Q + u z' + z u' + beta z z'], Q_ij = q_i q_j K_o(i)o(j), u_i = -(q_i
+    (Kc)_o(i) + (Kv)_o(i)) / n and beta = c'Kc / n^2; then, centred by P = I -
+    11'/n, Var = a~'a~ + 2|M~|^2 + sum M~_ii^2 + 2 sum a~_i M~_ii.
+    """
+    n = len(z)
+    z = z.astype(float)
+    q = z - z.sum() / n
+    kv, kc = K @ q, K.sum(axis=1)           # (Kv)_o(i) and (Kc)_o(i), per row
+    a = 2.0 / n**2 * (q * kv - z * (kc @ q) / n)
+    u = -(q * kc + kv) / n
+    beta = kc.sum() / n**2
+    M = (np.outer(q, q) * K + np.outer(u, z) + np.outer(z, u) + beta * np.outer(z, z)) / n**2
+    P = np.eye(n) - 1.0 / n
+    a, M = P @ a, P @ M @ P
+    d = np.diag(M)
+    return a @ a + 2.0 * np.sum(M * M) + d @ d + 2.0 * a @ d
+
+
+@pytest.mark.parametrize("cls, dim", [
+    (hsic._DenseBackend, 1),
+    (hsic._DenseBackend, 2),
+    (hsic._BinnedBackend, 1),
+    (hsic._BinnedBackend, 2),
+], ids=["dense-1d", "dense-2d", "binned-1d", "binned-2d"])
+def test_standard_error_matches_the_explicit_second_order_moments(cls, dim):
+    # half the coordinates sit on a coarse level grid, so units hold several
+    # rows, and some flags are flipped, so a unit holds rows of both flags
+    rng = np.random.default_rng(180 + dim)
+    pts, z = labeled_points(rng, 300, dim)
+    pts = np.where(rng.random(pts.shape) < 0.5, np.floor(pts * 9) / 9, pts)
+    z ^= rng.random(len(z)) < 0.1
+    eng = backend(cls, pts, z)
+    assert eng.n == 300 and np.any((eng.g > 0) & (eng.g < eng.c))
+    for gamma in (hsic._select(eng, None)[1], *(1.0 / (2.0 * bandwidth_grid(0.3)[::13] ** 2))):
+        want = np.sqrt(second_order_variance(row_kernel(eng, pts, gamma), z))
+        assert hsic._std_error(eng, gamma) == pytest.approx(want, rel=1e-10, abs=0), gamma
+
+
+def replicate_loop_se(score, pts, z, n_boot, rng):
+    """The standard deviation of n_boot row-bootstrap replicates of the
+    score, each one scored at the score's bandwidth on the exact kernel."""
+    n = len(z)
+    support, unit = np.unique(pts, axis=0, return_inverse=True)
+    gamma = 1.0 / (2.0 * score.bandwidth.bandwidths[0] ** 2)
+    K = np.exp(cdist(support, support, "sqeuclidean") * (-gamma))
+    v = np.empty((n_boot, len(support)))
+    for b in range(n_boot):
+        rows = rng.integers(0, n, n)
+        c = np.bincount(unit[rows], minlength=len(support))
+        g = np.bincount(unit[rows[z[rows]]], minlength=len(support))
+        v[b] = g - z[rows].sum() / n * c
+    return np.std(np.sum(v * (v @ K), axis=1) / n**2, ddof=1)
+
+
+@pytest.mark.parametrize("kind", ["signal", "null", "pair", "tied"])
+def test_standard_error_agrees_with_a_long_replicate_loop(kind):
+    rng = np.random.default_rng(190)
+    n = 400
+    u = rng.random((n, 2))
+    if kind == "tied":              # five levels, ranked with midranks
+        u[:, 0] = rankdata(rng.integers(0, 5, n)) / n
+    if kind == "null":
+        z = rng.random(n) < 0.2
+    elif kind == "pair":
+        z = np.abs(u[:, 0] - u[:, 1]) < 0.2
+    else:
+        z = u[:, 0] < 0.3
+    pts = u if kind == "pair" else u[:, :1]
+    score = hsic_pair(*u.T, z) if kind == "pair" else hsic_goal(u[:, 0], z)
+    loop = replicate_loop_se(score, pts, z, 2000, np.random.default_rng(191))
+    assert 0.94 < score.std_error / loop < 1.06, (score.std_error, loop)
+
+
+@pytest.mark.parametrize("n", [20, 27, 3000], ids=["dense-20", "dense-27", "binned"])
+def test_standard_error_of_a_constant_column_is_exactly_zero(n):
+    # every replicate scores 0 there, but at these goal counts m - (m/n) n
+    # rounds away from 0, and the error's terms left about 1e-10
+    for m in (2, 7, 12):
+        z = np.zeros(n, dtype=bool)
+        z[:m] = True
+        with pytest.warns(UserWarning, match="degenerate"):
+            assert hsic_goal(np.full(n, 0.7), z).std_error == 0.0
+
+
 @pytest.mark.parametrize("cls, n, dim", [
     (hsic._DenseBackend, 30, 1),
     (hsic._DenseBackend, 400, 1),
@@ -546,157 +611,30 @@ def test_np_exp_is_positive_zero_below_the_cutoff():
     (hsic._BinnedBackend, 5000, 2),
 ], ids=["dense-1d-small", "dense-1d", "dense-2d", "binned-2d"])
 def test_bootstrap_extended_keeps_earlier_replicates(cls, n, dim):
-    # a dense block 74 columns wide rounds a small kernel's products unlike
-    # one 200 wide, unless both widths are padded alike (_BLOCK_COLUMNS)
+    # no replicates are left to extend: a longer bootstrap, or another
+    # seed, gives the score the bits of its backend's closed-form error
     rng = np.random.default_rng(28 + n)
     pts, z = labeled_points(rng, n, dim)
     eng = backend(cls, pts, z)
-    gamma = hsic._select(eng, None)[1]
+    assert isinstance(hsic._backend(pts, pts[z], hsic._inline), cls)
+    want = hsic._std_error(eng, hsic._select(eng, None)[1])
+    assert want > 0
+    score = hsic_goal if dim == 1 else hsic_pair
     for seed in (0, 5):
-        short = hsic._bootstrap(eng, gamma, 37, seed)
-        assert np.array_equal(short, hsic._bootstrap(eng, gamma, 100, seed)[:37])
+        for n_boot in (37, 100):
+            assert score(*pts.T, z, n_boot=n_boot, seed=seed).std_error == want, (seed, n_boot)
 
 
-@pytest.mark.parametrize("cls, n", [(hsic._DenseBackend, 30), (hsic._BinnedBackend, 2100)],
-                         ids=["dense", "binned"])
-def test_bootstrap_replicates_keep_a_nonempty_goal_set(cls, n):
-    # with two flagged rows of n, about e^-2 of all row draws miss both; such
-    # a draw is redrawn, so no replicate scores an empty goal set as 0
-    rng = np.random.default_rng(60)
-    pts = rng.random((n, 1))
-    z = np.zeros(n, dtype=bool)
-    z[:2] = True
-    eng = backend(cls, pts, z)
-    for b in range(200):
-        assert resample(eng, np.random.default_rng(b))[1].sum() >= 1
-    gamma = hsic._select(eng, None)[1]
-    assert np.all(hsic._bootstrap(eng, gamma, 200, 0) > 0)
-
-
-# -- the replicate interface, against the per-backend maps it replaced ---------------
-
-
-class ReferenceDense(hsic._DenseBackend):
-    """The dense backend's replicate sums as they stood with sums_at and a
-    (put, sums) pair of closures."""
-
-    def sums_at(self, gamma):
-        """Map blocks (C, G) of replicate counts, one replicate per column,
-        to the arrays of their (c'Kc, g'Kc, g'Kg).
-
-        One product K X reads K once for the whole block: replicate b's c
-        and g are columns 2b and 2b + 1 of X, which zero columns pad to a
-        multiple of _BLOCK_COLUMNS wide.
-        """
-        d2 = cdist(self.support, self.support, "sqeuclidean")
-        K = np.empty_like(d2)
-        np.multiply(d2, -gamma, out=K)
-        np.exp(K, out=K)
-
-        def sums(c, g):
-            k = c.shape[1]
-            x = np.zeros((len(K), -(-2 * k // _BLOCK_COLUMNS) * _BLOCK_COLUMNS))
-            x[:, 0 : 2 * k : 2] = c
-            x[:, 1 : 2 * k : 2] = g
-            kx = K @ x
-            kc, kg = kx[:, 0 : 2 * k : 2], kx[:, 1 : 2 * k : 2]
-            return (np.einsum("ij,ij->j", c, kc), np.einsum("ij,ij->j", g, kc),
-                    np.einsum("ij,ij->j", g, kg))
-
-        return sums
-
-    def replicate_sums(self, gamma, n_boot):
-        sums = self.sums_at(gamma)
-        c, g = np.empty((len(self.c), n_boot)), np.empty((len(self.c), n_boot))
-
-        def put(b, cb, gb):
-            c[:, b], g[:, b] = cb, gb
-
-        return put, lambda: sums(c, g)
-
-
-class ReferenceBinnedReplicates(hsic._BinnedBackend):
-    """The binned backend's replicate sums as they stood with sums_at and a
-    (put, sums) pair of closures."""
-
-    def sums_at(self, gamma):
-        """Map flat count grids (c, g) to (c'Kc, g'Kc, g'Kg) at one gamma.
-
-        1-D: the Toeplitz kernel matrix, embedded in a circulant of length 2B,
-        is diagonal in Fourier space, so by Parseval each triple costs two
-        forward FFTs and three weighted spectrum sums.  2-D: the product
-        kernel is K1 (x) K2 with Toeplitz factors K_d[i, j] =
-        exp(-gamma e_d[|i - j|]), so c'Kc = <C, K1 C K2>.  With K_d = F_d F_d'
-        (see _factors) that is |P_c|^2 for P_c = F1' C F2, and g'Kc is
-        <P_g, P_c>; a replicate's products cost r1 B^2 + r1 r2 B for ranks
-        r_d <= B, against 2 B^3 for K1 C K2.
-        """
-        B = self.B
-        if self.dim == 1:
-            M = 2 * B
-            k = np.exp(self.lag2[0] * (-gamma))
-            ring = np.zeros(M)          # lag B never occurs between two bins
-            ring[:B] = k
-            ring[B + 1 :] = k[:0:-1]
-            w = np.fft.rfft(ring).real / M
-            w[1:-1] *= 2.0              # interior bins stand for a conjugate pair
-
-            def sums(c, g):
-                fc = np.fft.rfft(c, M)
-                fg = np.fft.rfft(g, M)
-                return (w @ (fc.real**2 + fc.imag**2),
-                        w @ (fg.real * fc.real + fg.imag * fc.imag),
-                        w @ (fg.real**2 + fg.imag**2))
-
-            return sums
-        F1, F2 = self._factors(gamma)
-
-        def sums(c, g):
-            pc = F1.T @ c.reshape(B, B) @ F2
-            pg = F1.T @ g.reshape(B, B) @ F2
-            return np.vdot(pc, pc), np.vdot(pg, pc), np.vdot(pg, pg)
-
-        return sums
-
-    def replicate_sums(self, gamma, n_boot):
-        sums, out = self.sums_at(gamma), np.empty((3, n_boot))
-
-        def put(b, c, g):
-            out[:, b] = sums(c, g)
-
-        return put, lambda: out
-
-
-def reference_bootstrap(backend, gamma, n_boot, seed):
-    """Replicate scores at a fixed gamma; replicate b draws from the stream
-    keyed (seed, b), so extending n_boot keeps earlier replicates."""
-    n = backend.n
-    put, sums = backend.replicate_sums(gamma, n_boot)
-    m = np.empty(n_boot)
-    for b in range(n_boot):
-        cb, gb = resample(backend, np.random.default_rng(_seed_sequence(seed, b)))
-        m[b] = gb.sum()
-        put(b, cb, gb)
-    return np.maximum((m / n) ** 2 * _mmd_from_sums(np.column_stack(sums()), n, m), 0.0)
-
-
-@pytest.mark.parametrize("cls, ref, n, dim", [
-    (hsic._DenseBackend, ReferenceDense, 400, 1),
-    (hsic._DenseBackend, ReferenceDense, 900, 2),
-    (hsic._BinnedBackend, ReferenceBinnedReplicates, 3000, 1),
-    (hsic._BinnedBackend, ReferenceBinnedReplicates, 5000, 2),
-], ids=["dense-1d", "dense-2d", "binned-1d", "binned-2d"])
-def test_bootstrap_matches_the_per_backend_replicate_maps(cls, ref, n, dim):
-    # one replicate_sums call over the draws gives the bits of the sums_at
-    # map fed through (put, sums), whatever n_boot pads the dense block to
-    rng = np.random.default_rng(70 + n)
-    pts, z = labeled_points(rng, n, dim)
-    eng, old = backend(cls, pts, z), backend(ref, pts, z)
-    gamma = hsic._select(eng, None)[1]
-    for n_boot in (2, 7, 8, 9, 37, 100):
-        got = hsic._bootstrap(eng, gamma, n_boot, 3)
-        assert np.array_equal(got, reference_bootstrap(old, gamma, n_boot, 3)), n_boot
-        assert got.shape == (n_boot,) and np.all(got > 0)
+@pytest.mark.parametrize("n", [400, 3000], ids=["dense", "binned"])
+def test_standard_error_does_not_depend_on_the_seed_or_n_boot(n):
+    rng = np.random.default_rng(200)
+    u, v = rng.random((2, n))
+    z = np.abs(u - v) < 0.2
+    se = hsic_goal(u, z, seed=1).std_error
+    assert se > 0
+    assert hsic_goal(u, z, seed=2).std_error == se
+    assert hsic_goal(u, z, n_boot=2, seed=3).std_error == se
+    assert hsic_pair(u, v, z, seed=1).std_error == hsic_pair(u, v, z, n_boot=7, seed=2).std_error
 
 
 def selected_score(eng):
@@ -995,20 +933,22 @@ def test_row_blocks_tile_the_rows_from_fixed_starts(s):
     assert (len(blocks) > 1) == (s >= 2 * hsic._SPLIT_ROWS)
 
 
-# 1441 rows are nine blocks and one row more; 400 rows with 3 replicates
-# (8 columns) split the sweep but not the replicate block (_SMALL_GEMM)
-@pytest.mark.parametrize("s, n_boot", [(1500, 21), (1441, 21), (400, 3)])
-def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
+# 1441 rows are nine blocks and one row more; 400 rows are two blocks, the
+# last one 240 rows long.  at is the grid point of the standard error's
+# products: 21 sits mid-grid, 3 is a narrow kernel
+@pytest.mark.parametrize("s, at", [(1500, 21), (1441, 21), (400, 3)])
+def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, at):
     # whatever the pool's size and the caller's BLAS thread count, the row
-    # blocks, each over its own distances, give the sweep and the replicate
-    # block the bits of one product of the whole kernel matrix at one BLAS
-    # thread
+    # blocks, each over its own distances, give the sweep and the standard
+    # error's products the bits of one product of the whole kernel matrix at
+    # one BLAS thread
     eng = dense_support(np.random.default_rng(130 + s), s, 1, False)
     assert len(hsic._row_blocks(s)) > 1
-    gammas = 1.0 / (2.0 * bandwidth_grid(eng.median_distance())[::8] ** 2)
-    gamma = gammas[2]
-    draws = [resample(eng, np.random.default_rng(b)) for b in range(n_boot)]
+    grid = bandwidth_grid(eng.median_distance())
+    gammas = 1.0 / (2.0 * grid[::8] ** 2)
+    gamma = 1.0 / (2.0 * grid[at] ** 2)
     c, g = eng.c, eng.g
+    r = np.random.default_rng(s).random(s)
     d2 = cdist(eng.support, eng.support, "sqeuclidean")
     with blas.one_blas_thread():
         sweep = []
@@ -1016,24 +956,28 @@ def test_dense_pool_sums_have_the_bits_of_one_unsplit_call(s, n_boot):
             K = np.exp(-gm * d2)
             kg, kc = K @ g, K @ c
             sweep.append((c @ kc, c @ kg, g @ kg))
-        block = np.column_stack(ReferenceDense.sums_at(eng, gamma)(
-            np.column_stack([cb for cb, _ in draws]), np.column_stack([gb for _, gb in draws])))
+        K = np.exp(-gamma * d2)
+        products = K @ c, K @ g, r @ ((K * K) @ r)
+        se = hsic._std_error(eng, gamma)
     for threads in (1, 2):
         for workers in (1, 2, 3):
             with blas_threads_at(threads):
                 with hsic._scoring(workers) as each:
                     pooled = hsic._DenseBackend(eng.support, c, g, each)
                     got_sweep = pooled.sweep(gammas)
-                    got_block = pooled.replicate_sums(gamma, n_boot, given(draws))
+                    got_products = pooled.products(gamma, r)
+                    got_se = hsic._std_error(pooled, gamma)
                 assert blas._blas_threads() == [threads] * len(blas._blas_threads())
             assert np.array_equal(got_sweep, np.array(sweep)), (threads, workers)
-            assert np.array_equal(got_block, block), (threads, workers)
+            for got, want in zip(got_products, products):
+                assert np.array_equal(got, want), (threads, workers)
+            assert got_se == se, (threads, workers)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dense_scores_hold_no_support_sized_table(dim):
     # each row block computes the distances it exponentiates, so building the
-    # backend, a sweep and a 100-replicate block never hold an s x s table
+    # backend, a sweep and the standard error never hold an s x s table
     s = 1500
     rng = np.random.default_rng(160 + dim)
     pts, z = labeled_points(rng, s, dim)
@@ -1044,7 +988,7 @@ def test_dense_scores_hold_no_support_sized_table(dim):
             eng = backend(hsic._DenseBackend, pts, z, each)
             assert len(eng.c) == s
             eng.sweep(gammas)
-            hsic._bootstrap(eng, gammas[2], 100, 0)
+            hsic._std_error(eng, gammas[2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1082,12 +1026,14 @@ def test_every_workspace_is_built_on_the_calling_thread(workers):
         eng = backend(hsic._DenseBackend, pts, z, recording)
         gammas = 1.0 / (2.0 * bandwidth_grid(0.3)[::8] ** 2)
         eng.sweep(gammas)
-        hsic._bootstrap(eng, gammas[2], 100, 0)
+        hsic._std_error(eng, gammas[2])
         hsic._sq_dist_pairs(np.repeat(eng.support, (eng.c + eng.g).astype(np.int64), axis=0),
                             recording)
         binned = backend(hsic._BinnedBackend, wide, wide_z, recording)
-        hsic._bootstrap(binned, hsic._select(binned, None)[1], 37, 3)
-    assert [n for n, _, _ in calls] == [9, 9, 11, 37]      # row blocks, then replicates
+        hsic._std_error(binned, hsic._select(binned, None)[1])
+    # row blocks of the sweep, the standard error and the pair table; the
+    # binned backend hands the pool nothing
+    assert [n for n, _, _ in calls] == [9, 9, 11]
     for n, built, used in calls:
         assert len(built) == min(workers - 1, n - 1) + 1
         assert {thread for thread, _ in built} == {caller}
@@ -1133,12 +1079,12 @@ def test_binned_pool_bootstrap_has_the_bits_of_one_unsplit_call():
     eng = backend(hsic._BinnedBackend, pts, z)
     gamma = hsic._select(eng, None)[1]
     with blas.one_blas_thread():
-        want = reference_bootstrap(backend(ReferenceBinnedReplicates, pts, z), gamma, 37, 3)
+        want = hsic._std_error(eng, gamma)
     for threads in (1, 2):
         for workers in (1, 2, 3):
             with blas_threads_at(threads), hsic._scoring(workers) as each:
-                got = hsic._bootstrap(backend(hsic._BinnedBackend, pts, z, each), gamma, 37, 3)
-            assert np.array_equal(got, want), (threads, workers)
+                got = hsic._std_error(backend(hsic._BinnedBackend, pts, z, each), gamma)
+            assert got == want, (threads, workers)
 
 
 # -- the dense distances, against the numpy tables they replaced -------------------
